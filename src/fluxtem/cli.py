@@ -340,12 +340,19 @@ def cmd_image(cfg: RunConfig, out: Path, check: bool) -> None:
 
 
 def cmd_scaling(cfg: RunConfig, out: Path, check: bool) -> None:
-    k_list = [int(k) for k in cfg["scaling.k_list"]]
+    for k in cfg["scaling.k_list"]:
+        if not (k >= 1 and float(k).is_integer()):
+            raise ConfigError(f"scaling.k_list entries must be integers >= 1, got {k!r}", key="scaling.k_list")
+    reps, target = cfg["scaling.repetitions"], cfg["scaling.target_std"]
+    if reps < 2:
+        raise ConfigError(f"scaling.repetitions must be >= 2 to measure a spread, got {reps}", key="scaling.repetitions")
+    if not target > 0.0:
+        raise ConfigError(f"scaling.target_std must be positive, got {target!r}", key="scaling.target_std")
     result = estimator.dose_scaling_experiment(
         cfg["scaling.delta_phi"],
-        k_list,
-        cfg["scaling.target_std"],
-        cfg["scaling.repetitions"],
+        [int(k) for k in cfg["scaling.k_list"]],
+        target,
+        reps,
         cfg["seed"],
     )
     table_path = out / "scaling_table.csv"

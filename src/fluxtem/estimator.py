@@ -22,7 +22,7 @@ from . import protocol
 from .detector import DetectorModel
 from .errors import AmbiguityError, BudgetError, DivergentDoseError
 from .protocol import GroupPlan
-from .streams import DOMAIN_ESTIMATE, DOMAIN_IMAGE, DOMAIN_SCALING, derive
+from .streams import DOMAIN_IMAGE, DOMAIN_SCALING, derive
 
 MODES = ("conventional", "entangled")
 
@@ -72,13 +72,14 @@ class DoseReport:
 
     @classmethod
     def from_closed_forms(cls, delta_phi: float, k: int) -> "DoseReport":
-        # advantage uses the un-rounded formulas, so it is exactly k
+        # the ratio of the un-rounded formulas, (2/dphi)^2 / ((2/dphi)^2 / k),
+        # is exactly k; computing it in floating point can miss k by an ulp
         return cls(
             delta_phi=delta_phi,
             k=k,
             n_conventional=required_electrons_conventional(delta_phi),
             n_entangled=required_electrons_entangled(delta_phi, k),
-            advantage=(2.0 / delta_phi) ** 2 / ((2.0 / delta_phi) ** 2 / k),
+            advantage=float(k),
         )
 
 
@@ -105,6 +106,21 @@ def _invert_conventional(p_hat: float) -> float:
 
 def _invert_quadrature(p_hat: float, k: int) -> float:
     return math.asin(min(1.0, max(-1.0, 2.0 * p_hat - 1.0))) / k
+
+
+def _quadrature_std_error(estimate: float, k: int, groups: int, coherence: float) -> float:
+    """Cramer-Rao bound of the quadrature estimate, evaluated at the estimate.
+
+    Var >= (1 - c^2 sin^2 k theta) / (G k^2 c^2 cos^2 k theta), which is
+    1 / (G k^2) at c = 1; that case is returned in closed form so it stays
+    bit-identical to the ideal-coherence formula.
+    """
+    if coherence == 1.0:
+        return 1.0 / (k * math.sqrt(groups))
+    s = coherence * math.sin(k * estimate)
+    c = coherence * math.cos(k * estimate)
+    denom = groups * k * k * c * c
+    return math.sqrt((1.0 - s * s) / denom) if denom > 0.0 else math.inf
 
 
 def estimate_phase(
@@ -169,9 +185,10 @@ def estimate_phase(
         if batch.groups == 0:
             raise BudgetError("no group completed within the electron budget")
         p_hat = float(batch.outcomes.mean())
+        estimate = _invert_quadrature(p_hat, k)
         return EstimationResult(
-            estimate=_invert_quadrature(p_hat, k),
-            std_error=1.0 / (k * math.sqrt(batch.groups)),
+            estimate=estimate,
+            std_error=_quadrature_std_error(estimate, k, batch.groups, coherence),
             trials=batch.groups,
             electrons_used=batch.electrons_used,
             boundary_discards=batch.boundary_discards,
@@ -314,12 +331,35 @@ class DoseScalingResult:
     intercept: float | None
 
 
+def _estimate_batch(mode, delta_phi, budget, repetitions, det, rng, k):
+    """Estimates and trials of `repetitions` fixed-k `estimate_phase` calls, drawn at once.
+
+    Exact in distribution to calling `estimate_phase` once per
+    repetition.  Conventional: the antisymmetric count is
+    Binomial(budget, sin^2(dphi/2)).  Entangled: compensation subtracts
+    the same beta_j that detection added, so every completed group reads
+    out k*dphi whichever pixels it hit, and only the number of groups
+    matters.  Drawing stops at budget // k groups or when the budget is
+    spent, so the groups completed are min(budget // k, Binomial(budget,
+    q) // k) for non-boundary power fraction q, and the plus count is
+    Binomial(groups, (1 + sin k dphi) / 2).
+    """
+    if mode == "conventional":
+        hits = rng.binomial(budget, protocol.conventional_probability(delta_phi), size=repetitions)
+        return 2.0 * np.arcsin(np.sqrt(hits / budget)), np.full(repetitions, budget)
+    q = det.non_boundary_power_fraction()
+    groups = np.full(repetitions, budget // k)
+    if q < 1.0:
+        groups = np.minimum(groups, rng.binomial(budget, q, size=repetitions) // k)
+    if not groups.all():
+        raise BudgetError("no group completed within the electron budget")
+    hits = rng.binomial(groups, 0.5 * (1.0 + math.sin(k * delta_phi)))
+    return np.arcsin(np.clip(2.0 * hits / groups - 1.0, -1.0, 1.0)) / k, groups
+
+
 def _empirical_std(delta_phi, k, budget, repetitions, seed, det, mode):
-    estimates = np.empty(repetitions)
-    for rep in range(repetitions):
-        rng = derive(seed, DOMAIN_SCALING, k, budget, rep)
-        res = estimate_phase(mode, delta_phi, budget, det, rng, k=k)
-        estimates[rep] = res.estimate
+    rng = derive(seed, DOMAIN_SCALING, k, budget)
+    estimates, _ = _estimate_batch(mode, delta_phi, budget, repetitions, det, rng, k)
     return float(estimates.std(ddof=1))
 
 
@@ -337,12 +377,22 @@ def electrons_to_target_std(
     Doubles the budget until the empirical standard deviation over
     `repetitions` independent estimates drops below target, then
     bisects in log space to about 3%.  The search never assumes the
-    1/sqrt(k N) law it is used to test.
+    1/sqrt(k N) law it is used to test.  Each probed budget draws all its
+    repetitions from one stream, derive(seed, DOMAIN_SCALING, k, budget);
+    `det` defaults to the trivial detector.
     """
     if target_std <= 0.0:
         raise ValueError("target_std must be positive")
     if repetitions < 2:
         raise ValueError("need at least two repetitions to measure a spread")
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if mode == "entangled" and abs(k * delta_phi) >= 0.5 * math.pi:
+        raise AmbiguityError(f"k = {k} puts |k * delta_phi| >= pi/2; the quadrature inversion is ambiguous")
+    if det is None:
+        det = det_mod.trivial()
     probes: list[tuple[int, float]] = []
 
     budget = max(4 * k, 16)
@@ -381,13 +431,13 @@ def dose_scaling_experiment(
     """Electrons-to-target-spread for each group size, plus a log-log fit.
 
     The entangled scheme predicts electrons proportional to 1/k, i.e. a
-    fitted slope of -1 for log(electrons) against log(k).
+    fitted slope of -1 for log(electrons) against log(k).  `det` defaults
+    to the trivial detector, built once for every k.
     """
     if not k_list:
         raise ValueError("k_list must not be empty")
-    for k in k_list:
-        if abs(k * delta_phi) >= 0.5 * math.pi:
-            raise AmbiguityError(f"k = {k} puts |k * delta_phi| >= pi/2; drop it from k_list")
+    if det is None:
+        det = det_mod.trivial()
     rows = [electrons_to_target_std(delta_phi, k, target_std, repetitions, seed, det) for k in k_list]
     slope = slope_stderr = intercept = None
     if len(rows) >= 2:

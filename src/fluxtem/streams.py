@@ -11,11 +11,10 @@ from __future__ import annotations
 import numpy as np
 
 # Domain tags keep unrelated experiment stages on disjoint stream paths.
+# The values are part of every stream's path: changing one changes outputs.
 DOMAIN_PROTOCOL = 1
-DOMAIN_ESTIMATE = 2
 DOMAIN_SCALING = 3
 DOMAIN_IMAGE = 4
-DOMAIN_OPTICS = 5
 
 
 def derive(seed: int, *path: int) -> np.random.Generator:
