@@ -9,8 +9,45 @@ SCALING_TABLE_SHA256 = "6d01bddd1377ca93f5ddaf28c5efcd27d4d2d09256bda8f18387eb06
 SCALING_PROBES_SHA256 = "809250e5833d236cca643dfb211375521589180b4ad0b524a263217d732d80ab"
 
 
+# hash_tree of each command's output at a small config and seed 12345
+SMALL_OPTICS = ["optics.n=64", "optics.pitch=4e-7"]
+GOLDEN_TREES = {
+    "design": ([], True, "f9bd85b928ad3ef06579c982ed6a3c8b88d6cd2a1e9109ae03f6b8d84ea5ccf3"),
+    "optics": (SMALL_OPTICS, True, "6c8c6278ce3f697ab12b6f1b0ac10ca3285943df2c3b6a49db5b736762fc4af6"),
+    "protocol": (["protocol.repetitions=200"], True, "57765b02ff92eb4a247585fe648013af6cffa8d29cbeaa8244a5a5dde6dc42d8"),
+    "protocol-optics": (
+        ["protocol.detector=optics", "protocol.repetitions=200", *SMALL_OPTICS],
+        True,
+        "c9e7ab62f9e77652a9f5aa8321a62a86faf8303534efb417742c7d359804a8ca",
+    ),
+    # image's rmse_ratio check does not hold at this size, so it runs without --check
+    "image": (["image.shape=16", "image.repetitions=2"], False, "dae589f1515acd0ea8e83ad886f2793706d60b95ad3e743ec0e926ef08e57c8e"),
+    "image-optics": (
+        ["image.shape=16", "image.repetitions=2", "protocol.detector=optics", *SMALL_OPTICS],
+        False,
+        "f34f79fe8c20a49dc1dba5c2e6c2bc7f955685e009ca1fb84dc6597db4ca8fd2",
+    ),
+}
+
+
 def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_TREES))
+def test_small_config_golden_tree(name, tmp_path):
+    overrides, check, want = GOLDEN_TREES[name]
+    argv = [name.split("-")[0], "--seed", "12345"]
+    for override in overrides:
+        argv += ["--set", override]
+    if check:
+        argv.append("--check")
+    trees = []
+    for run in ("a", "b"):
+        assert cli.main(argv + ["--out", str(tmp_path / run)]) == cli.EXIT_OK
+        trees.append(fileio.hash_tree(tmp_path / run))
+    assert trees[0] == trees[1]
+    assert trees[0] == want
 
 
 def test_scaling_golden_outputs(tmp_path, capsys):
