@@ -16,7 +16,6 @@ from .estimator import (
     SpecimenMap,
     dose_scaling_experiment,
     estimate_phase,
-    heisenberg_k,
     image_scan,
     make_checkerboard,
     required_electrons_conventional,
@@ -46,7 +45,6 @@ __all__ = [
     "SpecimenMap",
     "dose_scaling_experiment",
     "estimate_phase",
-    "heisenberg_k",
     "image_scan",
     "make_checkerboard",
     "required_electrons_conventional",

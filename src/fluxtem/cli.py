@@ -63,12 +63,9 @@ def _optics_config(cfg: RunConfig) -> optics.OpticsConfig:
 
 
 def _detector(cfg: RunConfig) -> det_mod.DetectorModel:
-    kind = cfg["protocol.detector"]
-    if kind == "trivial":
+    if cfg["protocol.detector"] == "trivial":
         return det_mod.trivial(cfg["protocol.trivial_pixels"])
-    if kind == "optics":
-        return optics.build_detector(_optics_config(cfg))
-    raise ConfigError(f"unknown detector kind {kind!r}", key="protocol.detector")
+    return optics.build_detector(_optics_config(cfg))
 
 
 def _finish(out: Path, cfg: RunConfig, command: str, stats: dict, files: list[Path], checks: list[tuple[str, bool, str]], check_mode: bool) -> None:
@@ -160,14 +157,8 @@ def cmd_optics(cfg: RunConfig, out: Path, check: bool) -> None:
     checks = []
     if check:
         phase = protocol.wrap_angle(ocfg.ring.branch_phase)
-        ok = ~det.boundary_mask
         if abs(abs(phase) - math.pi) < 1e-9:
-            inside = det.region[ok] == det_mod.INSIDE_SHADOW
-            beta = det.beta[ok]
-            worst = max(
-                np.abs(beta[~inside]).max(initial=0.0),
-                np.abs(np.abs(beta[inside]) - math.pi).max(initial=0.0),
-            )
+            worst = det.beta_law_deviation()
             checks.append(("beta_law", worst < 1e-6, f"max deviation from {{0, pi}} = {worst:.2e}"))
             peaks = (np.unravel_index(map0.argmax(), map0.shape), np.unravel_index(map1.argmax(), map1.shape))
             ncc = optics.normalized_cross_correlation(map0, map1)
@@ -200,11 +191,9 @@ def cmd_protocol(cfg: RunConfig, out: Path, check: bool) -> None:
         qubit = protocol.compensate(result.qubit, result.sum_beta)
         outcome = protocol.measure_qubit(qubit, basis, rng)
         outcomes[trial] = outcome
-        outcome_rows.append(
-            (trial, repr(result.sum_beta), result.boundary_discards, repr(qubit.relative_phase), outcome)
-        )
+        outcome_rows.append((trial, result.sum_beta, result.boundary_discards, qubit.relative_phase, outcome))
         for step, rec in enumerate(result.records):
-            record_rows.append((trial, step, rec.pixel_index, repr(rec.beta), int(rec.boundary)))
+            record_rows.append((trial, step, rec.pixel_index, rec.beta, int(rec.boundary)))
 
     outcomes_path = out / "outcomes.csv"
     fileio.write_csv(outcomes_path, ["trial", "sum_beta", "boundary_discards", "phase_after_compensation", "outcome"], outcome_rows)
@@ -229,11 +218,8 @@ def cmd_protocol(cfg: RunConfig, out: Path, check: bool) -> None:
 
 
 def _load_specimen(cfg: RunConfig) -> estimator.SpecimenMap:
-    kind = cfg["image.specimen"]
-    if kind == "checkerboard":
+    if cfg["image.specimen"] == "checkerboard":
         return estimator.make_checkerboard(cfg["image.shape"], cfg["image.tile"], cfg["image.delta_phi"])
-    if kind != "files":
-        raise ConfigError(f"unknown specimen kind {kind!r}", key="image.specimen")
     phase_file = cfg["image.phase_file"]
     pairs_file = cfg["image.pairs_file"]
     if phase_file is None or pairs_file is None:
@@ -244,29 +230,12 @@ def _load_specimen(cfg: RunConfig) -> estimator.SpecimenMap:
         else:
             phase = fileio.read_csv_floats(phase_file)
     except (OSError, ValueError, KeyError) as err:
-        raise ConfigError(f"cannot load phase map {phase_file!r}: {err}", key="image.phase_file") from err
-    pair_sets: dict[int, tuple[list[int], list[int]]] = {}
+        raise ConfigError(f"cannot load image.phase_file {phase_file!r}: {err}", key="image.phase_file") from err
     try:
-        import csv as _csv
-
-        with open(pairs_file, newline="") as fh:
-            reader = _csv.reader(fh)
-            header = next(reader)
-            if header != ["pair", "region", "row", "col"]:
-                raise ValueError(f"expected header pair,region,row,col, got {header!r}")
-            for row in reader:
-                pair, region, r, c = (int(v) for v in row)
-                if region not in (0, 1):
-                    raise ValueError(f"region must be 0 or 1, got {region}")
-                pair_sets.setdefault(pair, ([], []))[region].append(r * phase.shape[1] + c)
+        spec = estimator.SpecimenMap(phase=phase, pairs=fileio.read_pairs_csv(pairs_file, phase.shape[1]))
+        spec.validate()
     except (OSError, ValueError) as err:
-        raise ConfigError(f"cannot load pair list {pairs_file!r}: {err}", key="image.pairs_file") from err
-    pairs = [
-        (np.array(s0, dtype=np.int64), np.array(s1, dtype=np.int64))
-        for s0, s1 in (pair_sets[p] for p in sorted(pair_sets))
-    ]
-    spec = estimator.SpecimenMap(phase=phase, pairs=pairs)
-    spec.validate()
+        raise ConfigError(f"cannot load image.pairs_file {pairs_file!r}: {err}", key="image.pairs_file") from err
     return spec
 
 
@@ -307,7 +276,7 @@ def cmd_image(cfg: RunConfig, out: Path, check: bool) -> None:
             last = scan
         rmse = math.sqrt(sq_sum / count) if count else float("nan")
         pooled[mode] = rmse
-        rmse_rows.append((mode, mode_k, repr(rmse), dose, discards, int(incomplete)))
+        rmse_rows.append((mode, mode_k, rmse, dose, discards, int(incomplete)))
         stats[f"dose.{mode}"] = dose
         stats[f"incomplete.{mode}"] = incomplete
         map_csv = out / f"estimate_map_{mode}.csv"
@@ -315,7 +284,7 @@ def cmd_image(cfg: RunConfig, out: Path, check: bool) -> None:
             map_csv,
             ["pair", "true_delta_phi", "estimate", "std_error"],
             [
-                (i, repr(float(last.true_values[i])), repr(float(last.estimates[i])), repr(float(last.std_errors[i])))
+                (i, float(last.true_values[i]), float(last.estimates[i]), float(last.std_errors[i]))
                 for i in range(len(spec.pairs))
             ],
         )
@@ -340,32 +309,24 @@ def cmd_image(cfg: RunConfig, out: Path, check: bool) -> None:
 
 
 def cmd_scaling(cfg: RunConfig, out: Path, check: bool) -> None:
-    for k in cfg["scaling.k_list"]:
-        if not (k >= 1 and float(k).is_integer()):
-            raise ConfigError(f"scaling.k_list entries must be integers >= 1, got {k!r}", key="scaling.k_list")
-    reps, target = cfg["scaling.repetitions"], cfg["scaling.target_std"]
-    if reps < 2:
-        raise ConfigError(f"scaling.repetitions must be >= 2 to measure a spread, got {reps}", key="scaling.repetitions")
-    if not target > 0.0:
-        raise ConfigError(f"scaling.target_std must be positive, got {target!r}", key="scaling.target_std")
     result = estimator.dose_scaling_experiment(
         cfg["scaling.delta_phi"],
         [int(k) for k in cfg["scaling.k_list"]],
-        target,
-        reps,
+        cfg["scaling.target_std"],
+        cfg["scaling.repetitions"],
         cfg["seed"],
     )
     table_path = out / "scaling_table.csv"
     fileio.write_csv(
         table_path,
         ["k", "electrons", "achieved_std"],
-        [(row.k, row.electrons, repr(row.achieved_std)) for row in result.rows],
+        [(row.k, row.electrons, row.achieved_std) for row in result.rows],
     )
     probes_path = out / "scaling_probes.csv"
     fileio.write_csv(
         probes_path,
         ["k", "budget", "std"],
-        [(row.k, b, repr(s)) for row in result.rows for b, s in row.probes],
+        [(row.k, b, s) for row in result.rows for b, s in row.probes],
     )
     stats = {"target_std": repr(result.target_std), "repetitions": result.repetitions}
     if result.slope is not None:

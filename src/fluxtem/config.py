@@ -15,6 +15,7 @@ import math
 from pathlib import Path
 
 from .errors import ConfigError
+from .protocol import BASES
 
 # value kinds
 INT, FLOAT, BOOL, STR, LIST, OPT_FLOAT, OPT_STR, OPT_INT = (
@@ -103,6 +104,42 @@ SCHEMA: dict[str, tuple[str, str, object]] = {
 }
 
 
+def _at_least(low):
+    return (lambda v: v >= low), f">= {low}"
+
+
+def _one_of(*choices):
+    return (lambda v: v in choices), "one of " + ", ".join(choices)
+
+
+_POSITIVE = (lambda v: v > 0.0), "> 0"
+
+# key -> (test, wanted) for values a run cannot use; each list entry is
+# tested on its own
+LIMITS = {
+    "seed": _at_least(0),
+    "beam.energy": _POSITIVE,
+    "beam.waist": _POSITIVE,
+    "squid.d": _POSITIVE,
+    "squid.mu_r": _POSITIVE,
+    "squid.log_factor": _POSITIVE,
+    "squid.flux_path_length": _POSITIVE,
+    "protocol.k": _at_least(1),
+    "protocol.delta_phi": ((lambda v: -math.pi < v <= math.pi), "in (-pi, pi]"),
+    "protocol.repetitions": _at_least(1),
+    "protocol.detector": _one_of("trivial", "optics"),
+    "protocol.trivial_pixels": _at_least(1),
+    "protocol.basis": _one_of(*BASES),
+    "image.specimen": _one_of("checkerboard", "files"),
+    "image.budget": _at_least(1),
+    "image.k": _at_least(1),
+    "image.repetitions": _at_least(1),
+    "scaling.k_list": ((lambda v: v >= 1 and float(v).is_integer()), "integers >= 1"),
+    "scaling.target_std": _POSITIVE,
+    "scaling.repetitions": ((lambda v: v >= 2), ">= 2 to measure a spread"),
+}
+
+
 def _parse_quantity(token: str, dimension: str, key: str, line: int | None) -> float:
     token = token.strip()
     units = _UNITS.get(dimension, {})
@@ -147,27 +184,30 @@ def _parse_value(key: str, raw: str, line: int | None = None):
     return raw  # STR
 
 
+def _check_limit(key: str, value, line: int | None) -> None:
+    if key not in LIMITS:
+        return
+    test, wanted = LIMITS[key]
+    for v in value if isinstance(value, tuple) else (value,):
+        if not test(v):
+            raise ConfigError(f"{key} must be {wanted}, got {v!r}", key=key, line=line)
+
+
 class RunConfig:
     """Effective configuration: schema defaults + file + command-line overrides."""
 
-    def __init__(self, values: dict | None = None):
+    def __init__(self):
         self._values = {key: default for key, (_, _, default) in SCHEMA.items()}
-        if values:
-            for key, value in values.items():
-                if key not in SCHEMA:
-                    raise ConfigError(f"unknown key {key!r}", key=key)
-                self._values[key] = value
 
     def __getitem__(self, key: str):
         return self._values[key]
 
-    def get(self, key: str, default=None):
-        return self._values.get(key, default)
-
     def set_raw(self, key: str, raw: str, line: int | None = None) -> None:
         if key not in SCHEMA:
             raise ConfigError(f"unknown key {key!r}", key=key, line=line)
-        self._values[key] = _parse_value(key, raw, line)
+        value = _parse_value(key, raw, line)
+        _check_limit(key, value, line)
+        self._values[key] = value
 
     def apply_file(self, path) -> None:
         text = Path(path).read_text()

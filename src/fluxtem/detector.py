@@ -94,6 +94,13 @@ class DetectorModel:
     def non_boundary_power_fraction(self) -> float:
         return 1.0 - self.boundary_power_fraction()
 
+    def beta_law_deviation(self) -> float:
+        """Largest distance of a non-boundary beta_j from 0 (outside the shadow) or pi (inside)."""
+        ok = ~self.boundary_mask
+        beta = self.beta[ok]
+        inside = self.region[ok] == INSIDE_SHADOW
+        return max(np.abs(beta[~inside]).max(initial=0.0), np.abs(np.abs(beta[inside]) - np.pi).max(initial=0.0))
+
     def validate(self, check_beta_law: bool = True) -> None:
         """Check the model invariants, raising InvalidStateError on failure.
 
@@ -115,11 +122,7 @@ class DetectorModel:
                     f"non-boundary pixel moduli differ by {worst:.3e} (tolerance {self.tolerance:.3e})"
                 )
             if check_beta_law:
-                beta = self.beta[ok]
-                inside = self.region[ok] == INSIDE_SHADOW
-                err_out = np.abs(beta[~inside])
-                err_in = np.abs(np.abs(beta[inside]) - np.pi)
-                worst_beta = max(err_out.max(initial=0.0), err_in.max(initial=0.0))
+                worst_beta = self.beta_law_deviation()
                 if worst_beta > 1e-6:
                     raise InvalidStateError(f"non-boundary beta deviates from {{0, pi}} by {worst_beta:.3e}")
 
@@ -157,7 +160,7 @@ class DetectorModel:
         return cls(np.array(a), np.array(b), np.array(beta), np.array(region), tolerance=tolerance)
 
 
-def trivial(n_pixels: int = 64, tolerance: float = 1e-6) -> DetectorModel:
+def trivial(n_pixels: int = 64) -> DetectorModel:
     """Uniform detector with a_j = b_j everywhere, so beta_j = 0."""
     if n_pixels < 1:
         raise ValueError("n_pixels must be positive")
@@ -167,11 +170,10 @@ def trivial(n_pixels: int = 64, tolerance: float = 1e-6) -> DetectorModel:
         b=amp.copy(),
         beta=np.zeros(n_pixels),
         region=np.full(n_pixels, OUTSIDE_SHADOW, dtype=np.int8),
-        tolerance=tolerance,
     )
 
 
-def two_region(n_outside: int, n_inside: int, tolerance: float = 1e-6) -> DetectorModel:
+def two_region(n_outside: int, n_inside: int) -> DetectorModel:
     """Synthetic shadow detector: b_j = -a_j on the inside block (beta_j = pi)."""
     n = n_outside + n_inside
     if n_outside < 0 or n_inside < 0 or n < 1:
@@ -183,12 +185,12 @@ def two_region(n_outside: int, n_inside: int, tolerance: float = 1e-6) -> Detect
     beta[n_outside:] = np.pi
     region = np.full(n, OUTSIDE_SHADOW, dtype=np.int8)
     region[n_outside:] = INSIDE_SHADOW
-    return DetectorModel(a=a, b=b, beta=beta, region=region, tolerance=tolerance)
+    return DetectorModel(a=a, b=b, beta=beta, region=region)
 
 
-def degenerate_two_pixel(tolerance: float = 1e-6) -> DetectorModel:
+def degenerate_two_pixel() -> DetectorModel:
     """Pathological detector a = (1, 0), b = (0, 1): every pixel is boundary."""
     a = np.array([1.0, 0.0], dtype=complex)
     b = np.array([0.0, 1.0], dtype=complex)
     region = np.full(2, BOUNDARY, dtype=np.int8)
-    return DetectorModel(a=a, b=b, beta=np.zeros(2), region=region, tolerance=tolerance)
+    return DetectorModel(a=a, b=b, beta=np.zeros(2), region=region)

@@ -13,7 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .constants import CODATA, PhysicalConstants
+from .constants import CODATA
+
+# a k-electron group may last at most 1/TIMING_MARGIN of one qubit period
+TIMING_MARGIN = 10.0
 
 
 @dataclass(frozen=True)
@@ -56,7 +59,6 @@ class DeflectionResult:
 def beam_from_energy(
     kinetic_energy_ev: float,
     waist: float = 10e-6,
-    constants: PhysicalConstants = CODATA,
 ) -> BeamSpec:
     """Fill wavelength, momentum and velocity relativistically from the energy.
 
@@ -65,22 +67,22 @@ def beam_from_energy(
     """
     if kinetic_energy_ev <= 0.0:
         raise ValueError(f"kinetic energy must be positive, got {kinetic_energy_ev!r}")
-    c = constants.c
-    e_kin = kinetic_energy_ev * constants.e
-    e_total = e_kin + constants.rest_energy
-    pc = math.sqrt(e_total**2 - constants.rest_energy**2)
+    c = CODATA.c
+    e_kin = kinetic_energy_ev * CODATA.e
+    e_total = e_kin + CODATA.rest_energy
+    pc = math.sqrt(e_total**2 - CODATA.rest_energy**2)
     p = pc / c
     v = pc * c / e_total
     return BeamSpec(
         kinetic_energy=kinetic_energy_ev,
-        wavelength=constants.h / p,
+        wavelength=CODATA.h / p,
         momentum=p,
         velocity=v,
         waist=waist,
     )
 
 
-def flux_deflection(beam: BeamSpec, constants: PhysicalConstants = CODATA) -> DeflectionResult:
+def flux_deflection(beam: BeamSpec) -> DeflectionResult:
     """Deflection by one flux quantum vs diffraction spread of the beam.
 
     theta_b = lambda / a = h / (p a) and theta_d = h / (2 p a), so the
@@ -88,14 +90,12 @@ def flux_deflection(beam: BeamSpec, constants: PhysicalConstants = CODATA) -> De
     computed as theta_b / 2 to keep that identity exact in floating
     point.
     """
-    if beam.waist <= 0.0:
-        raise ValueError("beam waist must be positive")
-    theta_b = constants.h / (beam.momentum * beam.waist)
+    theta_b = CODATA.h / (beam.momentum * beam.waist)
     theta_d = 0.5 * theta_b
     return DeflectionResult(theta_d=theta_d, theta_b=theta_b, ratio=theta_d / theta_b)
 
 
-def lorentz_consistency(beam: BeamSpec, flux_path_length: float, constants: PhysicalConstants = CODATA) -> float:
+def lorentz_consistency(beam: BeamSpec, flux_path_length: float) -> float:
     """Deflection recomputed from the Lorentz force F = e v B = e v phi0 / (a l).
 
     The interaction time l / v cancels l and v exactly, leaving
@@ -103,18 +103,18 @@ def lorentz_consistency(beam: BeamSpec, flux_path_length: float, constants: Phys
     """
     if flux_path_length <= 0.0:
         raise ValueError("flux path length must be positive")
-    force = constants.e * beam.velocity * constants.phi0 / (beam.waist * flux_path_length)
+    force = CODATA.e * beam.velocity * CODATA.phi0 / (beam.waist * flux_path_length)
     dt = flux_path_length / beam.velocity
     return force * dt / beam.momentum
 
 
-def charge_deflection(beam: BeamSpec, constants: PhysicalConstants = CODATA) -> float:
+def charge_deflection(beam: BeamSpec) -> float:
     """Electrostatic (charge-qubit) deflection e^2 / (eps0 a v p).
 
     Falls off with velocity, which is why the electrostatic scheme is far
     weaker than the flux scheme at TEM energies.
     """
-    return constants.e**2 / (constants.eps0 * beam.waist * beam.velocity * beam.momentum)
+    return CODATA.e**2 / (CODATA.eps0 * beam.waist * beam.velocity * beam.momentum)
 
 
 def squid_sizing(
@@ -124,7 +124,6 @@ def squid_sizing(
     flux_path_length: float | None = None,
     lateral_size: float = 10e-6,
     turns: int = 1,
-    constants: PhysicalConstants = CODATA,
 ) -> SquidSpec:
     """Size the hollow-ring SQUID like a shorted coaxial cable.
 
@@ -142,19 +141,10 @@ def squid_sizing(
         flux_path_length=wafer_thickness if flux_path_length is None else flux_path_length,
         permeability=permeability,
         inductance=inductance,
-        critical_current=constants.phi0 / inductance,
+        critical_current=CODATA.phi0 / inductance,
         lateral_size=lateral_size,
         turns=turns,
     )
-
-
-def ab_phase(flux_fraction: float, turns: int = 1) -> float:
-    """Aharonov-Bohm phase pi * f * n: pi per flux quantum per loop turn."""
-    if flux_fraction < 0.0:
-        raise ValueError("flux fraction must be non-negative")
-    if turns < 1:
-        raise ValueError("turns must be >= 1")
-    return math.pi * flux_fraction * turns
 
 
 @dataclass
@@ -192,23 +182,21 @@ def design_report(
     group_duration: float = 10e-9,
     mqc_frequency: float = 1e6,
     coherence_width: float = 10e-6,
-    timing_margin: float = 10.0,
-    constants: PhysicalConstants = CODATA,
 ) -> DesignReport:
     """Collect every design number and check the operating hierarchy.
 
     A k-electron group must finish well inside one qubit oscillation
-    (group_duration * mqc_frequency * timing_margin <= 1), and the ring
+    (group_duration * mqc_frequency * TIMING_MARGIN <= 1), and the ring
     must fit inside the coherent patch of the wave front.
     """
-    defl = flux_deflection(beam, constants)
-    theta_lorentz = lorentz_consistency(beam, squid.flux_path_length, constants)
-    theta_charge = charge_deflection(beam, constants)
+    defl = flux_deflection(beam)
+    theta_lorentz = lorentz_consistency(beam, squid.flux_path_length)
+    theta_charge = charge_deflection(beam)
     warnings: list[str] = []
-    if group_duration * mqc_frequency * timing_margin > 1.0:
+    if group_duration * mqc_frequency * TIMING_MARGIN > 1.0:
         warnings.append(
             f"group duration {group_duration:.3e} s is not << qubit period "
-            f"{1.0 / mqc_frequency:.3e} s (margin {timing_margin:g}x)"
+            f"{1.0 / mqc_frequency:.3e} s (margin {TIMING_MARGIN:g}x)"
         )
     if squid.lateral_size > coherence_width:
         warnings.append(
@@ -231,7 +219,7 @@ def design_report(
         ("inductance", squid.inductance, "H"),
         ("critical_current", squid.critical_current, "A"),
         ("L_ic_product", squid.inductance * squid.critical_current, "Wb"),
-        ("flux_quantum", constants.phi0, "Wb"),
+        ("flux_quantum", CODATA.phi0, "Wb"),
         ("lateral_size", squid.lateral_size, "m"),
         ("turns", float(squid.turns), ""),
         ("group_duration", group_duration, "s"),

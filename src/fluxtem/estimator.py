@@ -31,12 +31,16 @@ MODES = ("conventional", "entangled")
 # closed-form dose formulas
 
 
-def required_electrons_conventional(delta_phi: float) -> int:
-    """ceil((2 / delta_phi)^2), the conventional-scheme electron count."""
+def _check_delta_phi(delta_phi: float) -> None:
     if delta_phi == 0.0:
         raise DivergentDoseError("electron count diverges at delta_phi = 0")
     if not 0.0 < abs(delta_phi) < math.pi:
         raise ValueError(f"|delta_phi| must lie in (0, pi), got {delta_phi!r}")
+
+
+def required_electrons_conventional(delta_phi: float) -> int:
+    """ceil((2 / delta_phi)^2), the conventional-scheme electron count."""
+    _check_delta_phi(delta_phi)
     return math.ceil((2.0 / delta_phi) ** 2)
 
 
@@ -44,20 +48,8 @@ def required_electrons_entangled(delta_phi: float, k: int) -> int:
     """ceil((1/k)(2 / delta_phi)^2); equals the conventional count at k = 1."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if delta_phi == 0.0:
-        raise DivergentDoseError("electron count diverges at delta_phi = 0")
-    if not 0.0 < abs(delta_phi) < math.pi:
-        raise ValueError(f"|delta_phi| must lie in (0, pi), got {delta_phi!r}")
+    _check_delta_phi(delta_phi)
     return math.ceil((2.0 / delta_phi) ** 2 / k)
-
-
-def heisenberg_k(delta_phi: float) -> int:
-    """Group size at which the whole budget is one group: k = ceil(2 / |delta_phi|)."""
-    if delta_phi == 0.0:
-        raise DivergentDoseError("Heisenberg group size diverges at delta_phi = 0")
-    if not 0.0 < abs(delta_phi) < math.pi:
-        raise ValueError(f"|delta_phi| must lie in (0, pi), got {delta_phi!r}")
-    return math.ceil(2.0 / abs(delta_phi))
 
 
 @dataclass(frozen=True)
@@ -131,7 +123,6 @@ def estimate_phase(
     rng: np.random.Generator | None = None,
     *,
     k: int = 1,
-    group_size_mode: str = "fixed",
     coherence: float = 1.0,
 ) -> EstimationResult:
     """Estimate the specimen phase difference from a fixed electron budget.
@@ -142,10 +133,8 @@ def estimate_phase(
 
     entangled: k-electron groups run through the qubit protocol and read
     out in the sign-sensitive quadrature basis, P(+) = (1 + sin(k dphi))/2.
-    Requires |k * dphi| < pi/2 so the inversion is unambiguous.  Group
-    sizes are fixed at k, or Poisson with mean k when `group_size_mode`
-    is "poisson" (beam-blanker statistics); boundary discards consume
-    budget but carry no information.
+    Requires |k * dphi| < pi/2 so the inversion is unambiguous.  Boundary
+    discards consume budget but carry no information.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -177,73 +166,21 @@ def estimate_phase(
     if det is None:
         det = det_mod.trivial()
 
-    if group_size_mode == "fixed":
-        plan = GroupPlan(k=k, delta_phi=true_delta_phi)
-        batch = protocol.simulate_groups(
-            plan, det, electron_budget // k, rng, basis="quadrature", coherence=coherence, budget=electron_budget
-        )
-        if batch.groups == 0:
-            raise BudgetError("no group completed within the electron budget")
-        p_hat = float(batch.outcomes.mean())
-        estimate = _invert_quadrature(p_hat, k)
-        return EstimationResult(
-            estimate=estimate,
-            std_error=_quadrature_std_error(estimate, k, batch.groups, coherence),
-            trials=batch.groups,
-            electrons_used=batch.electrons_used,
-            boundary_discards=batch.boundary_discards,
-            mode=mode,
-            k=k,
-        )
-    if group_size_mode != "poisson":
-        raise ValueError(f"unknown group size mode {group_size_mode!r}")
-    return _estimate_poisson(true_delta_phi, electron_budget, det, rng, k, coherence)
-
-
-def _estimate_poisson(delta_phi, budget, det, rng, k, coherence):
-    """Poisson-mean-k groups with per-group maximum likelihood (Fisher scoring)."""
-    sizes = []
-    spent = 0
-    while spent < budget:
-        size = int(rng.poisson(k))
-        if spent + size > budget:
-            break
-        sizes.append(size)
-        spent += size
-    sizes = np.asarray(sizes, dtype=np.int64)
-    if sizes.size == 0:
-        raise BudgetError("no Poisson group fits within the electron budget")
-    # pixel draws matter only for dose accounting: compensation removes
-    # the detection kicks exactly, leaving phases of k_i * delta_phi
-    pixels, used, discards = protocol.draw_good_pixels(det, int(sizes.sum()), rng, budget=budget)
-    complete = int(np.searchsorted(np.cumsum(sizes), pixels.size, side="right"))
-    sizes = sizes[:complete]
-    if sizes.size == 0:
-        raise BudgetError("no Poisson group completed within the electron budget")
-    phases = sizes * delta_phi
-    p1 = 0.5 * (1.0 + coherence * np.sin(phases))
-    y = (rng.random(sizes.size) < p1).astype(float)
-
-    info = float(np.sum(sizes.astype(float) ** 2)) * max(coherence, 1e-12) ** 2
-    theta = 0.0
-    bound = 0.5 * math.pi / max(k, 1)
-    for _ in range(25):
-        s = np.sin(sizes * theta)
-        c = np.cos(sizes * theta)
-        p = 0.5 * (1.0 + coherence * s)
-        var = np.clip(p * (1.0 - p), 1e-12, None)
-        score = float(np.sum((y - p) * (0.5 * coherence * sizes * c) / var))
-        step = score / info
-        theta = min(bound, max(-bound, theta + step))
-        if abs(step) < 1e-12:
-            break
+    plan = GroupPlan(k=k, delta_phi=true_delta_phi)
+    batch = protocol.simulate_groups(
+        plan, det, electron_budget // k, rng, basis="quadrature", coherence=coherence, budget=electron_budget
+    )
+    if batch.groups == 0:
+        raise BudgetError("no group completed within the electron budget")
+    p_hat = float(batch.outcomes.mean())
+    estimate = _invert_quadrature(p_hat, k)
     return EstimationResult(
-        estimate=theta,
-        std_error=1.0 / math.sqrt(info),
-        trials=int(sizes.size),
-        electrons_used=int(used),
-        boundary_discards=int(discards),
-        mode="entangled",
+        estimate=estimate,
+        std_error=_quadrature_std_error(estimate, k, batch.groups, coherence),
+        trials=batch.groups,
+        electrons_used=batch.electrons_used,
+        boundary_discards=batch.boundary_discards,
+        mode=mode,
         k=k,
     )
 
@@ -256,8 +193,7 @@ def effective_specimen_phase(specimen_det: DetectorModel, calibration_det: Detec
     specimen-free calibration angles; boundary pixels are excluded to
     match the discard policy.
     """
-    delta = specimen_det.beta - calibration_det.beta
-    delta -= 2.0 * math.pi * np.round(delta / (2.0 * math.pi))
+    delta = protocol.wrap_angle(specimen_det.beta - calibration_det.beta)
     w = 0.5 * (specimen_det.power_a + specimen_det.power_b)
     ok = ~specimen_det.boundary_mask
     return float(np.sum(w[ok] * delta[ok]) / np.sum(w[ok]))
@@ -353,7 +289,7 @@ def _estimate_batch(mode, delta_phi, budget, repetitions, det, rng, k):
         groups = np.minimum(groups, rng.binomial(budget, q, size=repetitions) // k)
     if not groups.all():
         raise BudgetError("no group completed within the electron budget")
-    hits = rng.binomial(groups, 0.5 * (1.0 + math.sin(k * delta_phi)))
+    hits = rng.binomial(groups, protocol.readout_probability(k * delta_phi))
     return np.arcsin(np.clip(2.0 * hits / groups - 1.0, -1.0, 1.0)) / k, groups
 
 
@@ -426,18 +362,16 @@ def dose_scaling_experiment(
     target_std: float,
     repetitions: int,
     seed: int,
-    det: DetectorModel | None = None,
 ) -> DoseScalingResult:
-    """Electrons-to-target-spread for each group size, plus a log-log fit.
+    """Electrons-to-target-spread for each group size on the trivial detector, plus a log-log fit.
 
     The entangled scheme predicts electrons proportional to 1/k, i.e. a
-    fitted slope of -1 for log(electrons) against log(k).  `det` defaults
-    to the trivial detector, built once for every k.
+    fitted slope of -1 for log(electrons) against log(k).  The detector
+    is built once for every k.
     """
     if not k_list:
         raise ValueError("k_list must not be empty")
-    if det is None:
-        det = det_mod.trivial()
+    det = det_mod.trivial()
     rows = [electrons_to_target_std(delta_phi, k, target_std, repetitions, seed, det) for k in k_list]
     slope = slope_stderr = intercept = None
     if len(rows) >= 2:

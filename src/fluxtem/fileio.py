@@ -16,7 +16,7 @@ import numpy as np
 PGM_MAXVAL = 65535
 
 
-def write_pgm16(path, array: np.ndarray, sidecar: bool = True) -> None:
+def write_pgm16(path, array: np.ndarray) -> None:
     """Write a float array as big-endian 16-bit P5 PGM with a scaling sidecar.
 
     Values are mapped linearly from [min, max] to [0, 65535]; the sidecar
@@ -35,8 +35,7 @@ def write_pgm16(path, array: np.ndarray, sidecar: bool = True) -> None:
     u16 = np.round(scaled).astype(">u2")
     header = f"P5\n{data.shape[1]} {data.shape[0]}\n{PGM_MAXVAL}\n".encode("ascii")
     path.write_bytes(header + u16.tobytes())
-    if sidecar:
-        Path(str(path) + ".txt").write_text(f"min = {lo!r}\nmax = {hi!r}\n")
+    Path(str(path) + ".txt").write_text(f"min = {lo!r}\nmax = {hi!r}\n")
 
 
 def read_pgm16(path) -> np.ndarray:
@@ -93,9 +92,34 @@ def read_csv_floats(path) -> np.ndarray:
     return np.asarray(rows, dtype=float)
 
 
+def read_pairs_csv(path, width: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Read a `pair,region,row,col` list into (S0, S1) flat-index regions, ordered by pair id.
+
+    `width` is the phase map's row length; region must be 0 (S0) or 1 (S1).
+    """
+    pair_sets: dict[int, tuple[list[int], list[int]]] = {}
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != ["pair", "region", "row", "col"]:
+            raise ValueError(f"expected header pair,region,row,col, got {header!r}")
+        for row in reader:
+            pair, region, r, c = (int(v) for v in row)
+            if region not in (0, 1):
+                raise ValueError(f"region must be 0 or 1, got {region}")
+            pair_sets.setdefault(pair, ([], []))[region].append(r * width + c)
+    return [
+        (np.array(s0, dtype=np.int64), np.array(s1, dtype=np.int64))
+        for s0, s1 in (pair_sets[p] for p in sorted(pair_sets))
+    ]
+
+
 def sha256_file(path) -> str:
+    """SHA-256 of a file, read in 1 MiB blocks so a large output is never held whole."""
     h = hashlib.sha256()
-    h.update(Path(path).read_bytes())
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            h.update(block)
     return h.hexdigest()
 
 

@@ -27,9 +27,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import detector as det_mod
 from .detector import BOUNDARY, INSIDE_SHADOW, OUTSIDE_SHADOW, DetectorModel
 from .errors import EmptyFieldError, GeometryError, PlaneMismatchError
+from .protocol import wrap_angle
 
 PLANE_DIFFRACTION = "diffraction"
 PLANE_IMAGE = "image"
@@ -365,7 +365,6 @@ def _reimage_to_detector(fieldv: WaveField, cfg: OpticsConfig, phase_map: np.nda
 def build_detector(
     cfg: OpticsConfig,
     phase_map: np.ndarray | None = None,
-    tolerance: float | None = None,
 ) -> DetectorModel:
     """Detector amplitudes, compensation angles, and shadow classification.
 
@@ -381,7 +380,6 @@ def build_detector(
     resulting detector then carries the specimen phase on top of the
     calibration angles of the specimen-free detector.
     """
-    tol = cfg.tolerance if tolerance is None else tolerance
     base, _ = branch_fields(cfg)
     inside, _, _ = ring_regions(cfg.n, cfg.ring, cfg.pitch)
     g_in = WaveField(np.where(inside, base.grid, 0.0), cfg.pitch, base.plane_kind)
@@ -406,19 +404,12 @@ def build_detector(
     region[p_out >= cfg.dominance_ratio * p_in] = OUTSIDE_SHADOW
     region[dark] = OUTSIDE_SHADOW
 
-    beta = np.angle(b) - np.angle(a)
-    beta -= 2.0 * math.pi * np.round(beta / (2.0 * math.pi))
-    beta[beta <= -math.pi] += 2.0 * math.pi
+    beta = wrap_angle(np.angle(b) - np.angle(a))
     beta[dark] = 0.0
 
     # moduli drifting beyond tolerance (e.g. from a specimen) are boundary
     scale = np.abs(a).max()
-    drift = (np.abs(np.abs(a) - np.abs(b)) > tol * scale) & ~dark
+    drift = (np.abs(np.abs(a) - np.abs(b)) > cfg.tolerance * scale) & ~dark
     region[drift] = BOUNDARY
 
-    return DetectorModel(a=a, b=b, beta=beta, region=region, tolerance=tol, shape=(cfg.n, cfg.n))
-
-
-def trivial_detector(n_pixels: int = 64, tolerance: float = 1e-6) -> DetectorModel:
-    """Re-export of the flat synthetic detector (all beta_j = 0)."""
-    return det_mod.trivial(n_pixels, tolerance)
+    return DetectorModel(a=a, b=b, beta=beta, region=region, tolerance=cfg.tolerance, shape=(cfg.n, cfg.n))

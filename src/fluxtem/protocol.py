@@ -31,16 +31,20 @@ TWO_PI = 2.0 * math.pi
 Basis = Literal["symmetric_antisymmetric", "quadrature"]
 BoundaryPolicy = Literal["discard", "abort"]
 
-_BASES = ("symmetric_antisymmetric", "quadrature")
+BASES = ("symmetric_antisymmetric", "quadrature")
 
 NORM_TOL = 1e-12
+
+# A group that draws more boundary pixels than this is treated as stuck.
+MAX_DISCARDS = 100_000
 
 
 def wrap_angle(x):
     """Reduce an angle (scalar or array) to the representative in (-pi, pi]."""
-    r = x - TWO_PI * np.round(np.asarray(x, dtype=float) / TWO_PI)
-    r = np.where(r <= -math.pi, r + TWO_PI, r)
-    return float(r) if np.ndim(x) == 0 else r
+    x = np.asarray(x, dtype=float)
+    r = np.asarray(x - TWO_PI * np.round(x / TWO_PI))
+    r[r <= -math.pi] += TWO_PI
+    return float(r) if r.ndim == 0 else r
 
 
 @dataclass(frozen=True)
@@ -234,7 +238,6 @@ def run_group(
     det: DetectorModel,
     rng: np.random.Generator,
     policy: BoundaryPolicy = "discard",
-    max_discards: int = 100_000,
 ) -> GroupResult:
     """Send k electrons through entangle -> specimen -> far-field detection.
 
@@ -261,8 +264,8 @@ def run_group(
                 result.records.append(
                     DetectionRecord(err.pixel, float(det.beta[err.pixel]), qubit, boundary=True)
                 )
-                if result.boundary_discards > max_discards:
-                    raise InvalidStateError(f"exceeded {max_discards} boundary discards in one group") from err
+                if result.boundary_discards > MAX_DISCARDS:
+                    raise InvalidStateError(f"exceeded {MAX_DISCARDS} boundary discards in one group") from err
                 continue
             qubit = record.posterior
             result.records.append(record)
@@ -286,6 +289,25 @@ def phase_audit(result: GroupResult, plan: GroupPlan) -> float:
     return abs(wrap_angle(result.qubit.relative_phase - predicted))
 
 
+def _check_readout(basis: Basis, coherence: float) -> None:
+    if basis not in BASES:
+        raise ValueError(f"unknown basis {basis!r}")
+    if not 0.0 <= coherence <= 1.0:
+        raise ValueError("coherence must lie in [0, 1]")
+
+
+def readout_probability(phase, basis: Basis = "quadrature", coherence: float = 1.0):
+    """P(outcome 1) for an equal-modulus qubit with relative phase `phase` (scalar or array).
+
+    (1 + c sin phase)/2 in the quadrature basis and (1 - c cos phase)/2
+    in the symmetric_antisymmetric basis, with c the `coherence`.
+    """
+    _check_readout(basis, coherence)
+    if basis == "quadrature":
+        return 0.5 * (1.0 + coherence * np.sin(phase))
+    return 0.5 * (1.0 - coherence * np.cos(phase))
+
+
 def measurement_probabilities(qubit: QubitState, basis: Basis, coherence: float = 1.0) -> tuple[float, float]:
     """Outcome probabilities (P(0), P(1)) for the requested readout basis.
 
@@ -295,10 +317,7 @@ def measurement_probabilities(qubit: QubitState, basis: Basis, coherence: float 
     (1 + sin sigma)/2.  `coherence` < 1 damps the off-diagonal coherence
     (pure dephasing knob for sensitivity studies).
     """
-    if basis not in _BASES:
-        raise ValueError(f"unknown basis {basis!r}")
-    if not 0.0 <= coherence <= 1.0:
-        raise ValueError("coherence must lie in [0, 1]")
+    _check_readout(basis, coherence)
     qubit.require_normalized()
     rho01 = coherence * qubit.amp0 * qubit.amp1.conjugate()
     if basis == "symmetric_antisymmetric":
@@ -309,9 +328,9 @@ def measurement_probabilities(qubit: QubitState, basis: Basis, coherence: float 
     return 1.0 - p1, p1
 
 
-def measure_qubit(qubit: QubitState, basis: Basis, rng: np.random.Generator, coherence: float = 1.0) -> int:
+def measure_qubit(qubit: QubitState, basis: Basis, rng: np.random.Generator) -> int:
     """Sample one readout outcome bit (see `measurement_probabilities`)."""
-    _, p1 = measurement_probabilities(qubit, basis, coherence)
+    _, p1 = measurement_probabilities(qubit, basis)
     return int(rng.random() < p1)
 
 
@@ -320,13 +339,8 @@ def conventional_probability(delta_phi: float) -> float:
     return math.sin(0.5 * delta_phi) ** 2
 
 
-def conventional_trial(delta_phi: float, rng: np.random.Generator) -> int:
-    """One unentangled electron measured in the {symmetric, antisymmetric} basis."""
-    return int(rng.random() < conventional_probability(delta_phi))
-
-
 def conventional_trials(delta_phi: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Vectorized batch of `conventional_trial` outcomes (uint8 array)."""
+    """Outcomes of `n` unentangled electrons read out in the symmetric/antisymmetric basis (uint8)."""
     if n < 0:
         raise ValueError("n must be non-negative")
     return (rng.random(n) < conventional_probability(delta_phi)).astype(np.uint8)
@@ -392,7 +406,6 @@ def simulate_groups(
     *,
     basis: Basis = "quadrature",
     coherence: float = 1.0,
-    compensation_beta: np.ndarray | None = None,
     budget: int | None = None,
 ) -> GroupBatchResult:
     """Vectorized equivalent of run_group + compensate + measure_qubit.
@@ -404,35 +417,21 @@ def simulate_groups(
     scalar path; random streams are consumed in a different order, so
     the two paths are not bit-identical for the same generator.
 
-    `compensation_beta` overrides the angles subtracted after the group
-    (default: the detector's own beta map); passing a separately
-    calibrated map leaves any additional physical phase, e.g. a weak
-    phase specimen folded into the detector amplitudes, in the readout.
     `budget` caps total electrons drawn including boundary discards;
     incomplete trailing groups are dropped from the statistics but their
     electrons stay spent.
     """
     if n_groups < 0:
         raise ValueError("n_groups must be non-negative")
-    if basis not in _BASES:
-        raise ValueError(f"unknown basis {basis!r}")
-    comp = det.beta if compensation_beta is None else np.asarray(compensation_beta, dtype=float)
-    if comp.size != det.n_pixels:
-        raise ValueError("compensation_beta length must match the detector")
 
     good_pixels, used, discards = draw_good_pixels(det, n_groups * plan.k, rng, budget=budget)
     completed = good_pixels.size // plan.k
     pix = good_pixels[: completed * plan.k].reshape(completed, plan.k)
     sum_beta = det.beta[pix].sum(axis=1)
-    sum_comp = comp[pix].sum(axis=1)
-    phases = plan.sigma0 + sum_beta + plan.k * plan.delta_phi - sum_comp
-
-    if not 0.0 <= coherence <= 1.0:
-        raise ValueError("coherence must lie in [0, 1]")
-    if basis == "quadrature":
-        p1 = 0.5 * (1.0 + coherence * np.sin(phases))
-    else:
-        p1 = 0.5 * (1.0 - coherence * np.cos(phases))
+    # compensation subtracts the recorded kicks after detection added them;
+    # the phases keep the rounding of that add-then-subtract
+    phases = plan.sigma0 + sum_beta + plan.k * plan.delta_phi - sum_beta
+    p1 = readout_probability(phases, basis, coherence)
     outcomes = (rng.random(completed) < p1).astype(np.uint8)
     return GroupBatchResult(
         outcomes=outcomes,

@@ -67,6 +67,15 @@ def test_scaling_golden_outputs(tmp_path, capsys):
         ("scaling.target_std=-0.01", "scaling.target_std"),
         ("scaling.k_list=0,1,2", "scaling.k_list"),
         ("scaling.k_list=1.5,2", "scaling.k_list"),
+        ("protocol.k=0", "protocol.k"),
+        ("protocol.delta_phi=4", "protocol.delta_phi"),
+        ("beam.energy=-1", "beam.energy"),
+        ("protocol.basis=foo", "protocol.basis"),
+        ("protocol.repetitions=0", "protocol.repetitions"),
+        ("protocol.detector=foo", "protocol.detector"),
+        ("image.k=0", "image.k"),
+        ("image.repetitions=0", "image.repetitions"),
+        ("image.specimen=foo", "image.specimen"),
     ],
 )
 def test_bad_scaling_input_is_a_config_error(override, key, tmp_path, capsys):
@@ -78,3 +87,21 @@ def test_bad_scaling_input_is_a_config_error(override, key, tmp_path, capsys):
 def test_ambiguous_k_is_a_precondition_error(tmp_path, capsys):
     assert cli.main(["scaling", "--set", "scaling.k_list=1,32", "--out", str(tmp_path)]) == cli.EXIT_PRECONDITION
     assert "k = 32" in capsys.readouterr().err
+
+
+def test_negative_seed_is_a_config_error(tmp_path, capsys):
+    assert cli.main(["design", "--seed", "-1", "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "seed" in err
+
+
+def test_overlapping_pair_regions_are_a_config_error(tmp_path, capsys):
+    phase = tmp_path / "phase.csv"
+    phase.write_text("0,0.1\n0,0.1\n")
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text("pair,region,row,col\n0,0,0,0\n0,1,0,0\n")
+    argv = ["image", "--set", "image.specimen=files", "--set", f"image.phase_file={phase}"]
+    argv += ["--set", f"image.pairs_file={pairs}", "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "image.pairs_file" in err and "overlap" in err

@@ -1,0 +1,40 @@
+import math
+
+import pytest
+
+from fluxtem.config import LIMITS, SCHEMA, load_config
+from fluxtem.errors import ConfigError
+
+# hashed into every manifest: a change here changes every output tree
+DEFAULT_CONFIG_HASH = "804c81d7e4823226cc0d632f4a2308391309462e247a95cb30adf6d80ab8a539"
+
+
+def test_default_config_hash_is_stable():
+    assert load_config().config_hash() == DEFAULT_CONFIG_HASH
+
+
+def test_every_limit_names_a_schema_key_and_admits_its_default():
+    for key, (test, _) in LIMITS.items():
+        default = SCHEMA[key][2]
+        for value in default if isinstance(default, tuple) else (default,):
+            assert test(value), key
+
+
+def test_canonical_text_round_trips_through_a_config_file(tmp_path):
+    cfg = load_config(None, ["beam.energy=200keV", "mask.gap_width=5deg", "scaling.k_list=1,3"])
+    path = tmp_path / "run.cfg"
+    path.write_text(cfg.canonical_text())
+    again = load_config(path)
+    assert again.canonical_text() == cfg.canonical_text()
+    assert again["beam.energy"] == 200e3
+    assert again["mask.gap_width"] == pytest.approx(math.radians(5.0))
+    assert again["scaling.k_list"] == (1.0, 3.0)
+
+
+def test_out_of_range_value_in_a_file_names_key_and_line(tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_text("# comment\nprotocol.k = 3\nprotocol.basis = hadamard\n")
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert err.value.key == "protocol.basis" and err.value.line == 3
+    assert "protocol.basis" in str(err.value) and str(err.value).startswith("line 3:")

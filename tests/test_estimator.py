@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 
 from fluxtem import detector as det_mod
-from fluxtem import estimator
+from fluxtem import estimator, optics
 from fluxtem.errors import AmbiguityError, BudgetError
 from fluxtem.streams import derive
 
@@ -99,3 +99,53 @@ def test_fixed_k_std_error_uses_coherence():
     want = math.sqrt((1.0 - c * c * s * s) / (res.trials * k * k * c * c * co * co))
     assert res.std_error == pytest.approx(want, rel=1e-12)
     assert res.std_error > 1.0 / (k * math.sqrt(res.trials))
+
+
+# ---------------------------------------------------------------------------
+# end-to-end path: a specimen-loaded detector compensated with calibration angles
+
+
+def shifted_detector(delta):
+    """Eight equal-modulus pixels, half of them inside the shadow, every beta_j raised by `delta`."""
+    beta = np.angle(np.exp(1j * (np.array([0.0] * 4 + [math.pi] * 4) + delta)))
+    a = np.full(8, 1.0 / math.sqrt(8.0), dtype=complex)
+    region = [det_mod.OUTSIDE_SHADOW] * 4 + [det_mod.INSIDE_SHADOW] * 4
+    return det_mod.DetectorModel(a=a, b=a * np.exp(1j * beta), beta=beta, region=region)
+
+
+def test_effective_specimen_phase_of_a_detector_against_itself_is_zero(small_detector):
+    assert estimator.effective_specimen_phase(small_detector, small_detector) == 0.0
+
+
+def test_effective_specimen_phase_wraps_the_kick_difference():
+    # the inside pixels go from pi to pi + 0.1, which wraps to -pi + 0.1
+    delta = estimator.effective_specimen_phase(shifted_detector(0.1), shifted_detector(0.0))
+    assert delta == pytest.approx(0.1, abs=1e-12)
+
+
+def test_end_to_end_budget_below_one_group_is_a_budget_error():
+    det = shifted_detector(0.0)
+    with pytest.raises(BudgetError):
+        estimator.estimate_phase_end_to_end(det, det.beta, 8, 7, derive(1))
+
+
+def test_end_to_end_recovers_a_known_detector_shift():
+    cal = shifted_detector(0.0)
+    results = [estimator.estimate_phase_end_to_end(shifted_detector(0.1), cal.beta, 8, 400, derive(s, 5)) for s in range(6)]
+    assert all(r.trials == 50 and r.electrons_used == 400 and r.boundary_discards == 0 for r in results)
+    mean = np.mean([r.estimate for r in results])
+    sem = results[0].std_error / math.sqrt(len(results))
+    assert abs(mean - 0.1) <= 4 * sem
+
+
+def test_end_to_end_on_the_optics_detector_tracks_the_effective_phase():
+    cfg = optics.default_config(n=64, pitch=4e-7, tolerance=0.05)
+    phase_map = np.zeros((cfg.n, cfg.n))
+    phase_map[:, cfg.n // 2 :] = 0.02
+    cal = optics.build_detector(cfg)
+    specimen = optics.build_detector(cfg, phase_map=phase_map)
+    want = estimator.effective_specimen_phase(specimen, cal)
+    results = [estimator.estimate_phase_end_to_end(specimen, cal.beta, 8, 800, derive(s, 6)) for s in range(8)]
+    mean = np.mean([r.estimate for r in results])
+    sem = np.mean([r.std_error for r in results]) / math.sqrt(len(results))
+    assert abs(mean - want) <= 4 * sem

@@ -276,11 +276,11 @@ class TestMeasurement:
 class TestConventional:
     def test_zero_phase_always_symmetric(self):
         rng = derive(8, 0)
-        assert all(P.conventional_trial(0.0, rng) == 0 for _ in range(100))
+        assert not P.conventional_trials(0.0, 100, rng).any()
 
     def test_pi_phase_always_antisymmetric(self):
         rng = derive(8, 1)
-        assert all(P.conventional_trial(math.pi, rng) == 1 for _ in range(100))
+        assert P.conventional_trials(math.pi, 100, rng).all()
 
     def test_rate_matches_closed_form(self):
         dphi = 0.2
@@ -437,3 +437,38 @@ def test_wrap_angle_keeps_pi_positive():
     assert P.wrap_angle(math.pi) == math.pi
     assert P.wrap_angle(-math.pi) == math.pi
     assert P.wrap_angle(3 * math.pi) == pytest.approx(math.pi)
+
+
+def test_wrap_angle_array_path_matches_scalar_path():
+    x = np.array([-3 * math.pi, -math.pi, -1.0, 0.0, 2.5, math.pi, 7.0])
+    before = x.copy()
+    w = P.wrap_angle(x)
+    assert isinstance(w, np.ndarray) and w.shape == x.shape
+    assert w.tolist() == [P.wrap_angle(float(v)) for v in x]
+    assert w[1] == math.pi
+    np.testing.assert_array_equal(x, before)
+
+
+# ---------------------------------------------------------------------------
+# equal-modulus readout law
+
+
+@pytest.mark.parametrize("basis", ["quadrature", "symmetric_antisymmetric"])
+@pytest.mark.parametrize("coherence", [1.0, 0.6, 0.0])
+def test_readout_probability_matches_state_vector_law(basis, coherence):
+    phases = np.linspace(-math.pi, math.pi, 17)
+    got = P.readout_probability(phases, basis, coherence)
+    want = [P.measurement_probabilities(P.prepare_symmetric(s), basis, coherence)[1] for s in phases]
+    np.testing.assert_allclose(got, want, atol=1e-15)
+    assert P.readout_probability(float(phases[3]), basis, coherence) == got[3]
+
+
+def test_readout_probability_closed_forms():
+    assert P.readout_probability(0.3) == 0.5 * (1.0 + math.sin(0.3))
+    assert P.readout_probability(0.3, "symmetric_antisymmetric", 0.5) == 0.5 * (1.0 - 0.5 * math.cos(0.3))
+
+
+@pytest.mark.parametrize("basis, coherence", [("hadamard", 1.0), ("quadrature", 1.5), ("quadrature", -0.1)])
+def test_readout_probability_rejects_bad_basis_and_coherence(basis, coherence):
+    with pytest.raises(ValueError):
+        P.readout_probability(0.0, basis, coherence)
