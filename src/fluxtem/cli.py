@@ -219,7 +219,11 @@ def cmd_protocol(cfg: RunConfig, out: Path, check: bool) -> None:
 
 def _load_specimen(cfg: RunConfig) -> estimator.SpecimenMap:
     if cfg["image.specimen"] == "checkerboard":
-        return estimator.make_checkerboard(cfg["image.shape"], cfg["image.tile"], cfg["image.delta_phi"])
+        try:
+            return estimator.make_checkerboard(cfg["image.shape"], cfg["image.tile"], cfg["image.delta_phi"])
+        except ValueError as err:
+            shape, tile = cfg["image.shape"], cfg["image.tile"]
+            raise ConfigError(f"image.shape = {shape} with image.tile = {tile}: {err}", key="image.shape") from err
     phase_file = cfg["image.phase_file"]
     pairs_file = cfg["image.pairs_file"]
     if phase_file is None or pairs_file is None:
@@ -232,18 +236,20 @@ def _load_specimen(cfg: RunConfig) -> estimator.SpecimenMap:
     except (OSError, ValueError, KeyError) as err:
         raise ConfigError(f"cannot load image.phase_file {phase_file!r}: {err}", key="image.phase_file") from err
     try:
-        spec = estimator.SpecimenMap(phase=phase, pairs=fileio.read_pairs_csv(pairs_file, phase.shape[1]))
-        spec.validate()
+        return estimator.SpecimenMap(phase=phase, pairs=fileio.read_pairs_csv(pairs_file, phase.shape[1]))
     except (OSError, ValueError) as err:
         raise ConfigError(f"cannot load image.pairs_file {pairs_file!r}: {err}", key="image.pairs_file") from err
-    return spec
 
 
 def cmd_image(cfg: RunConfig, out: Path, check: bool) -> None:
     spec = _load_specimen(cfg)
+    stats = {"pairs": len(spec.pairs)}
+    for i, w in enumerate(spec.warnings):
+        stats[f"warning.{i}"] = w
+        print(f"warning: {w}", file=sys.stderr)
     if not spec.pairs:
         print("warning: empty pair list, nothing to scan", file=sys.stderr)
-        _finish(out, cfg, "image", {"pairs": 0}, [], [], check)
+        _finish(out, cfg, "image", stats, [], [], check)
         return
     det = _detector(cfg)
     k = cfg["image.k"]
@@ -253,7 +259,7 @@ def cmd_image(cfg: RunConfig, out: Path, check: bool) -> None:
     total_budget = cfg["image.total_budget"]
 
     files = []
-    stats = {"pairs": len(spec.pairs), "repetitions": reps}
+    stats["repetitions"] = reps
     rmse_rows = []
     pooled = {}
     for mode, mode_k in (("conventional", 1), ("entangled", k)):

@@ -131,6 +131,8 @@ LIMITS = {
     "protocol.trivial_pixels": _at_least(1),
     "protocol.basis": _one_of(*BASES),
     "image.specimen": _one_of("checkerboard", "files"),
+    "image.shape": _at_least(1),
+    "image.tile": _at_least(1),
     "image.budget": _at_least(1),
     "image.k": _at_least(1),
     "image.repetitions": _at_least(1),

@@ -11,7 +11,6 @@ one is a boundary event handled by the caller's policy.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -77,22 +76,27 @@ class DetectorModel:
     def boundary_mask(self) -> np.ndarray:
         return self.region == BOUNDARY
 
+    @property
+    def equal_weight_power(self) -> np.ndarray:
+        """Detection probability of each pixel for equal branch weights: (|a_j|^2 + |b_j|^2) / 2."""
+        return 0.5 * (self.power_a + self.power_b)
+
     @cached_property
     def equal_weight_cumulative(self) -> np.ndarray:
         """Cumulative pixel distribution for equal branch weights 1/2, 1/2."""
-        p = 0.5 * (self.power_a + self.power_b)
-        cum = np.cumsum(p)
+        cum = np.cumsum(self.equal_weight_power)
         cum /= cum[-1]
         cum[-1] = 1.0
         return cum
 
-    def boundary_power_fraction(self) -> float:
-        """Power-weighted fraction of pixels classed as boundary."""
-        p = 0.5 * (self.power_a + self.power_b)
+    @cached_property
+    def _boundary_power_fraction(self) -> float:
+        p = self.equal_weight_power
         return float(p[self.boundary_mask].sum() / p.sum())
 
-    def non_boundary_power_fraction(self) -> float:
-        return 1.0 - self.boundary_power_fraction()
+    def boundary_power_fraction(self) -> float:
+        """Power-weighted fraction of pixels classed as boundary."""
+        return self._boundary_power_fraction
 
     def beta_law_deviation(self) -> float:
         """Largest distance of a non-boundary beta_j from 0 (outside the shadow) or pi (inside)."""
@@ -127,37 +131,14 @@ class DetectorModel:
                     raise InvalidStateError(f"non-boundary beta deviates from {{0, pi}} by {worst_beta:.3e}")
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(_CSV_HEADER)
-            for j in range(self.n_pixels):
-                writer.writerow(
-                    [
-                        j,
-                        repr(float(self.a[j].real)),
-                        repr(float(self.a[j].imag)),
-                        repr(float(self.b[j].real)),
-                        repr(float(self.b[j].imag)),
-                        repr(float(self.beta[j])),
-                        REGION_NAMES[int(self.region[j])],
-                    ]
-                )
+        # imported on first use: importing fileio with the detector moves the
+        # package's import order, and that raised every command's peak RSS by ~0.15 MB
+        from . import fileio
 
-    @classmethod
-    def from_csv(cls, path, tolerance: float = 1e-6) -> "DetectorModel":
-        names = {v: k for k, v in REGION_NAMES.items()}
-        a, b, beta, region = [], [], [], []
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if header != _CSV_HEADER:
-                raise InvalidStateError(f"unexpected detector CSV header {header!r}")
-            for row in reader:
-                a.append(complex(float(row[1]), float(row[2])))
-                b.append(complex(float(row[3]), float(row[4])))
-                beta.append(float(row[5]))
-                region.append(names[row[6]])
-        return cls(np.array(a), np.array(b), np.array(beta), np.array(region), tolerance=tolerance)
+        a, b = self.a, self.b
+        regions = (REGION_NAMES[r] for r in self.region)
+        rows = zip(range(self.n_pixels), a.real, a.imag, b.real, b.imag, self.beta, regions)
+        fileio.write_csv(path, _CSV_HEADER, rows)
 
 
 def trivial(n_pixels: int = 64) -> DetectorModel:

@@ -154,10 +154,6 @@ class DesignReport:
     rows: list[tuple[str, float, str]]
     warnings: list[str]
 
-    @property
-    def passed(self) -> bool:
-        return not self.warnings
-
     def value(self, name: str) -> float:
         for row_name, value, _ in self.rows:
             if row_name == name:

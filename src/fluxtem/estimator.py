@@ -88,7 +88,6 @@ class EstimationResult:
     trials: int
     electrons_used: int
     boundary_discards: int
-    mode: str
     k: int = 1
 
 
@@ -152,7 +151,6 @@ def estimate_phase(
             trials=electron_budget,
             electrons_used=electron_budget,
             boundary_discards=0,
-            mode=mode,
         )
 
     if k < 1:
@@ -180,7 +178,6 @@ def estimate_phase(
         trials=batch.groups,
         electrons_used=batch.electrons_used,
         boundary_discards=batch.boundary_discards,
-        mode=mode,
         k=k,
     )
 
@@ -194,7 +191,7 @@ def effective_specimen_phase(specimen_det: DetectorModel, calibration_det: Detec
     match the discard policy.
     """
     delta = protocol.wrap_angle(specimen_det.beta - calibration_det.beta)
-    w = 0.5 * (specimen_det.power_a + specimen_det.power_b)
+    w = specimen_det.equal_weight_power
     ok = ~specimen_det.boundary_mask
     return float(np.sum(w[ok] * delta[ok]) / np.sum(w[ok]))
 
@@ -232,14 +229,13 @@ def estimate_phase_end_to_end(
         outcomes.append(protocol.measure_qubit(qubit, "quadrature", rng))
     if not outcomes:
         raise BudgetError("no group completed within the electron budget")
-    p_hat = float(np.mean(outcomes))
+    estimate = _invert_quadrature(float(np.mean(outcomes)), k)
     return EstimationResult(
-        estimate=_invert_quadrature(p_hat, k),
-        std_error=1.0 / (k * math.sqrt(len(outcomes))),
+        estimate=estimate,
+        std_error=_quadrature_std_error(estimate, k, len(outcomes), 1.0),
         trials=len(outcomes),
         electrons_used=used,
         boundary_discards=discards,
-        mode="entangled",
         k=k,
     )
 
@@ -283,7 +279,7 @@ def _estimate_batch(mode, delta_phi, budget, repetitions, det, rng, k):
     if mode == "conventional":
         hits = rng.binomial(budget, protocol.conventional_probability(delta_phi), size=repetitions)
         return 2.0 * np.arcsin(np.sqrt(hits / budget)), np.full(repetitions, budget)
-    q = det.non_boundary_power_fraction()
+    q = 1.0 - det.boundary_power_fraction()
     groups = np.full(repetitions, budget // k)
     if q < 1.0:
         groups = np.minimum(groups, rng.binomial(budget, q, size=repetitions) // k)
@@ -401,7 +397,10 @@ def dose_scaling_experiment(
 
 @dataclass
 class SpecimenMap:
-    """Ground-truth phase grid plus the (S0, S1) region pairs to compare."""
+    """Ground-truth phase grid plus the (S0, S1) region pairs to compare.
+
+    Building one rejects an empty region, overlapping regions and an index outside the map.
+    """
 
     phase: np.ndarray
     pairs: list[tuple[np.ndarray, np.ndarray]]
@@ -414,10 +413,6 @@ class SpecimenMap:
             (np.asarray(s0, dtype=np.int64).ravel(), np.asarray(s1, dtype=np.int64).ravel())
             for s0, s1 in self.pairs
         ]
-
-    def validate(self) -> list[str]:
-        """Raise on structural problems; return soft warnings."""
-        warnings = []
         size = self.phase.size
         for i, (s0, s1) in enumerate(self.pairs):
             if s0.size == 0 or s1.size == 0:
@@ -426,9 +421,13 @@ class SpecimenMap:
                 raise ValueError(f"pair {i} regions overlap")
             if s0.max() >= size or s1.max() >= size or s0.min() < 0 or s1.min() < 0:
                 raise ValueError(f"pair {i} indexes outside the phase map")
-        if np.abs(self.phase).max() > 0.5:
-            warnings.append("phase map exceeds 0.5 rad; weak-phase treatment is questionable")
-        return warnings
+
+    @property
+    def warnings(self) -> list[str]:
+        """Soft problems that do not stop a scan."""
+        if np.abs(self.phase).max(initial=0.0) > 0.5:
+            return ["phase map exceeds 0.5 rad; weak-phase treatment is questionable"]
+        return []
 
     def pair_delta_phi(self, index: int) -> float:
         s0, s1 = self.pairs[index]
@@ -466,12 +465,9 @@ class ImageScanResult:
     estimates: np.ndarray
     std_errors: np.ndarray
     true_values: np.ndarray
-    rmse: float
     total_dose: int
     boundary_discards: int
     incomplete: bool
-    mode: str
-    k: int
     shape: tuple[int, int]
     pairs: list[tuple[np.ndarray, np.ndarray]]
 
@@ -501,14 +497,12 @@ def image_scan(
 
     Each pair gets `per_pair_budget` electrons (a `total_budget` cap can
     cut the scan short, leaving NaN estimates and an incomplete flag).
-    RMSE is over the estimated pairs only.  `scan_index` separates the
-    random streams of repeated scans under one seed.
+    `scan_index` separates the random streams of repeated scans under one seed.
     """
     if not spec.pairs:
         raise ValueError("specimen has no pairs to scan")
     if per_pair_budget < 1:
         raise BudgetError("per-pair budget must be >= 1")
-    spec.validate()
     mode_id = MODES.index(mode) if mode in MODES else -1
     n = len(spec.pairs)
     estimates = np.full(n, np.nan)
@@ -527,18 +521,13 @@ def image_scan(
         std_errors[i] = res.std_error
         spent += res.electrons_used
         discards += res.boundary_discards
-    done = ~np.isnan(estimates)
-    rmse = float(np.sqrt(np.mean((estimates[done] - true_values[done]) ** 2))) if done.any() else float("nan")
     return ImageScanResult(
         estimates=estimates,
         std_errors=std_errors,
         true_values=true_values,
-        rmse=rmse,
         total_dose=spent,
         boundary_discards=discards,
         incomplete=incomplete,
-        mode=mode,
-        k=k,
         shape=spec.phase.shape,
         pairs=spec.pairs,
     )

@@ -75,12 +75,11 @@ def read_scaled_pgm(path) -> np.ndarray:
 
 
 def write_csv(path, header: list[str], rows) -> None:
-    """RFC-4180 CSV with repr-formatted floats for bit-stable output."""
+    """RFC-4180 CSV; `csv` writes floats, numpy float64 included, as the repr of the Python float."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+        writer.writerows(rows)
 
 
 def read_csv_floats(path) -> np.ndarray:

@@ -248,7 +248,7 @@ def run_group(
     """
     if policy not in ("discard", "abort"):
         raise ValueError(f"unknown boundary policy {policy!r}")
-    if policy == "discard" and det.non_boundary_power_fraction() <= 0.0:
+    if policy == "discard" and det.boundary_power_fraction() >= 1.0:
         raise InvalidStateError("detector has no non-boundary power; discard policy cannot terminate")
     qubit = prepare_symmetric(plan.sigma0)
     result = GroupResult(qubit=qubit, sum_beta=0.0)
@@ -361,7 +361,7 @@ def draw_good_pixels(
     """
     if need < 0:
         raise ValueError("need must be non-negative")
-    if det.non_boundary_power_fraction() <= 0.0:
+    if det.boundary_power_fraction() >= 1.0:
         raise InvalidStateError("detector has no non-boundary power")
     cum = det.equal_weight_cumulative
     boundary = det.boundary_mask

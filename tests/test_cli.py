@@ -76,6 +76,8 @@ def test_scaling_golden_outputs(tmp_path, capsys):
         ("image.k=0", "image.k"),
         ("image.repetitions=0", "image.repetitions"),
         ("image.specimen=foo", "image.specimen"),
+        ("image.tile=0", "image.tile"),
+        ("image.shape=0", "image.shape"),
     ],
 )
 def test_bad_scaling_input_is_a_config_error(override, key, tmp_path, capsys):
@@ -105,3 +107,18 @@ def test_overlapping_pair_regions_are_a_config_error(tmp_path, capsys):
     assert cli.main(argv) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "image.pairs_file" in err and "overlap" in err
+
+
+def test_shape_without_an_even_tile_count_is_a_config_error(tmp_path, capsys):
+    assert cli.main(["image", "--set", "image.shape=20", "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "image.shape" in err and "Traceback" not in err
+
+
+def test_strong_phase_map_warns_in_the_manifest(tmp_path, capsys):
+    argv = ["image", "--set", "image.shape=16", "--set", "image.delta_phi=0.6", "--set", "image.k=2"]
+    argv += ["--set", "image.repetitions=2", "--out", str(tmp_path)]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert "warning: phase map exceeds 0.5 rad" in capsys.readouterr().err
+    manifest = (tmp_path / "manifest.txt").read_text()
+    assert "warning.0 = phase map exceeds 0.5 rad" in manifest

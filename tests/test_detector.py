@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -28,7 +29,7 @@ def test_two_region_detector():
 def test_degenerate_detector_flags_everything_boundary():
     det = det_mod.degenerate_two_pixel()
     assert det.boundary_mask.all()
-    assert det.non_boundary_power_fraction() == 0.0
+    assert det.boundary_power_fraction() == 1.0
     det.validate()  # boundary pixels are exempt from the moduli law
 
 
@@ -69,11 +70,28 @@ def test_csv_round_trip(tmp_path):
     det = det_mod.two_region(5, 3)
     path = tmp_path / "det.csv"
     det.to_csv(path)
-    back = det_mod.DetectorModel.from_csv(path, tolerance=det.tolerance)
-    np.testing.assert_array_equal(back.a, det.a)
-    np.testing.assert_array_equal(back.b, det.b)
-    np.testing.assert_array_equal(back.beta, det.beta)
-    np.testing.assert_array_equal(back.region, det.region)
+    with open(path, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == ["pixel", "re_a", "im_a", "re_b", "im_b", "beta", "region"]
+    assert [int(row[0]) for row in rows] == list(range(det.n_pixels))
+    a = np.array([complex(float(row[1]), float(row[2])) for row in rows])
+    b = np.array([complex(float(row[3]), float(row[4])) for row in rows])
+    np.testing.assert_array_equal(a, det.a)
+    np.testing.assert_array_equal(b, det.b)
+    np.testing.assert_array_equal([float(row[5]) for row in rows], det.beta)
+    assert [row[6] for row in rows] == [det_mod.REGION_NAMES[r] for r in det.region.tolist()]
+
+
+def test_equal_weight_power_and_boundary_fraction():
+    det = det_mod.DetectorModel(
+        a=np.array([0.6, 0.8, 0.0], dtype=complex),
+        b=np.array([0.6, 0.0, 0.8], dtype=complex),
+        beta=np.zeros(3),
+        region=np.array([det_mod.OUTSIDE_SHADOW, det_mod.BOUNDARY, det_mod.BOUNDARY], dtype=np.int8),
+    )
+    np.testing.assert_allclose(det.equal_weight_power, [0.36, 0.32, 0.32], rtol=1e-15)
+    assert det.boundary_power_fraction() == pytest.approx(0.64, rel=1e-15)
+    assert det.boundary_power_fraction() is det.boundary_power_fraction()
 
 
 def test_equal_weight_cumulative_normalized():

@@ -149,3 +149,27 @@ def test_end_to_end_on_the_optics_detector_tracks_the_effective_phase():
     mean = np.mean([r.estimate for r in results])
     sem = np.mean([r.std_error for r in results]) / math.sqrt(len(results))
     assert abs(mean - want) <= 4 * sem
+
+
+# ---------------------------------------------------------------------------
+# specimen maps
+
+
+@pytest.mark.parametrize(
+    "pairs, message",
+    [
+        ([([0, 1], [])], "empty region"),
+        ([([0, 1], [1, 2])], "overlap"),
+        ([([0, 1], [2, 16])], "outside the phase map"),
+        ([([-1], [2])], "outside the phase map"),
+    ],
+)
+def test_specimen_map_rejects_bad_pairs_when_built(pairs, message):
+    with pytest.raises(ValueError, match=message):
+        estimator.SpecimenMap(phase=np.zeros((4, 4)), pairs=pairs)
+
+
+def test_specimen_map_warns_above_half_a_radian():
+    assert estimator.make_checkerboard(16, 4, 0.5).warnings == []
+    (warning,) = estimator.make_checkerboard(16, 4, 0.51).warnings
+    assert "exceeds 0.5 rad" in warning

@@ -36,6 +36,15 @@ def test_csv_floats_round_trip_exactly(tmp_path):
     assert [int(i) for i, _ in rows[1:]] == list(range(len(values)))
 
 
+def test_csv_writes_numpy_floats_like_python_floats(tmp_path):
+    path = tmp_path / "t.csv"
+    values = [0.5, -0.0, 5e-324, 1e16, 1e-5, 0.1 + 0.2]
+    fileio.write_csv(path, ["x", "y"], [(np.float64(v), v) for v in values])
+    lines = path.read_text().splitlines()
+    assert lines[1] == "0.5,0.5"
+    assert all(x == y == repr(v) for (x, y), v in zip((line.split(",") for line in lines[1:]), values))
+
+
 def _pairs_file(tmp_path, lines):
     path = tmp_path / "pairs.csv"
     path.write_text("".join(line + "\n" for line in lines))

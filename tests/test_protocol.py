@@ -135,8 +135,7 @@ class TestCollapse:
         det = det_mod.two_region(3, 5)
         j = P.entangle(P.prepare_symmetric(0.7))
         p = P.detection_probabilities(j, det)
-        expected = 0.5 * (det.power_a + det.power_b)
-        np.testing.assert_allclose(p, expected, atol=1e-15)
+        np.testing.assert_allclose(p, det.equal_weight_power, atol=1e-15)
         assert p.sum() == pytest.approx(1.0)
 
 
