@@ -24,10 +24,8 @@ from .estimator import (
 from .optics import MaskSpec, OpticsConfig, RingSpec, WaveField, build_detector, propagate
 from .protocol import (
     GroupPlan,
-    JointState,
     QubitState,
     compensate,
-    entangle,
     measure_qubit,
     prepare_symmetric,
     run_group,
@@ -56,10 +54,8 @@ __all__ = [
     "build_detector",
     "propagate",
     "GroupPlan",
-    "JointState",
     "QubitState",
     "compensate",
-    "entangle",
     "measure_qubit",
     "prepare_symmetric",
     "run_group",

@@ -115,7 +115,7 @@ def _one_of(*choices):
 _POSITIVE = (lambda v: v > 0.0), "> 0"
 
 # key -> (test, wanted) for values a run cannot use; each list entry is
-# tested on its own
+# tested on its own, and an optional key passes None to its test
 LIMITS = {
     "seed": _at_least(0),
     "beam.energy": _POSITIVE,
@@ -124,6 +124,10 @@ LIMITS = {
     "squid.mu_r": _POSITIVE,
     "squid.log_factor": _POSITIVE,
     "squid.flux_path_length": _POSITIVE,
+    "timing.group_duration": _POSITIVE,
+    "timing.mqc_frequency": _POSITIVE,
+    "optics.pitch": _POSITIVE,
+    "ring.turns": _at_least(1),
     "protocol.k": _at_least(1),
     "protocol.delta_phi": ((lambda v: -math.pi < v <= math.pi), "in (-pi, pi]"),
     "protocol.repetitions": _at_least(1),
@@ -136,6 +140,7 @@ LIMITS = {
     "image.budget": _at_least(1),
     "image.k": _at_least(1),
     "image.repetitions": _at_least(1),
+    "image.total_budget": ((lambda v: v is None or v >= 1), "None or >= 1"),
     "scaling.k_list": ((lambda v: v >= 1 and float(v).is_integer()), "integers >= 1"),
     "scaling.target_std": _POSITIVE,
     "scaling.repetitions": ((lambda v: v >= 2), ">= 2 to measure a spread"),
@@ -144,19 +149,19 @@ LIMITS = {
 
 def _parse_quantity(token: str, dimension: str, key: str, line: int | None) -> float:
     token = token.strip()
+    number, scale = token, 1.0
     units = _UNITS.get(dimension, {})
     for suffix in sorted(units, key=len, reverse=True):
-        if token.endswith(suffix):
-            number = token[: -len(suffix)].strip()
-            if number:
-                try:
-                    return float(number) * units[suffix]
-                except ValueError:
-                    raise ConfigError(f"bad number {number!r} for key {key!r}", key=key, line=line) from None
+        if token.endswith(suffix) and token[: -len(suffix)].strip():
+            number, scale = token[: -len(suffix)].strip(), units[suffix]
+            break
     try:
-        return float(token)
+        value = float(number) * scale
     except ValueError:
         raise ConfigError(f"bad value {token!r} for key {key!r}", key=key, line=line) from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{key} must be a finite number, got {token!r}", key=key, line=line)
+    return value
 
 
 def _parse_value(key: str, raw: str, line: int | None = None):

@@ -5,8 +5,8 @@ state with the two electron branches, a_j = <d_j|0> and b_j = <d_j|1>.
 In the far field the two branches produce nearly identical intensity
 patterns, so |a_j| = |b_j| holds and each pixel reduces to a known
 compensation angle beta_j = arg(b_j) - arg(a_j).  Pixels where the
-moduli differ beyond tolerance are classed as boundary pixels; drawing
-one is a boundary event handled by the caller's policy.
+moduli differ beyond tolerance are classed as boundary pixels; the
+protocol discards an electron drawn there and draws again.
 """
 
 from __future__ import annotations

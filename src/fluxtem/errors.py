@@ -9,14 +9,6 @@ class InvalidStateError(FluxTemError, ValueError):
     """A quantum state failed a normalization or structure check."""
 
 
-class BoundaryEventError(FluxTemError, RuntimeError):
-    """An electron landed on a detector pixel with unequal branch moduli."""
-
-    def __init__(self, pixel: int, message: str | None = None):
-        self.pixel = int(pixel)
-        super().__init__(message or f"boundary pixel {self.pixel} drawn")
-
-
 class PlaneMismatchError(FluxTemError, ValueError):
     """An optics operation was applied at the wrong kind of plane."""
 

@@ -187,8 +187,8 @@ def effective_specimen_phase(specimen_det: DetectorModel, calibration_det: Detec
 
     This is the phase per electron an end-to-end run accumulates when
     collapsing on the specimen-loaded detector but compensating with the
-    specimen-free calibration angles; boundary pixels are excluded to
-    match the discard policy.
+    specimen-free calibration angles; boundary pixels are excluded
+    because `run_group` discards electrons drawn there.
     """
     delta = protocol.wrap_angle(specimen_det.beta - calibration_det.beta)
     w = specimen_det.equal_weight_power

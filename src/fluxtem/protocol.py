@@ -4,7 +4,10 @@ One cycle sends a probe electron through the column: the electron
 entangles with a two-level flux qubit, picks up the specimen phase
 difference on one branch, and is detected in the far field.  Detection
 at pixel j kicks the qubit's relative phase by the known angle beta_j.
-Repeating the cycle k times without resetting the qubit accumulates
+Entanglement copies the qubit's branch index onto the electron, so the
+electron-qubit amplitude table stays diagonal, c[q][q], and a group is
+simulated on the qubit's two amplitudes alone (`run_group`).  Repeating
+the cycle k times without resetting the qubit accumulates
 
     relative phase = sigma_0 + sum(beta_j) + k * delta_phi
 
@@ -24,12 +27,11 @@ from typing import Literal
 import numpy as np
 
 from .detector import DetectorModel
-from .errors import BoundaryEventError, InvalidStateError
+from .errors import InvalidStateError
 
 TWO_PI = 2.0 * math.pi
 
 Basis = Literal["symmetric_antisymmetric", "quadrature"]
-BoundaryPolicy = Literal["discard", "abort"]
 
 BASES = ("symmetric_antisymmetric", "quadrature")
 
@@ -51,8 +53,7 @@ def wrap_angle(x):
 class QubitState:
     """Normalized two-amplitude flux-qubit state.
 
-    The observable content is the relative phase arg(amp1) - arg(amp0);
-    `canonical()` fixes the global phase so amp0 is real and >= 0.
+    The observable content is the relative phase arg(amp1) - arg(amp0).
     """
 
     amp0: complex
@@ -74,49 +75,13 @@ class QubitState:
         """arg(amp1) - arg(amp0), wrapped to (-pi, pi]."""
         return wrap_angle(cmath.phase(self.amp1) - cmath.phase(self.amp0))
 
-    def canonical(self) -> "QubitState":
-        """Remove the global phase: amp0 real >= 0 (amp1 real >= 0 if amp0 = 0)."""
-        ref = self.amp0 if abs(self.amp0) > 0.0 else self.amp1
-        if abs(ref) == 0.0:
-            return self
-        phase = ref / abs(ref)
-        return QubitState(self.amp0 / phase, self.amp1 / phase)
-
-
-@dataclass(frozen=True)
-class JointState:
-    """Electron (x) qubit amplitude table c[e][q] after entanglement."""
-
-    c: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.c, dtype=complex)
-        if arr.shape != (2, 2):
-            raise InvalidStateError(f"joint state must be 2x2, got {arr.shape}")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "c", arr)
-
-    def norm_sq(self) -> float:
-        return float(np.sum(np.abs(self.c) ** 2))
-
-    def require_normalized(self, tol: float = NORM_TOL) -> None:
-        if not math.isfinite(self.norm_sq()) or abs(self.norm_sq() - 1.0) > tol:
-            raise InvalidStateError(f"joint norm^2 = {self.norm_sq()!r} is not 1 within {tol}")
-
-    @property
-    def relative_phase(self) -> float:
-        """arg(c[1][1]) - arg(c[0][0]), wrapped to (-pi, pi]."""
-        return wrap_angle(cmath.phase(self.c[1, 1]) - cmath.phase(self.c[0, 0]))
-
 
 @dataclass(frozen=True)
 class DetectionRecord:
-    """One far-field detection: pixel index, its beta, and the posterior qubit."""
+    """One far-field detection: pixel index, its beta, and whether it was a discarded boundary draw."""
 
     pixel_index: int
     beta: float
-    posterior: QubitState
     boundary: bool = False
 
 
@@ -156,122 +121,56 @@ def prepare_symmetric(sigma: float) -> QubitState:
     return QubitState(cmath.exp(-0.5j * sigma) * inv, cmath.exp(0.5j * sigma) * inv)
 
 
-def entangle(qubit: QubitState) -> JointState:
-    """Copy the qubit branch index onto the electron: c[q][q] = amp_q."""
-    qubit.require_normalized()
-    c = np.zeros((2, 2), dtype=complex)
-    c[0, 0] = qubit.amp0
-    c[1, 1] = qubit.amp1
-    return JointState(c)
+def run_group(plan: GroupPlan, det: DetectorModel, rng: np.random.Generator) -> GroupResult:
+    """Send k electrons through specimen -> far-field detection on one qubit.
 
-
-def apply_specimen(joint: JointState, delta_phi: float) -> JointState:
-    """Phase the electron branches by -delta_phi/2 (branch 0) and +delta_phi/2 (branch 1)."""
-    joint.require_normalized()
-    c = joint.c.copy()
-    c[0, :] *= cmath.exp(-0.5j * delta_phi)
-    c[1, :] *= cmath.exp(+0.5j * delta_phi)
-    return JointState(c)
-
-
-def detection_probabilities(joint: JointState, det: DetectorModel) -> np.ndarray:
-    """Born-rule pixel distribution P(j) for detecting the electron at pixel j.
-
-    P(j) = sum_q |a_j c[0][q] + b_j c[1][q]|^2, which reduces to the
-    branch-wise form |c0|^2 |a_j|^2 + |c1|^2 |b_j|^2 for the diagonal
-    joint states this protocol produces.
+    The group carries only the qubit amplitudes (c0, c1).  For each
+    electron the specimen multiplies them by e^{-i delta_phi/2} and
+    e^{+i delta_phi/2}; a pixel is drawn from the Born rule
+    P(j) = w0 |a_j|^2 + w1 |b_j|^2 with w_q = |c_q|^2; detection at pixel j
+    leaves (a_j c0, b_j c1), renormalized, which kicks the relative phase
+    by beta_j.  The final relative phase is therefore
+    sigma0 + sum(beta_j) + k*delta_phi exactly (up to floating point).
+    A boundary draw is logged, counted as a discard and drawn again.
     """
-    c = joint.c
-    p = np.zeros(det.n_pixels)
-    for q in (0, 1):
-        amp = det.a * c[0, q] + det.b * c[1, q]
-        p += np.abs(amp) ** 2
-    total = p.sum()
-    if total <= 0.0:
-        raise InvalidStateError("detection distribution has zero total probability")
-    return p / total
-
-
-def posterior_after_detection(joint: JointState, det: DetectorModel, pixel: int) -> QubitState:
-    """Normalized qubit state left behind after detection at `pixel`."""
-    c = joint.c
-    amp0 = det.a[pixel] * c[0, 0] + det.b[pixel] * c[1, 0]
-    amp1 = det.a[pixel] * c[0, 1] + det.b[pixel] * c[1, 1]
-    norm = math.hypot(abs(amp0), abs(amp1))
-    if norm == 0.0:
-        raise InvalidStateError(f"pixel {pixel} has zero detection amplitude")
-    return QubitState(amp0 / norm, amp1 / norm)
-
-
-def _sample_pixel(joint: JointState, det: DetectorModel, rng: np.random.Generator) -> int:
-    w0 = float(np.sum(np.abs(joint.c[0, :]) ** 2))
-    w1 = float(np.sum(np.abs(joint.c[1, :]) ** 2))
-    if abs(w0 - w1) <= 1e-12:
-        cum = det.equal_weight_cumulative
-    else:
-        p = w0 * det.power_a + w1 * det.power_b
-        cum = np.cumsum(p)
-        cum /= cum[-1]
-        cum[-1] = 1.0
-    u = rng.random()
-    return int(np.searchsorted(cum, u, side="right"))
-
-
-def collapse_on_detection(joint: JointState, det: DetectorModel, rng: np.random.Generator) -> DetectionRecord:
-    """Sample a detector pixel and collapse the qubit accordingly.
-
-    The posterior relative phase equals the prior one plus beta_j of the
-    drawn pixel.  Drawing a boundary pixel (unequal branch moduli beyond
-    the detector tolerance) raises BoundaryEventError; the caller decides
-    whether to discard and resample or to abort.
-    """
-    joint.require_normalized()
-    pixel = _sample_pixel(joint, det, rng)
-    if det.boundary_mask[pixel]:
-        raise BoundaryEventError(pixel)
-    posterior = posterior_after_detection(joint, det, pixel)
-    return DetectionRecord(pixel_index=pixel, beta=float(det.beta[pixel]), posterior=posterior)
-
-
-def run_group(
-    plan: GroupPlan,
-    det: DetectorModel,
-    rng: np.random.Generator,
-    policy: BoundaryPolicy = "discard",
-) -> GroupResult:
-    """Send k electrons through entangle -> specimen -> far-field detection.
-
-    The posterior qubit is reused between electrons, so the final
-    relative phase is sigma0 + sum(beta_j) + k*delta_phi exactly (up to
-    floating point).  Boundary draws follow `policy`: "discard" counts
-    the electron and resamples, "abort" re-raises.
-    """
-    if policy not in ("discard", "abort"):
-        raise ValueError(f"unknown boundary policy {policy!r}")
-    if policy == "discard" and det.boundary_power_fraction() >= 1.0:
-        raise InvalidStateError("detector has no non-boundary power; discard policy cannot terminate")
+    if det.boundary_power_fraction() >= 1.0:
+        raise InvalidStateError("detector has no non-boundary power; discarding boundary draws cannot terminate")
     qubit = prepare_symmetric(plan.sigma0)
+    # the rotation stays a numpy array product: numpy's complex multiply
+    # rounds differently from Python's, and the output hashes pin numpy's
+    kick = np.array([cmath.exp(-0.5j * plan.delta_phi), cmath.exp(0.5j * plan.delta_phi)])
+    amps = np.array([qubit.amp0, qubit.amp1])
     result = GroupResult(qubit=qubit, sum_beta=0.0)
     for _ in range(plan.k):
+        c0, c1 = amps * kick
+        w0, w1 = abs(c0) ** 2, abs(c1) ** 2
+        norm_sq = w0 + w1
+        if not math.isfinite(norm_sq) or abs(norm_sq - 1.0) > NORM_TOL:
+            raise InvalidStateError(f"qubit norm^2 = {norm_sq!r} is not 1 within {NORM_TOL}")
+        if abs(w0 - w1) <= 1e-12:
+            cum = det.equal_weight_cumulative
+        else:
+            cum = np.cumsum(w0 * det.power_a + w1 * det.power_b)
+            cum /= cum[-1]
+            cum[-1] = 1.0
         while True:
-            joint = apply_specimen(entangle(qubit), plan.delta_phi)
-            try:
-                record = collapse_on_detection(joint, det, rng)
-            except BoundaryEventError as err:
-                if policy == "abort":
-                    raise
-                result.boundary_discards += 1
-                result.records.append(
-                    DetectionRecord(err.pixel, float(det.beta[err.pixel]), qubit, boundary=True)
-                )
-                if result.boundary_discards > MAX_DISCARDS:
-                    raise InvalidStateError(f"exceeded {MAX_DISCARDS} boundary discards in one group") from err
-                continue
-            qubit = record.posterior
-            result.records.append(record)
-            result.sum_beta += record.beta
-            break
-    result.qubit = qubit
+            pixel = int(np.searchsorted(cum, rng.random(), side="right"))
+            beta = float(det.beta[pixel])
+            if not det.boundary_mask[pixel]:
+                break
+            result.boundary_discards += 1
+            result.records.append(DetectionRecord(pixel, beta, boundary=True))
+            if result.boundary_discards > MAX_DISCARDS:
+                raise InvalidStateError(f"exceeded {MAX_DISCARDS} boundary discards in one group")
+        amp0, amp1 = det.a[pixel] * c0, det.b[pixel] * c1
+        norm = math.hypot(abs(amp0), abs(amp1))
+        if norm == 0.0:
+            raise InvalidStateError(f"pixel {pixel} has zero detection amplitude")
+        # np.complex128 / float: Python's complex division rounds differently
+        amps = np.array([amp0 / norm, amp1 / norm])
+        result.records.append(DetectionRecord(pixel, beta))
+        result.sum_beta += beta
+    result.qubit = QubitState(*amps)
     return result
 
 

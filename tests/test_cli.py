@@ -30,6 +30,10 @@ GOLDEN_TREES = {
 }
 
 
+# hash_tree of the default config on the optics detector at seed 12345, with --check
+PROTOCOL_OPTICS_TREE = "63ad2378e7b48afe1d13485f6235e44073b94c8211d490fc335bcd2986c4c56d"
+
+
 def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -48,6 +52,12 @@ def test_small_config_golden_tree(name, tmp_path):
         trees.append(fileio.hash_tree(tmp_path / run))
     assert trees[0] == trees[1]
     assert trees[0] == want
+
+
+def test_default_protocol_optics_tree(tmp_path):
+    argv = ["protocol", "--seed", "12345", "--set", "protocol.detector=optics", "--check", "--out", str(tmp_path)]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert fileio.hash_tree(tmp_path) == PROTOCOL_OPTICS_TREE
 
 
 def test_scaling_golden_outputs(tmp_path, capsys):
@@ -78,6 +88,13 @@ def test_scaling_golden_outputs(tmp_path, capsys):
         ("image.specimen=foo", "image.specimen"),
         ("image.tile=0", "image.tile"),
         ("image.shape=0", "image.shape"),
+        ("optics.pitch=0", "optics.pitch"),
+        ("ring.turns=0", "ring.turns"),
+        ("timing.mqc_frequency=0", "timing.mqc_frequency"),
+        ("timing.group_duration=0", "timing.group_duration"),
+        ("protocol.sigma0=nan", "protocol.sigma0"),
+        ("beam.energy=inf", "beam.energy"),
+        ("image.total_budget=0", "image.total_budget"),
     ],
 )
 def test_bad_scaling_input_is_a_config_error(override, key, tmp_path, capsys):

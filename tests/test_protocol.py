@@ -1,3 +1,4 @@
+import cmath
 import itertools
 import math
 
@@ -8,12 +9,142 @@ from hypothesis import strategies as st
 
 from fluxtem import detector as det_mod
 from fluxtem import protocol as P
-from fluxtem.errors import BoundaryEventError, InvalidStateError
+from fluxtem.errors import InvalidStateError
 from fluxtem.streams import derive
 
 from conftest import assert_states_close
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+
+# ---------------------------------------------------------------------------
+# step-by-step reference: the general 2x2 electron (x) qubit Born rule
+#
+# run_group carries only the qubit's two amplitudes because the joint
+# table stays diagonal.  This reference keeps the full table c[e][q],
+# off-diagonal terms included, so comparing the two proves the shortcut.
+
+
+def _ref_entangle(amp0, amp1):
+    """Joint table after the electron copies the qubit branch: c[q][q] = amp_q."""
+    if abs(abs(amp0) ** 2 + abs(amp1) ** 2 - 1.0) > P.NORM_TOL:
+        raise InvalidStateError("qubit is not normalized")
+    c = np.zeros((2, 2), dtype=complex)
+    c[0, 0], c[1, 1] = amp0, amp1
+    return c
+
+
+def _ref_specimen(c, delta_phi):
+    """Phase electron branch 0 by -delta_phi/2 and branch 1 by +delta_phi/2."""
+    c = c.copy()
+    c[0, :] *= cmath.exp(-0.5j * delta_phi)
+    c[1, :] *= cmath.exp(+0.5j * delta_phi)
+    return c
+
+
+def _ref_born(c, det):
+    """Normalized P(j) = sum_q |a_j c[0][q] + b_j c[1][q]|^2."""
+    p = sum(np.abs(det.a * c[0, q] + det.b * c[1, q]) ** 2 for q in (0, 1))
+    return p / p.sum()
+
+
+def _ref_posterior(c, det, j):
+    """Normalized qubit amplitudes left after detection at pixel j."""
+    amp0 = det.a[j] * c[0, 0] + det.b[j] * c[1, 0]
+    amp1 = det.a[j] * c[0, 1] + det.b[j] * c[1, 1]
+    norm = math.hypot(abs(amp0), abs(amp1))
+    return amp0 / norm, amp1 / norm
+
+
+def _ref_cumulative(c, det):
+    """Pixel cumulative from the electron branch weights, checked against the Born rule.
+
+    Returns the cumulative and whether the branch weights were unequal.
+    """
+    w0, w1 = (float(np.sum(np.abs(c[e, :]) ** 2)) for e in (0, 1))
+    unequal = abs(w0 - w1) > 1e-12
+    if unequal:
+        cum = np.cumsum(w0 * det.power_a + w1 * det.power_b)
+        cum /= cum[-1]
+        cum[-1] = 1.0
+    else:
+        cum = det.equal_weight_cumulative
+    np.testing.assert_allclose(np.diff(cum, prepend=0.0), _ref_born(c, det), rtol=0.0, atol=1e-12)
+    return cum, unequal
+
+
+def _reference_group(plan, det, rng):
+    """One group on the full table, drawing from `rng` exactly as run_group does.
+
+    Returns ((pixel, boundary) per draw, discards, sum_beta, final
+    amplitudes, number of draws from unequal branch weights).
+    """
+    qubit = P.prepare_symmetric(plan.sigma0)
+    amp0, amp1 = qubit.amp0, qubit.amp1
+    draws, discards, sum_beta, unequal_draws = [], 0, 0.0, 0
+    for _ in range(plan.k):
+        c = _ref_specimen(_ref_entangle(amp0, amp1), plan.delta_phi)
+        cum, unequal = _ref_cumulative(c, det)
+        while True:
+            j = int(np.searchsorted(cum, rng.random(), side="right"))
+            unequal_draws += unequal
+            draws.append((j, bool(det.boundary_mask[j])))
+            if not det.boundary_mask[j]:
+                break
+            discards += 1
+        amp0, amp1 = _ref_posterior(c, det, j)
+        sum_beta += float(det.beta[j])
+    return draws, discards, sum_beta, np.array([amp0, amp1]), unequal_draws
+
+
+def _half_boundary_detector():
+    """8 pixels: a/b moduli differ on the boundary half and are equal on the other."""
+    a = np.array([1.0, 1.0, 0.5, 0.5, 1.0, 1.0, 1.0, 1.0], dtype=complex)
+    b = np.array([0.5, 0.5, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0], dtype=complex)
+    region = np.array([det_mod.BOUNDARY] * 4 + [det_mod.OUTSIDE_SHADOW] * 4, dtype=np.int8)
+    det = det_mod.DetectorModel(a=a / np.linalg.norm(a), b=b / np.linalg.norm(b), beta=np.zeros(8), region=region)
+    det.validate()
+    return det
+
+
+def _unequal_moduli_detector():
+    """12 non-boundary pixels whose branch moduli differ by up to 25%, inside a wide tolerance."""
+    j = np.arange(12)
+    beta = np.where(j % 3 == 0, math.pi, 0.0)
+    a = (1.0 + 0.3 * np.sin(j)) * np.exp(0.4j * j)
+    b = a * (1.0 + 0.25 * np.cos(2 * j)) * np.exp(1j * beta)
+    a /= np.linalg.norm(a)
+    b /= np.linalg.norm(b)
+    region = np.where(beta == math.pi, det_mod.INSIDE_SHADOW, det_mod.OUTSIDE_SHADOW)
+    return det_mod.DetectorModel(a=a, b=b, beta=beta, region=region, tolerance=0.5)
+
+
+REFERENCE_DETECTORS = {
+    "trivial": lambda: det_mod.trivial(8),
+    "two_region": lambda: det_mod.two_region(11, 5),
+    "unequal_moduli": _unequal_moduli_detector,
+    "half_boundary": _half_boundary_detector,
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_DETECTORS))
+def test_run_group_matches_reference(name):
+    det = REFERENCE_DETECTORS[name]()
+    plan = P.GroupPlan(k=7, delta_phi=0.37, sigma0=0.3)
+    unequal_draws = total_discards = 0
+    for seed in range(20):
+        res = P.run_group(plan, det, derive(seed, 12))
+        draws, discards, sum_beta, amps, unequal = _reference_group(plan, det, derive(seed, 12))
+        unequal_draws += unequal
+        total_discards += discards
+        assert [(r.pixel_index, r.boundary) for r in res.records] == draws
+        assert [r.beta for r in res.records] == [float(det.beta[j]) for j, _ in draws]
+        assert res.boundary_discards == discards
+        assert res.sum_beta == sum_beta
+        np.testing.assert_array_equal(np.array([res.qubit.amp0, res.qubit.amp1]), amps)
+    # only the unequal-moduli detector leaves the qubit with unequal branch weights
+    assert (unequal_draws > 0) == (name == "unequal_moduli")
+    assert (total_discards > 0) == (name == "half_boundary")
 
 
 # ---------------------------------------------------------------------------
@@ -40,12 +171,6 @@ class TestPrepareSymmetric:
         with pytest.raises(ValueError):
             P.prepare_symmetric(bad)
 
-    def test_canonicalization_fixes_global_phase(self):
-        q = P.QubitState(INV_SQRT2 * np.exp(0.7j), INV_SQRT2 * np.exp(1.9j)).canonical()
-        assert q.amp0.imag == pytest.approx(0.0, abs=1e-15)
-        assert q.amp0.real >= 0.0
-        assert q.relative_phase == pytest.approx(1.2)
-
 
 # ---------------------------------------------------------------------------
 # entanglement and specimen interaction
@@ -53,45 +178,49 @@ class TestPrepareSymmetric:
 
 class TestEntangle:
     def test_symmetric_qubit_entangles(self):
-        j = P.entangle(P.prepare_symmetric(0.0))
-        assert j.c[0, 0] == pytest.approx(INV_SQRT2)
-        assert j.c[1, 1] == pytest.approx(INV_SQRT2)
-        assert j.c[0, 1] == 0 and j.c[1, 0] == 0
+        c = _ref_entangle(INV_SQRT2, INV_SQRT2)
+        assert c[0, 0] == pytest.approx(INV_SQRT2)
+        assert c[1, 1] == pytest.approx(INV_SQRT2)
+        assert c[0, 1] == 0 and c[1, 0] == 0
 
     def test_basis_state_gives_product(self):
-        j = P.entangle(P.QubitState(1.0, 0.0))
-        assert j.c[0, 0] == 1.0
-        assert np.count_nonzero(j.c) == 1
+        c = _ref_entangle(1.0, 0.0)
+        assert c[0, 0] == 1.0
+        assert np.count_nonzero(c) == 1
 
     def test_phase_carried_through(self):
-        j = P.entangle(P.prepare_symmetric(math.pi / 3))
-        assert j.relative_phase == pytest.approx(math.pi / 3)
+        q = P.prepare_symmetric(math.pi / 3)
+        c = _ref_entangle(q.amp0, q.amp1)
+        assert P.wrap_angle(cmath.phase(c[1, 1]) - cmath.phase(c[0, 0])) == pytest.approx(math.pi / 3)
 
-    def test_unnormalized_rejected(self):
+    def test_unnormalized_rejected(self, monkeypatch):
         with pytest.raises(InvalidStateError):
-            P.entangle(P.QubitState(1.0, 1.0))
+            _ref_entangle(1.0, 1.0)
+        monkeypatch.setattr(P, "prepare_symmetric", lambda sigma: P.QubitState(1.0, 1.0))
+        with pytest.raises(InvalidStateError, match="norm"):
+            P.run_group(P.GroupPlan(k=1, delta_phi=0.0), det_mod.trivial(4), derive(3, 5))
 
 
 class TestApplySpecimen:
+    """On the trivial detector (a_j = b_j, beta_j = 0) detection leaves the phase, so only the specimen acts."""
+
     def test_zero_phase_is_identity(self):
-        j = P.entangle(P.prepare_symmetric(0.4))
-        out = P.apply_specimen(j, 0.0)
-        np.testing.assert_array_equal(out.c, j.c)
+        res = P.run_group(P.GroupPlan(k=3, delta_phi=0.0, sigma0=0.4), det_mod.trivial(4), derive(3, 6))
+        assert_states_close(res.qubit, P.prepare_symmetric(0.4))
 
     def test_phase_adds_to_sigma(self):
-        sigma, dphi = 0.3, 0.5
-        j = P.apply_specimen(P.entangle(P.prepare_symmetric(sigma)), dphi)
-        assert j.relative_phase == pytest.approx(sigma + dphi)
+        res = P.run_group(P.GroupPlan(k=1, delta_phi=0.5, sigma0=0.3), det_mod.trivial(4), derive(3, 7))
+        assert res.qubit.relative_phase == pytest.approx(0.8)
 
     def test_composition(self):
-        j = P.entangle(P.prepare_symmetric(0.0))
-        once = P.apply_specimen(j, 2 * math.pi)
-        twice = P.apply_specimen(P.apply_specimen(j, math.pi), math.pi)
-        np.testing.assert_allclose(once.c, twice.c, atol=1e-15)
+        det = det_mod.trivial(4)
+        once = P.run_group(P.GroupPlan(k=1, delta_phi=math.pi), det, derive(3, 8))
+        twice = P.run_group(P.GroupPlan(k=2, delta_phi=0.5 * math.pi), det, derive(3, 9))
+        assert_states_close(once.qubit, twice.qubit)
 
     def test_norm_preserved(self):
-        j = P.apply_specimen(P.entangle(P.prepare_symmetric(1.1)), 2.3)
-        assert j.norm_sq() == pytest.approx(1.0, abs=1e-12)
+        res = P.run_group(P.GroupPlan(k=64, delta_phi=2.3, sigma0=1.1), det_mod.two_region(5, 3), derive(3, 10))
+        assert res.qubit.norm_sq() == pytest.approx(1.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -100,41 +229,48 @@ class TestApplySpecimen:
 
 class TestCollapse:
     def test_trivial_detector_leaves_phase(self):
-        det = det_mod.trivial(16)
-        j = P.apply_specimen(P.entangle(P.prepare_symmetric(0.2)), 0.3)
-        rec = P.collapse_on_detection(j, det, derive(3, 0))
-        assert rec.beta == 0.0
-        assert rec.posterior.relative_phase == pytest.approx(0.5)
+        res = P.run_group(P.GroupPlan(k=1, delta_phi=0.3, sigma0=0.2), det_mod.trivial(16), derive(3, 0))
+        assert res.records[0].beta == 0.0
+        assert res.qubit.relative_phase == pytest.approx(0.5)
 
     def test_sign_flipped_pixel_shifts_pi(self):
         det = det_mod.two_region(n_outside=0, n_inside=4)  # every pixel has beta = pi
-        j = P.entangle(P.prepare_symmetric(0.0))
-        rec = P.collapse_on_detection(j, det, derive(3, 1))
-        assert rec.beta == pytest.approx(math.pi)
-        assert abs(P.wrap_angle(rec.posterior.relative_phase - math.pi)) < 1e-12
+        res = P.run_group(P.GroupPlan(k=1, delta_phi=0.0), det, derive(3, 1))
+        assert res.records[0].beta == pytest.approx(math.pi)
+        assert abs(P.wrap_angle(res.qubit.relative_phase - math.pi)) < 1e-12
 
     def test_degenerate_detector_always_boundary(self):
         det = det_mod.degenerate_two_pixel()
-        j = P.entangle(P.prepare_symmetric(0.0))
+        c = _ref_specimen(_ref_entangle(INV_SQRT2, INV_SQRT2), 0.0)
+        cum, _ = _ref_cumulative(c, det)
         rng = derive(3, 2)
         for _ in range(20):
-            with pytest.raises(BoundaryEventError):
-                P.collapse_on_detection(j, det, rng)
+            assert det.boundary_mask[np.searchsorted(cum, rng.random(), side="right")]
 
     def test_discard_policy_rejects_all_boundary_detector(self):
         det = det_mod.degenerate_two_pixel()
         with pytest.raises(InvalidStateError):
-            P.run_group(P.GroupPlan(k=1, delta_phi=0.0), det, derive(3, 3), policy="discard")
+            P.run_group(P.GroupPlan(k=1, delta_phi=0.0), det, derive(3, 3))
 
-    def test_abort_policy_raises(self):
-        det = det_mod.degenerate_two_pixel()
-        with pytest.raises(BoundaryEventError):
-            P.run_group(P.GroupPlan(k=1, delta_phi=0.0), det, derive(3, 4), policy="abort")
+    def test_max_discards_guard_stops_a_stuck_group(self, monkeypatch):
+        # one good pixel carries well under 1% of the power
+        n = 200
+        a = np.ones(n, dtype=complex)
+        b = np.ones(n, dtype=complex)
+        b[1:] *= 0.5
+        region = np.full(n, det_mod.BOUNDARY, dtype=np.int8)
+        region[0] = det_mod.OUTSIDE_SHADOW
+        det = det_mod.DetectorModel(a=a / np.linalg.norm(a), b=b / np.linalg.norm(b), beta=np.zeros(n), region=region)
+        plan = P.GroupPlan(k=2, delta_phi=0.0)
+        assert P.run_group(plan, det, derive(3, 11)).boundary_discards > 10
+        monkeypatch.setattr(P, "MAX_DISCARDS", 10)
+        with pytest.raises(InvalidStateError, match="exceeded 10 boundary discards"):
+            P.run_group(plan, det, derive(3, 11))
 
     def test_detection_distribution_is_born_rule(self):
         det = det_mod.two_region(3, 5)
-        j = P.entangle(P.prepare_symmetric(0.7))
-        p = P.detection_probabilities(j, det)
+        q = P.prepare_symmetric(0.7)
+        p = _ref_born(_ref_entangle(q.amp0, q.amp1), det)
         np.testing.assert_allclose(p, det.equal_weight_power, atol=1e-15)
         assert p.sum() == pytest.approx(1.0)
 
@@ -171,13 +307,9 @@ class TestRunGroup:
 
     def test_norm_preserved_along_run(self):
         det = det_mod.two_region(5, 3)
-        rng = derive(5, 2)
-        qubit = P.prepare_symmetric(0.3)
-        for _ in range(32):
-            joint = P.apply_specimen(P.entangle(qubit), 0.21)
-            assert joint.norm_sq() == pytest.approx(1.0, abs=1e-12)
-            qubit = P.collapse_on_detection(joint, det, rng).posterior
-            assert qubit.norm_sq() == pytest.approx(1.0, abs=1e-12)
+        for k in range(1, 33):
+            res = P.run_group(P.GroupPlan(k=k, delta_phi=0.21, sigma0=0.3), det, derive(5, 2))
+            assert res.qubit.norm_sq() == pytest.approx(1.0, abs=1e-12)
 
     def test_detector_independence_of_phase_law(self, small_detector):
         plan = P.GroupPlan(k=7, delta_phi=0.21, sigma0=1.3)
@@ -332,17 +464,17 @@ def test_brute_force_distribution(k, basis):
     plan = P.GroupPlan(k=k, delta_phi=0.31, sigma0=0.12)
     oracle = _enumerate_oracle(plan, det, basis)
 
-    # implementation-side distribution from the exposed probability laws
+    # step-by-step distribution from the 2x2 reference that run_group is checked against
     total = 0.0
     for seq, (o_p0, o_p1) in oracle.items():
-        qubit = P.prepare_symmetric(plan.sigma0)
+        q = P.prepare_symmetric(plan.sigma0)
+        amp0, amp1 = q.amp0, q.amp1
         p_seq = 1.0
         for j in seq:
-            joint = P.apply_specimen(P.entangle(qubit), plan.delta_phi)
-            probs = P.detection_probabilities(joint, det)
-            p_seq *= probs[j]
-            qubit = P.posterior_after_detection(joint, det, j)
-        qubit = P.compensate(qubit, sum(float(det.beta[j]) for j in seq))
+            c = _ref_specimen(_ref_entangle(amp0, amp1), plan.delta_phi)
+            p_seq *= _ref_born(c, det)[j]
+            amp0, amp1 = _ref_posterior(c, det, j)
+        qubit = P.compensate(P.QubitState(amp0, amp1), sum(float(det.beta[j]) for j in seq))
         p0, p1 = P.measurement_probabilities(qubit, basis)
         assert p_seq * p0 == pytest.approx(o_p0, abs=1e-10)
         assert p_seq * p1 == pytest.approx(o_p1, abs=1e-10)
@@ -395,15 +527,7 @@ class TestSimulateGroups:
         assert batch.groups == 4  # 23 // 5 complete groups
 
     def test_boundary_discards_counted_and_resampled(self):
-        # half-boundary detector: a/b moduli differ on the boundary half
-        n = 8
-        a = np.full(n, 1.0, dtype=complex)
-        b = np.full(n, 1.0, dtype=complex)
-        b[:4] *= 0.5
-        a /= math.sqrt(float(np.sum(np.abs(a) ** 2)))
-        b /= math.sqrt(float(np.sum(np.abs(b) ** 2)))
-        region = np.array([det_mod.BOUNDARY] * 4 + [det_mod.OUTSIDE_SHADOW] * 4, dtype=np.int8)
-        det = det_mod.DetectorModel(a=a, b=b, beta=np.zeros(n), region=region, tolerance=1e-6)
+        det = _half_boundary_detector()
         plan = P.GroupPlan(k=2, delta_phi=0.05)
         batch = P.simulate_groups(plan, det, 300, derive(9, 5))
         assert batch.groups == 300
