@@ -35,7 +35,8 @@ class CheckFailure(Exception):
     """One or more --check contracts failed."""
 
 
-def _optics_config(cfg: RunConfig) -> optics.OpticsConfig:
+def optics_config(cfg: RunConfig) -> optics.OpticsConfig:
+    """The beam-path geometry of a run; `config.SCHEMA` holds its only defaults."""
     mask = optics.MaskSpec(
         inner_radius=cfg["mask.inner_radius"],
         outer_radius=cfg["mask.outer_radius"],
@@ -65,7 +66,7 @@ def _optics_config(cfg: RunConfig) -> optics.OpticsConfig:
 def _detector(cfg: RunConfig) -> det_mod.DetectorModel:
     if cfg["protocol.detector"] == "trivial":
         return det_mod.trivial(cfg["protocol.trivial_pixels"])
-    return optics.build_detector(_optics_config(cfg))
+    return optics.build_detector(optics_config(cfg))
 
 
 def _finish(out: Path, cfg: RunConfig, command: str, stats: dict, files: list[Path], checks: list[tuple[str, bool, str]], check_mode: bool) -> None:
@@ -84,6 +85,12 @@ def _finish(out: Path, cfg: RunConfig, command: str, stats: dict, files: list[Pa
 
 def cmd_design(cfg: RunConfig, out: Path, check: bool) -> None:
     beam = device.beam_from_energy(cfg["beam.energy"], waist=cfg["beam.waist"])
+    if beam.waist <= beam.wavelength:
+        # theta_b = lambda / a is a small-angle law: it needs a >> lambda
+        raise ConfigError(
+            f"beam.waist = {beam.waist!r} m is not larger than the electron wavelength {beam.wavelength!r} m",
+            key="beam.waist",
+        )
     squid = device.squid_sizing(
         cfg["squid.d"],
         permeability=cfg["squid.mu_r"] * CODATA.mu0,
@@ -122,17 +129,17 @@ def cmd_design(cfg: RunConfig, out: Path, check: bool) -> None:
 
 
 def cmd_optics(cfg: RunConfig, out: Path, check: bool) -> None:
-    ocfg = _optics_config(cfg)
-    mask_field = optics.build_mask(ocfg.mask, ocfg.n, ocfg.pitch)
-    incident = optics.incident_qubit_field(ocfg)
-    map0, map1 = optics.specimen_intensity(ocfg)
+    ocfg = optics_config(cfg)
+    # the detector first: its own trace is freed before its four transforms
     det = optics.build_detector(ocfg)
-    overlap = abs(optics.branch_overlap(ocfg))
+    beam = optics.trace_beam(ocfg)
+    map0, map1 = optics.specimen_intensity(beam)
+    overlap = abs(optics.branch_overlap(beam))
 
     files = []
     for name, data in [
-        ("mask.pgm", np.abs(mask_field.grid) ** 2),
-        ("qubit_plane.pgm", np.abs(incident.grid) ** 2),
+        ("mask.pgm", np.abs(beam.mask.grid) ** 2),
+        ("qubit_plane.pgm", np.abs(beam.incident.grid) ** 2),
         ("specimen_map0.pgm", map0),
         ("specimen_map1.pgm", map1),
     ]:

@@ -113,6 +113,7 @@ def _one_of(*choices):
 
 
 _POSITIVE = (lambda v: v > 0.0), "> 0"
+_NON_NEGATIVE = _at_least(0)
 
 # key -> (test, wanted) for values a run cannot use; each list entry is
 # tested on its own, and an optional key passes None to its test
@@ -124,9 +125,22 @@ LIMITS = {
     "squid.mu_r": _POSITIVE,
     "squid.log_factor": _POSITIVE,
     "squid.flux_path_length": _POSITIVE,
+    "squid.turns": _at_least(1),
     "timing.group_duration": _POSITIVE,
     "timing.mqc_frequency": _POSITIVE,
+    "optics.n": ((lambda v: v >= 2 and v & (v - 1) == 0), "a power of two >= 2"),
     "optics.pitch": _POSITIVE,
+    "optics.aperture_radius": _POSITIVE,
+    "optics.detector_aperture_radius": ((lambda v: v is None or v > 0.0), "None or > 0"),
+    "optics.tolerance": _NON_NEGATIVE,
+    # below 1 a pixel passes both shadow tests and is classed outside
+    "optics.dominance_ratio": _at_least(1),
+    "mask.disc_radius": _NON_NEGATIVE,
+    "mask.inner_radius": _NON_NEGATIVE,
+    "mask.outer_radius": _NON_NEGATIVE,
+    "mask.gap_width": _NON_NEGATIVE,
+    "ring.inner": _POSITIVE,
+    "ring.outer": _POSITIVE,
     "ring.turns": _at_least(1),
     "protocol.k": _at_least(1),
     "protocol.delta_phi": ((lambda v: -math.pi < v <= math.pi), "in (-pi, pi]"),

@@ -99,19 +99,9 @@ def _invert_quadrature(p_hat: float, k: int) -> float:
     return math.asin(min(1.0, max(-1.0, 2.0 * p_hat - 1.0))) / k
 
 
-def _quadrature_std_error(estimate: float, k: int, groups: int, coherence: float) -> float:
-    """Cramer-Rao bound of the quadrature estimate, evaluated at the estimate.
-
-    Var >= (1 - c^2 sin^2 k theta) / (G k^2 c^2 cos^2 k theta), which is
-    1 / (G k^2) at c = 1; that case is returned in closed form so it stays
-    bit-identical to the ideal-coherence formula.
-    """
-    if coherence == 1.0:
-        return 1.0 / (k * math.sqrt(groups))
-    s = coherence * math.sin(k * estimate)
-    c = coherence * math.cos(k * estimate)
-    denom = groups * k * k * c * c
-    return math.sqrt((1.0 - s * s) / denom) if denom > 0.0 else math.inf
+def _quadrature_std_error(k: int, groups: int) -> float:
+    """Cramer-Rao bound 1 / (k sqrt(G)) of the quadrature estimate from G groups."""
+    return 1.0 / (k * math.sqrt(groups))
 
 
 def estimate_phase(
@@ -122,7 +112,6 @@ def estimate_phase(
     rng: np.random.Generator | None = None,
     *,
     k: int = 1,
-    coherence: float = 1.0,
 ) -> EstimationResult:
     """Estimate the specimen phase difference from a fixed electron budget.
 
@@ -165,16 +154,14 @@ def estimate_phase(
         det = det_mod.trivial()
 
     plan = GroupPlan(k=k, delta_phi=true_delta_phi)
-    batch = protocol.simulate_groups(
-        plan, det, electron_budget // k, rng, basis="quadrature", coherence=coherence, budget=electron_budget
-    )
+    batch = protocol.simulate_groups(plan, det, electron_budget // k, rng, budget=electron_budget)
     if batch.groups == 0:
         raise BudgetError("no group completed within the electron budget")
     p_hat = float(batch.outcomes.mean())
     estimate = _invert_quadrature(p_hat, k)
     return EstimationResult(
         estimate=estimate,
-        std_error=_quadrature_std_error(estimate, k, batch.groups, coherence),
+        std_error=_quadrature_std_error(k, batch.groups),
         trials=batch.groups,
         electrons_used=batch.electrons_used,
         boundary_discards=batch.boundary_discards,
@@ -232,7 +219,7 @@ def estimate_phase_end_to_end(
     estimate = _invert_quadrature(float(np.mean(outcomes)), k)
     return EstimationResult(
         estimate=estimate,
-        std_error=_quadrature_std_error(estimate, k, len(outcomes), 1.0),
+        std_error=_quadrature_std_error(k, len(outcomes)),
         trials=len(outcomes),
         electrons_used=used,
         boundary_discards=discards,

@@ -23,7 +23,7 @@ size, so the pitch is metadata only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,9 +68,6 @@ class WaveField:
     def power(self) -> float:
         return float(np.sum(np.abs(self.grid) ** 2))
 
-    def copy(self) -> "WaveField":
-        return WaveField(self.grid.copy(), self.pitch, self.plane_kind)
-
 
 @dataclass(frozen=True)
 class MaskSpec:
@@ -78,22 +75,14 @@ class MaskSpec:
 
     The gap wedges model the silicon beams that hold the ring body; each
     is centered on an entry of `gap_angles` with full width `gap_width`.
-    `pattern="custom_bitmap"` bypasses the parametric geometry and uses
-    `bitmap` (values 0/1) directly.
+    A zero radius leaves that part closed.
     """
 
-    pattern: str = "annular_segments"
-    inner_radius: float = 0.0
-    outer_radius: float = 0.0
-    gap_angles: tuple[float, ...] = ()
-    gap_width: float = math.radians(10.0)
-    disc_radius: float = 0.0
-    bitmap: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.pattern not in ("annular_segments", "custom_bitmap"):
-            raise ValueError(f"unknown mask pattern {self.pattern!r}")
-        object.__setattr__(self, "gap_angles", tuple(float(g) for g in self.gap_angles))
+    inner_radius: float
+    outer_radius: float
+    gap_angles: tuple[float, ...]
+    gap_width: float
+    disc_radius: float
 
 
 @dataclass(frozen=True)
@@ -107,8 +96,8 @@ class RingSpec:
 
     ring_inner: float
     ring_outer: float
-    flux_fraction: float = 1.0
-    turns: int = 1
+    flux_fraction: float
+    turns: int
 
     def __post_init__(self):
         if not 0.0 < self.ring_inner < self.ring_outer:
@@ -149,16 +138,6 @@ def ring_regions(n: int, ring: RingSpec, pitch: float) -> tuple[np.ndarray, np.n
 
 def build_mask(spec: MaskSpec, n: int, pitch: float) -> WaveField:
     """Rasterize the stencil as a binary-amplitude field at a diffraction plane."""
-    if spec.pattern == "custom_bitmap":
-        if spec.bitmap is None:
-            raise GeometryError("custom_bitmap mask needs a bitmap")
-        bm = np.asarray(spec.bitmap, dtype=float)
-        if bm.shape != (n, n):
-            raise GeometryError(f"bitmap shape {bm.shape} does not match grid {n}")
-        if not np.isin(bm, (0.0, 1.0)).all():
-            raise GeometryError("stencil bitmap must be binary")
-        return WaveField(bm.astype(complex), pitch, PLANE_DIFFRACTION)
-
     r = _radius_grid(n)
     ri = spec.inner_radius / pitch
     ro = spec.outer_radius / pitch
@@ -176,11 +155,6 @@ def build_mask(spec: MaskSpec, n: int, pitch: float) -> WaveField:
                 annulus &= np.abs(delta) > 0.5 * spec.gap_width
         open_px = open_px | annulus
     return WaveField(open_px.astype(complex), pitch, PLANE_DIFFRACTION)
-
-
-def full_open_mask(n: int) -> MaskSpec:
-    """Mask that transmits the whole grid (no stencil)."""
-    return MaskSpec(pattern="custom_bitmap", bitmap=np.ones((n, n)))
 
 
 def propagate(fieldv: WaveField) -> WaveField:
@@ -275,79 +249,69 @@ def normalized_cross_correlation(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.dot(x, y)) / denom
 
 
-def default_mask() -> MaskSpec:
-    return MaskSpec(
-        inner_radius=2.8e-6,
-        outer_radius=3.5e-6,
-        gap_angles=(0.5 * math.pi, 1.5 * math.pi),
-        gap_width=math.radians(10.0),
-        disc_radius=1.8e-6,
-    )
+@dataclass(frozen=True)
+class OpticsConfig:
+    """Full beam-path configuration from stencil to detector (`cli.optics_config` fills it)."""
 
-
-def default_ring() -> RingSpec:
-    return RingSpec(ring_inner=2.0e-6, ring_outer=2.6e-6, flux_fraction=1.0, turns=1)
+    n: int
+    pitch: float
+    mask: MaskSpec
+    ring: RingSpec
+    aperture_radius: float
+    balance: bool
+    detector_aperture_radius: float | None
+    tolerance: float
+    dominance_ratio: float
 
 
 @dataclass(frozen=True)
-class OpticsConfig:
-    """Full beam-path configuration from stencil to detector."""
+class Beam:
+    """The stencil-to-ring part of the beam path, traced once for one configuration.
 
-    n: int = 256
-    pitch: float = 1e-7
-    mask: MaskSpec = field(default_factory=default_mask)
-    ring: RingSpec = field(default_factory=default_ring)
-    aperture_radius: float = 3.0e-6
-    balance: bool = True
-    detector_aperture_radius: float | None = None
-    tolerance: float = 1e-6
-    dominance_ratio: float = 10.0
+    `mask` is the stencil, `incident` the beam arriving at the ring
+    plane and `branch0` the unit-power ring-plane field of qubit
+    branch 0: the ring body blocked and, with `balance`, the inside and
+    outside powers made equal.
+    """
+
+    cfg: OpticsConfig
+    mask: WaveField
+    incident: WaveField
+    branch0: WaveField
+
+    @property
+    def branch1(self) -> WaveField:
+        """Branch 0 with the Aharonov-Bohm phase on the inside-ring wave."""
+        return apply_ab_phase(self.branch0, self.cfg.ring, 1)
 
 
-def default_config(**overrides) -> OpticsConfig:
-    return replace(OpticsConfig(), **overrides) if overrides else OpticsConfig()
-
-
-def incident_qubit_field(cfg: OpticsConfig) -> WaveField:
-    """Beam at the ring plane: mask -> transform -> aperture -> transform."""
+def trace_beam(cfg: OpticsConfig) -> Beam:
+    """Mask -> transform -> aperture -> transform -> ring, run once."""
     mask = build_mask(cfg.mask, cfg.n, cfg.pitch)
-    image = apply_aperture(propagate(mask), cfg.aperture_radius)
-    return propagate(image)
-
-
-def branch_fields(cfg: OpticsConfig) -> tuple[WaveField, WaveField]:
-    """Ring-plane fields for qubit branches 0 and 1, normalized to unit power."""
-    incident = incident_qubit_field(cfg)
+    incident = propagate(apply_aperture(propagate(mask), cfg.aperture_radius))
     base = apply_ab_phase(incident, cfg.ring, 0)
     if cfg.balance:
         base = balance_ring_split(base, cfg.ring)
     norm = math.sqrt(base.power)
     if norm == 0.0:
         raise EmptyFieldError("no beam power survives the ring plane")
-    base = WaveField(base.grid / norm, base.pitch, base.plane_kind)
-    return base, apply_ab_phase(base, cfg.ring, 1)
+    branch0 = WaveField(base.grid / norm, base.pitch, base.plane_kind)
+    return Beam(cfg, mask, incident, branch0)
 
 
-def branch_overlap(cfg: OpticsConfig) -> complex:
+def branch_overlap(beam: Beam) -> complex:
     """Inner product <field0|field1> of the normalized ring-plane branches."""
-    f0, f1 = branch_fields(cfg)
+    f0, f1 = beam.branch0, beam.branch1
     n0 = math.sqrt(f0.power)
     n1 = math.sqrt(f1.power)
     return complex(np.vdot(f0.grid, f1.grid) / (n0 * n1))
 
 
-def specimen_fields(cfg: OpticsConfig) -> tuple[WaveField, WaveField]:
-    """Specimen-plane (image) fields for the two qubit branches."""
-    f0, f1 = branch_fields(cfg)
-    return propagate(f0), propagate(f1)
-
-
-def specimen_intensity(cfg: OpticsConfig) -> tuple[np.ndarray, np.ndarray]:
+def specimen_intensity(beam: Beam) -> tuple[np.ndarray, np.ndarray]:
     """Unit-power beam intensity maps on the specimen for branches 0 and 1."""
-    s0, s1 = specimen_fields(cfg)
     maps = []
-    for s in (s0, s1):
-        m = np.abs(s.grid) ** 2
+    for f in (beam.branch0, beam.branch1):
+        m = np.abs(propagate(f).grid) ** 2
         maps.append(m / m.sum())
     return maps[0], maps[1]
 
@@ -380,7 +344,7 @@ def build_detector(
     resulting detector then carries the specimen phase on top of the
     calibration angles of the specimen-free detector.
     """
-    base, _ = branch_fields(cfg)
+    base = trace_beam(cfg).branch0
     inside, _, _ = ring_regions(cfg.n, cfg.ring, cfg.pitch)
     g_in = WaveField(np.where(inside, base.grid, 0.0), cfg.pitch, base.plane_kind)
     g_out = WaveField(np.where(~inside, base.grid, 0.0), cfg.pitch, base.plane_kind)

@@ -188,37 +188,23 @@ def phase_audit(result: GroupResult, plan: GroupPlan) -> float:
     return abs(wrap_angle(result.qubit.relative_phase - predicted))
 
 
-def _check_readout(basis: Basis, coherence: float) -> None:
-    if basis not in BASES:
-        raise ValueError(f"unknown basis {basis!r}")
-    if not 0.0 <= coherence <= 1.0:
-        raise ValueError("coherence must lie in [0, 1]")
+def readout_probability(phase):
+    """P(plus) = (1 + sin phase)/2 in the quadrature basis, for an equal-modulus qubit (scalar or array)."""
+    return 0.5 * (1.0 + np.sin(phase))
 
 
-def readout_probability(phase, basis: Basis = "quadrature", coherence: float = 1.0):
-    """P(outcome 1) for an equal-modulus qubit with relative phase `phase` (scalar or array).
-
-    (1 + c sin phase)/2 in the quadrature basis and (1 - c cos phase)/2
-    in the symmetric_antisymmetric basis, with c the `coherence`.
-    """
-    _check_readout(basis, coherence)
-    if basis == "quadrature":
-        return 0.5 * (1.0 + coherence * np.sin(phase))
-    return 0.5 * (1.0 - coherence * np.cos(phase))
-
-
-def measurement_probabilities(qubit: QubitState, basis: Basis, coherence: float = 1.0) -> tuple[float, float]:
+def measurement_probabilities(qubit: QubitState, basis: Basis) -> tuple[float, float]:
     """Outcome probabilities (P(0), P(1)) for the requested readout basis.
 
     Outcome 1 means `antisymmetric` in the symmetric_antisymmetric basis
     and `plus` in the quadrature basis {(|0> +- i|1>)/sqrt(2)}.  For the
     canonical equal-modulus states these evaluate to sin^2(sigma/2) and
-    (1 + sin sigma)/2.  `coherence` < 1 damps the off-diagonal coherence
-    (pure dephasing knob for sensitivity studies).
+    (1 + sin sigma)/2.
     """
-    _check_readout(basis, coherence)
+    if basis not in BASES:
+        raise ValueError(f"unknown basis {basis!r}")
     qubit.require_normalized()
-    rho01 = coherence * qubit.amp0 * qubit.amp1.conjugate()
+    rho01 = qubit.amp0 * qubit.amp1.conjugate()
     if basis == "symmetric_antisymmetric":
         p1 = 0.5 - rho01.real
     else:
@@ -303,11 +289,9 @@ def simulate_groups(
     n_groups: int,
     rng: np.random.Generator,
     *,
-    basis: Basis = "quadrature",
-    coherence: float = 1.0,
     budget: int | None = None,
 ) -> GroupBatchResult:
-    """Vectorized equivalent of run_group + compensate + measure_qubit.
+    """Vectorized equivalent of run_group + compensate + measure_qubit in the quadrature basis.
 
     Valid for the states this protocol produces (equal branch moduli
     throughout, which holds because every operation is phase-only on the
@@ -330,7 +314,7 @@ def simulate_groups(
     # compensation subtracts the recorded kicks after detection added them;
     # the phases keep the rounding of that add-then-subtract
     phases = plan.sigma0 + sum_beta + plan.k * plan.delta_phi - sum_beta
-    p1 = readout_probability(phases, basis, coherence)
+    p1 = readout_probability(phases)
     outcomes = (rng.random(completed) < p1).astype(np.uint8)
     return GroupBatchResult(
         outcomes=outcomes,

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from fluxtem import optics
+from fluxtem.cli import optics_config
+from fluxtem.config import load_config
 
 
 @pytest.fixture(scope="session")
 def small_cfg():
     """Quarter-scale beam path (64 x 64) with the same pixel geometry as default."""
-    return optics.default_config(n=64, pitch=4e-7)
+    return optics_config(load_config(None, ["optics.n=64", "optics.pitch=4e-7"]))
 
 
 @pytest.fixture(scope="session")
@@ -19,7 +21,7 @@ def small_detector(small_cfg):
 
 @pytest.fixture(scope="session")
 def default_cfg():
-    return optics.default_config()
+    return optics_config(load_config())
 
 
 @pytest.fixture(scope="session")

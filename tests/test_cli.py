@@ -2,7 +2,7 @@ import hashlib
 
 import pytest
 
-from fluxtem import cli, fileio
+from fluxtem import cli, fileio, optics
 
 # SHA-256 of the scaling outputs at the default config and seed 12345
 SCALING_TABLE_SHA256 = "6d01bddd1377ca93f5ddaf28c5efcd27d4d2d09256bda8f18387eb06cd839a80"
@@ -32,6 +32,8 @@ GOLDEN_TREES = {
 
 # hash_tree of the default config on the optics detector at seed 12345, with --check
 PROTOCOL_OPTICS_TREE = "63ad2378e7b48afe1d13485f6235e44073b94c8211d490fc335bcd2986c4c56d"
+# hash_tree of `optics` at the default config and seed 12345, with --check
+OPTICS_TREE = "6f522b26b2a2c09fd3bccddd55a3f3d1be3dcf20b01ececd8b01e2885d357894"
 
 
 def _sha256(path):
@@ -58,6 +60,28 @@ def test_default_protocol_optics_tree(tmp_path):
     argv = ["protocol", "--seed", "12345", "--set", "protocol.detector=optics", "--check", "--out", str(tmp_path)]
     assert cli.main(argv) == cli.EXIT_OK
     assert fileio.hash_tree(tmp_path) == PROTOCOL_OPTICS_TREE
+
+
+def test_default_optics_tree(tmp_path):
+    assert cli.main(["optics", "--seed", "12345", "--check", "--out", str(tmp_path)]) == cli.EXIT_OK
+    assert fileio.hash_tree(tmp_path) == OPTICS_TREE
+
+
+def test_optics_traces_the_beam_path_once_outside_the_detector(tmp_path, monkeypatch):
+    """Two transforms to the ring plane and two more to the specimen maps, plus build_detector's six."""
+    calls = []
+    propagate = optics.propagate
+
+    def counted(fieldv):
+        calls.append(None)
+        return propagate(fieldv)
+
+    monkeypatch.setattr(optics, "propagate", counted)
+    argv = ["optics", "--seed", "12345", "--check", "--out", str(tmp_path)]
+    for override in SMALL_OPTICS:
+        argv += ["--set", override]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert len(calls) == 10
 
 
 def test_scaling_golden_outputs(tmp_path, capsys):
@@ -95,10 +119,25 @@ def test_scaling_golden_outputs(tmp_path, capsys):
         ("protocol.sigma0=nan", "protocol.sigma0"),
         ("beam.energy=inf", "beam.energy"),
         ("image.total_budget=0", "image.total_budget"),
+        ("optics.n=100", "optics.n"),
+        ("optics.n=1", "optics.n"),
+        ("optics.aperture_radius=0", "optics.aperture_radius"),
+        ("optics.detector_aperture_radius=0", "optics.detector_aperture_radius"),
+        ("optics.tolerance=-1e-6", "optics.tolerance"),
+        ("optics.dominance_ratio=0", "optics.dominance_ratio"),
+        ("mask.disc_radius=-1um", "mask.disc_radius"),
+        ("mask.inner_radius=-1um", "mask.inner_radius"),
+        ("mask.outer_radius=-1um", "mask.outer_radius"),
+        ("mask.gap_width=-1deg", "mask.gap_width"),
+        ("ring.inner=0", "ring.inner"),
+        ("ring.outer=-2um", "ring.outer"),
+        ("squid.turns=0", "squid.turns"),
+        # passes its own limit; design checks it against the electron wavelength
+        ("beam.waist=1e-300", "beam.waist"),
     ],
 )
 def test_bad_scaling_input_is_a_config_error(override, key, tmp_path, capsys):
-    assert cli.main(["scaling", "--set", override, "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+    assert cli.main(["design", "--set", override, "--out", str(tmp_path)]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error:") and key in err
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,23 +14,22 @@ def _gaussian_field(n, sigma):
     return O.WaveField(np.exp(-(dx**2 + dy**2) / (2 * sigma**2)).astype(complex))
 
 
+@pytest.fixture(scope="module")
+def small_beam(small_cfg):
+    return O.trace_beam(small_cfg)
+
+
 # ---------------------------------------------------------------------------
 # masks
 
 
 class TestBuildMask:
-    def test_full_open_mask_is_uniform(self):
-        n = 64
-        field = O.build_mask(O.full_open_mask(n), n, 1.0)
-        assert np.all(field.grid == 1.0)
-        assert field.power == n * n
-
     def test_annulus_area_matches_closed_form(self):
         n, pitch = 256, 1.0
         inner, outer = 40.0, 60.0
         width = math.radians(10.0)
         spec = O.MaskSpec(
-            inner_radius=inner, outer_radius=outer, gap_angles=(0.3, 2.5), gap_width=width
+            inner_radius=inner, outer_radius=outer, gap_angles=(0.3, 2.5), gap_width=width, disc_radius=0.0
         )
         field = O.build_mask(spec, n, pitch)
         count = int(np.count_nonzero(field.grid))
@@ -41,14 +41,14 @@ class TestBuildMask:
 
     def test_disc_plus_annulus(self):
         n = 128
-        spec = O.MaskSpec(inner_radius=30.0, outer_radius=40.0, disc_radius=10.0)
+        spec = O.MaskSpec(inner_radius=30.0, outer_radius=40.0, gap_angles=(), gap_width=0.0, disc_radius=10.0)
         field = O.build_mask(spec, n, 1.0)
         count = int(np.count_nonzero(field.grid))
         expected = math.pi * (10.0**2 + 40.0**2 - 30.0**2)
         assert abs(count - expected) <= 2 * math.pi * (10 + 30 + 40)
 
     def test_zero_transmission_blocks_downstream(self):
-        spec = O.MaskSpec(inner_radius=0.0, outer_radius=0.0, disc_radius=0.0)
+        spec = O.MaskSpec(inner_radius=0.0, outer_radius=0.0, gap_angles=(), gap_width=0.0, disc_radius=0.0)
         field = O.build_mask(spec, 32, 1.0)
         assert field.power == 0.0
         with pytest.raises(EmptyFieldError):
@@ -56,19 +56,7 @@ class TestBuildMask:
 
     def test_oversized_geometry_rejected(self):
         with pytest.raises(GeometryError):
-            O.build_mask(O.MaskSpec(inner_radius=0.0, outer_radius=40.0), 64, 1.0)
-
-    def test_custom_bitmap(self):
-        n = 32
-        bitmap = np.zeros((n, n))
-        bitmap[10:20, 10:20] = 1.0
-        field = O.build_mask(O.MaskSpec(pattern="custom_bitmap", bitmap=bitmap), n, 1.0)
-        assert field.power == 100.0
-
-    def test_non_binary_bitmap_rejected(self):
-        bitmap = np.full((32, 32), 0.5)
-        with pytest.raises(GeometryError):
-            O.build_mask(O.MaskSpec(pattern="custom_bitmap", bitmap=bitmap), 32, 1.0)
+            O.build_mask(O.MaskSpec(inner_radius=0.0, outer_radius=40.0, gap_angles=(), gap_width=0.0, disc_radius=0.0), 64, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -148,10 +136,8 @@ class TestAperture:
         """Total variation of the ring-plane intensity drops when the aperture acts."""
 
         def ring_plane_tv(aperture_radius):
-            cfg = O.default_config(
-                n=small_cfg.n, pitch=small_cfg.pitch, aperture_radius=aperture_radius
-            )
-            intensity = np.abs(O.incident_qubit_field(cfg).grid) ** 2
+            cfg = replace(small_cfg, aperture_radius=aperture_radius)
+            intensity = np.abs(O.trace_beam(cfg).incident.grid) ** 2
             tv = np.abs(np.diff(intensity, axis=0)).sum() + np.abs(np.diff(intensity, axis=1)).sum()
             return tv / intensity.sum()
 
@@ -164,24 +150,24 @@ class TestAperture:
 
 
 class TestAbPhase:
-    def test_no_flux_branches_identical(self, small_cfg):
-        ring = O.RingSpec(small_cfg.ring.ring_inner, small_cfg.ring.ring_outer, flux_fraction=0.0)
-        incident = O.incident_qubit_field(small_cfg)
+    def test_no_flux_branches_identical(self, small_cfg, small_beam):
+        ring = replace(small_cfg.ring, flux_fraction=0.0)
+        incident = small_beam.incident
         f0 = O.apply_ab_phase(incident, ring, 0)
         f1 = O.apply_ab_phase(incident, ring, 1)
         np.testing.assert_array_equal(f0.grid, f1.grid)
 
-    def test_single_flux_negates_inside(self, small_cfg):
-        incident = O.incident_qubit_field(small_cfg)
+    def test_single_flux_negates_inside(self, small_cfg, small_beam):
+        incident = small_beam.incident
         f0 = O.apply_ab_phase(incident, small_cfg.ring, 0)
         f1 = O.apply_ab_phase(incident, small_cfg.ring, 1)
         inside, _, _ = O.ring_regions(small_cfg.n, small_cfg.ring, small_cfg.pitch)
         np.testing.assert_allclose(f1.grid[inside], -f0.grid[inside], atol=1e-15)
         np.testing.assert_array_equal(f1.grid[~inside], f0.grid[~inside])
 
-    def test_overlap_equals_power_difference(self, small_cfg):
+    def test_overlap_equals_power_difference(self, small_cfg, small_beam):
         """Oracle: <f0|f1> = P_out - P_in for a single flux quantum."""
-        incident = O.incident_qubit_field(small_cfg)
+        incident = small_beam.incident
         f0 = O.apply_ab_phase(incident, small_cfg.ring, 0)
         f1 = O.apply_ab_phase(incident, small_cfg.ring, 1)
         p_in, p_out = O.inside_outside_powers(f0, small_cfg.ring)
@@ -189,28 +175,24 @@ class TestAbPhase:
         assert overlap.real == pytest.approx(p_out - p_in, rel=1e-12)
         assert abs(overlap.imag) < 1e-12 * f0.power
 
-    def test_phase_additivity(self, small_cfg):
-        incident = O.incident_qubit_field(small_cfg)
-        half_double = O.RingSpec(
-            small_cfg.ring.ring_inner, small_cfg.ring.ring_outer, flux_fraction=0.5, turns=2
-        )
-        full_single = O.RingSpec(
-            small_cfg.ring.ring_inner, small_cfg.ring.ring_outer, flux_fraction=1.0, turns=1
-        )
+    def test_phase_additivity(self, small_cfg, small_beam):
+        incident = small_beam.incident
+        half_double = replace(small_cfg.ring, flux_fraction=0.5, turns=2)
+        full_single = replace(small_cfg.ring, flux_fraction=1.0, turns=1)
         g1 = O.apply_ab_phase(incident, half_double, 1)
         g2 = O.apply_ab_phase(incident, full_single, 1)
         np.testing.assert_allclose(g1.grid, g2.grid, atol=1e-15)
 
-    def test_body_annulus_blocked_for_both_branches(self, small_cfg):
-        incident = O.incident_qubit_field(small_cfg)
+    def test_body_annulus_blocked_for_both_branches(self, small_cfg, small_beam):
+        incident = small_beam.incident
         _, body, _ = O.ring_regions(small_cfg.n, small_cfg.ring, small_cfg.pitch)
         for branch in (0, 1):
             out = O.apply_ab_phase(incident, small_cfg.ring, branch)
             assert np.all(out.grid[body] == 0.0)
 
-    def test_phase_only_on_cleared_annulus(self, small_cfg):
+    def test_phase_only_on_cleared_annulus(self, small_cfg, small_beam):
         """On a field already zero over the body, the ring op preserves power exactly."""
-        incident = O.apply_ab_phase(O.incident_qubit_field(small_cfg), small_cfg.ring, 0)
+        incident = O.apply_ab_phase(small_beam.incident, small_cfg.ring, 0)
         phased = O.apply_ab_phase(incident, small_cfg.ring, 1)
         assert phased.power == incident.power
 
@@ -220,15 +202,14 @@ class TestAbPhase:
             O.apply_ab_phase(image_plane, small_cfg.ring, 0)
 
 
-def test_balanced_branches_orthogonal(small_cfg):
-    assert abs(O.branch_overlap(small_cfg)) < 1e-10
+def test_balanced_branches_orthogonal(small_beam):
+    assert abs(O.branch_overlap(small_beam)) < 1e-10
 
 
 def test_unbalanced_overlap_matches_power_mismatch(small_cfg):
-    cfg = O.default_config(n=small_cfg.n, pitch=small_cfg.pitch, balance=False)
-    f0, _ = O.branch_fields(cfg)
-    p_in, p_out = O.inside_outside_powers(f0, cfg.ring)
-    overlap = O.branch_overlap(cfg)
+    beam = O.trace_beam(replace(small_cfg, balance=False))
+    p_in, p_out = O.inside_outside_powers(beam.branch0, beam.cfg.ring)
+    overlap = O.branch_overlap(beam)
     assert overlap.real == pytest.approx(p_out - p_in, abs=1e-12)
 
 
@@ -238,23 +219,22 @@ def test_unbalanced_overlap_matches_power_mismatch(small_cfg):
 
 class TestSpecimenIntensity:
     def test_no_flux_maps_identical(self, small_cfg):
-        ring = O.RingSpec(small_cfg.ring.ring_inner, small_cfg.ring.ring_outer, flux_fraction=0.0)
-        cfg = O.default_config(n=small_cfg.n, pitch=small_cfg.pitch, ring=ring)
-        map0, map1 = O.specimen_intensity(cfg)
+        cfg = replace(small_cfg, ring=replace(small_cfg.ring, flux_fraction=0.0))
+        map0, map1 = O.specimen_intensity(O.trace_beam(cfg))
         np.testing.assert_array_equal(map0, map1)
 
-    def test_single_flux_maps_distinct(self, small_cfg):
-        map0, map1 = O.specimen_intensity(small_cfg)
+    def test_single_flux_maps_distinct(self, small_beam):
+        map0, map1 = O.specimen_intensity(small_beam)
         assert O.normalized_cross_correlation(map0, map1) < 0.9
         assert np.unravel_index(map0.argmax(), map0.shape) != np.unravel_index(map1.argmax(), map1.shape)
 
-    def test_maps_are_normalized(self, small_cfg):
-        map0, map1 = O.specimen_intensity(small_cfg)
+    def test_maps_are_normalized(self, small_beam):
+        map0, map1 = O.specimen_intensity(small_beam)
         assert map0.sum() == pytest.approx(1.0)
         assert map1.sum() == pytest.approx(1.0)
 
-    def test_mirror_symmetric_mask_gives_mirror_symmetric_maps(self, small_cfg):
-        map0, map1 = O.specimen_intensity(small_cfg)  # struts at 90/270 degrees
+    def test_mirror_symmetric_mask_gives_mirror_symmetric_maps(self, small_beam):
+        map0, map1 = O.specimen_intensity(small_beam)  # struts at 90/270 degrees
         for m in (map0, map1):
             mirrored = np.roll(m[:, ::-1], 1, axis=1)  # reflection about the center column
             np.testing.assert_allclose(m, mirrored, atol=1e-10 * m.max())
@@ -283,8 +263,7 @@ class TestBuildDetector:
         assert (residual / np.abs(det.a[lit])).max() < 1e-6
 
     def test_no_flux_detector_trivial(self, small_cfg):
-        ring = O.RingSpec(small_cfg.ring.ring_inner, small_cfg.ring.ring_outer, flux_fraction=0.0)
-        cfg = O.default_config(n=small_cfg.n, pitch=small_cfg.pitch, ring=ring)
+        cfg = replace(small_cfg, ring=replace(small_cfg.ring, flux_fraction=0.0))
         det = O.build_detector(cfg)
         np.testing.assert_array_equal(det.a, det.b)
         assert np.all(det.beta == 0.0)
@@ -294,12 +273,7 @@ class TestBuildDetector:
         assert small_detector.boundary_power_fraction() == 0.0
 
     def test_blurred_reimage_reports_boundary_power(self, small_cfg):
-        cfg = O.default_config(
-            n=small_cfg.n,
-            pitch=small_cfg.pitch,
-            detector_aperture_radius=24 * small_cfg.pitch,
-            tolerance=0.05,
-        )
+        cfg = replace(small_cfg, detector_aperture_radius=24 * small_cfg.pitch, tolerance=0.05)
         det = O.build_detector(cfg)
         frac = det.boundary_power_fraction()
         assert 0.0 < frac < 0.5
@@ -307,12 +281,10 @@ class TestBuildDetector:
         p = 0.5 * (det.power_a + det.power_b)
         assert frac == pytest.approx(float(p[det.boundary_mask].sum() / p.sum()))
 
-    def test_beta_map_invariant_under_global_phase(self, small_cfg, small_detector):
-        mask = O.build_mask(small_cfg.mask, small_cfg.n, small_cfg.pitch)
-        phased = O.MaskSpec(pattern="custom_bitmap", bitmap=np.abs(mask.grid))
+    def test_beta_map_invariant_under_global_phase(self, small_cfg, small_beam, small_detector):
         # multiply the source by a constant phase through a custom chain
         det_ref = small_detector
-        base = O.branch_fields(small_cfg)[0]
+        base = small_beam.branch0
         rotated = O.WaveField(base.grid * np.exp(0.77j), base.pitch, base.plane_kind)
         inside, _, _ = O.ring_regions(small_cfg.n, small_cfg.ring, small_cfg.pitch)
         d_in = O.propagate(O.propagate(O.WaveField(np.where(inside, rotated.grid, 0), base.pitch, base.plane_kind)))
@@ -335,13 +307,13 @@ class TestBuildDetector:
 
 
 class TestWeakPhase:
-    def test_zero_phase_is_identity(self, small_cfg):
-        s0, _ = O.specimen_fields(small_cfg)
+    def test_zero_phase_is_identity(self, small_cfg, small_beam):
+        s0 = O.propagate(small_beam.branch0)
         out = O.weak_phase_specimen(np.zeros((small_cfg.n, small_cfg.n)), s0)
         np.testing.assert_array_equal(out.grid, s0.grid)
 
-    def test_uniform_phase_is_global(self, small_cfg):
-        s0, _ = O.specimen_fields(small_cfg)
+    def test_uniform_phase_is_global(self, small_cfg, small_beam):
+        s0 = O.propagate(small_beam.branch0)
         out = O.weak_phase_specimen(np.full((small_cfg.n, small_cfg.n), 0.7), s0)
         np.testing.assert_allclose(out.grid, s0.grid * np.exp(0.7j), atol=1e-15)
         # downstream intensity unchanged
@@ -349,22 +321,21 @@ class TestWeakPhase:
         i_out = np.abs(O.propagate(out).grid) ** 2
         np.testing.assert_allclose(i_out, i_ref, atol=1e-12 * i_ref.max())
 
-    def test_power_preserved_exactly(self, small_cfg):
-        s0, _ = O.specimen_fields(small_cfg)
+    def test_power_preserved_exactly(self, small_cfg, small_beam):
+        s0 = O.propagate(small_beam.branch0)
         rng = np.random.default_rng(2)
         phase = rng.uniform(-0.2, 0.2, size=(small_cfg.n, small_cfg.n))
         out = O.weak_phase_specimen(phase, s0)
         assert out.power == pytest.approx(s0.power, rel=1e-14)
 
-    def test_shape_mismatch_rejected(self, small_cfg):
-        s0, _ = O.specimen_fields(small_cfg)
+    def test_shape_mismatch_rejected(self, small_cfg, small_beam):
+        s0 = O.propagate(small_beam.branch0)
         with pytest.raises(GeometryError):
             O.weak_phase_specimen(np.zeros((4, 4)), s0)
 
-    def test_wrong_plane_rejected(self, small_cfg):
-        f0, _ = O.branch_fields(small_cfg)  # diffraction plane
-        with pytest.raises(PlaneMismatchError):
-            O.weak_phase_specimen(np.zeros((small_cfg.n, small_cfg.n)), f0)
+    def test_wrong_plane_rejected(self, small_cfg, small_beam):
+        with pytest.raises(PlaneMismatchError):  # branch 0 lies at the ring's diffraction plane
+            O.weak_phase_specimen(np.zeros((small_cfg.n, small_cfg.n)), small_beam.branch0)
 
 
 # ---------------------------------------------------------------------------
@@ -378,8 +349,9 @@ def test_four_plane_chain_unitarity(default_cfg):
     apertured = O.apply_aperture(image, default_cfg.aperture_radius)
     ring_plane = O.propagate(apertured)
     assert abs(ring_plane.power - apertured.power) / apertured.power < 1e-10
-    f0, f1 = O.branch_fields(default_cfg)
-    for f in (f0, f1):
+    beam = O.trace_beam(default_cfg)
+    np.testing.assert_array_equal(beam.incident.grid, ring_plane.grid)
+    for f in (beam.branch0, beam.branch1):
         specimen = O.propagate(f)
         assert abs(specimen.power - f.power) / f.power < 1e-10
         detector_plane = O.propagate(specimen)
@@ -387,6 +359,6 @@ def test_four_plane_chain_unitarity(default_cfg):
 
 
 def test_chain_double_transforms_are_parity(default_cfg):
-    f0, _ = O.branch_fields(default_cfg)
+    f0 = O.trace_beam(default_cfg).branch0
     twice = O.propagate(O.propagate(f0))
     np.testing.assert_allclose(twice.grid, O.parity(f0.grid), atol=1e-10)

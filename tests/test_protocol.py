@@ -387,18 +387,6 @@ class TestMeasurement:
         assert abs(counts / n - p) < 3 * math.sqrt(p * (1 - p) / n)
         assert 0 <= hits <= 200
 
-    def test_full_dephasing_gives_coin_flip(self):
-        q = P.prepare_symmetric(1.1)
-        for basis in ("symmetric_antisymmetric", "quadrature"):
-            _, p1 = P.measurement_probabilities(q, basis, coherence=0.0)
-            assert p1 == pytest.approx(0.5)
-
-    def test_partial_dephasing_damps_contrast(self):
-        q = P.prepare_symmetric(0.7)
-        _, full = P.measurement_probabilities(q, "quadrature", coherence=1.0)
-        _, damped = P.measurement_probabilities(q, "quadrature", coherence=0.5)
-        assert damped == pytest.approx(0.5 + 0.5 * (full - 0.5))
-
     def test_unknown_basis_rejected(self):
         with pytest.raises(ValueError):
             P.measurement_probabilities(P.prepare_symmetric(0.0), "hadamard")
@@ -576,22 +564,13 @@ def test_wrap_angle_array_path_matches_scalar_path():
 # equal-modulus readout law
 
 
-@pytest.mark.parametrize("basis", ["quadrature", "symmetric_antisymmetric"])
-@pytest.mark.parametrize("coherence", [1.0, 0.6, 0.0])
-def test_readout_probability_matches_state_vector_law(basis, coherence):
+def test_readout_probability_matches_state_vector_law():
     phases = np.linspace(-math.pi, math.pi, 17)
-    got = P.readout_probability(phases, basis, coherence)
-    want = [P.measurement_probabilities(P.prepare_symmetric(s), basis, coherence)[1] for s in phases]
+    got = P.readout_probability(phases)
+    want = [P.measurement_probabilities(P.prepare_symmetric(s), "quadrature")[1] for s in phases]
     np.testing.assert_allclose(got, want, atol=1e-15)
-    assert P.readout_probability(float(phases[3]), basis, coherence) == got[3]
+    assert P.readout_probability(float(phases[3])) == got[3]
 
 
 def test_readout_probability_closed_forms():
     assert P.readout_probability(0.3) == 0.5 * (1.0 + math.sin(0.3))
-    assert P.readout_probability(0.3, "symmetric_antisymmetric", 0.5) == 0.5 * (1.0 - 0.5 * math.cos(0.3))
-
-
-@pytest.mark.parametrize("basis, coherence", [("hadamard", 1.0), ("quadrature", 1.5), ("quadrature", -0.1)])
-def test_readout_probability_rejects_bad_basis_and_coherence(basis, coherence):
-    with pytest.raises(ValueError):
-        P.readout_probability(0.0, basis, coherence)
