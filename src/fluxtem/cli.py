@@ -296,10 +296,7 @@ def cmd_image(cfg: RunConfig, out: Path, check: bool) -> None:
         fileio.write_csv(
             map_csv,
             ["pair", "true_delta_phi", "estimate", "std_error"],
-            [
-                (i, float(last.true_values[i]), float(last.estimates[i]), float(last.std_errors[i]))
-                for i in range(len(spec.pairs))
-            ],
+            zip(range(len(spec.pairs)), last.true_values.tolist(), last.estimates.tolist(), last.std_errors.tolist()),
         )
         files.append(map_csv)
         map_pgm = out / f"estimate_map_{mode}.pgm"

@@ -125,14 +125,18 @@ LIMITS = {
     "squid.mu_r": _POSITIVE,
     "squid.log_factor": _POSITIVE,
     "squid.flux_path_length": _POSITIVE,
+    "squid.lateral_size": _POSITIVE,
     "squid.turns": _at_least(1),
     "timing.group_duration": _POSITIVE,
     "timing.mqc_frequency": _POSITIVE,
+    "timing.coherence_width": _POSITIVE,
     "optics.n": ((lambda v: v >= 2 and v & (v - 1) == 0), "a power of two >= 2"),
     "optics.pitch": _POSITIVE,
     "optics.aperture_radius": _POSITIVE,
     "optics.detector_aperture_radius": ((lambda v: v is None or v > 0.0), "None or > 0"),
     "optics.tolerance": _NON_NEGATIVE,
+    # a threshold on a power fraction
+    "optics.boundary_power_warn": ((lambda v: 0.0 <= v <= 1.0), "in [0, 1]"),
     # below 1 a pixel passes both shadow tests and is classed outside
     "optics.dominance_ratio": _at_least(1),
     "mask.disc_radius": _NON_NEGATIVE,

@@ -135,10 +135,18 @@ class DetectorModel:
         # package's import order, and that raised every command's peak RSS by ~0.15 MB
         from . import fileio
 
-        a, b = self.a, self.b
-        regions = (REGION_NAMES[r] for r in self.region)
-        rows = zip(range(self.n_pixels), a.real, a.imag, b.real, b.imag, self.beta, regions)
-        fileio.write_csv(path, _CSV_HEADER, rows)
+        # each block of rows is converted to Python floats and strings in one
+        # .tolist() per column; whole columns would hold ~10 MB of objects at once
+        columns = (self.a.real, self.a.imag, self.b.real, self.b.imag, self.beta)
+        n = self.n_pixels
+
+        def rows():
+            for start in range(0, n, fileio.CSV_BLOCK_ROWS):
+                part = slice(start, start + fileio.CSV_BLOCK_ROWS)
+                regions = map(REGION_NAMES.__getitem__, self.region[part].tolist())
+                yield from zip(range(start, n), *(c[part].tolist() for c in columns), regions)
+
+        fileio.write_csv(path, _CSV_HEADER, rows())
 
 
 def trivial(n_pixels: int = 64) -> DetectorModel:

@@ -2,18 +2,25 @@
 
 All writers are timestamp-free and format floats with repr, so a run
 with a fixed configuration and seed reproduces its output tree
-bit-exactly.
+bit-exactly.  `write_csv` formats its rows itself, a block of
+`CSV_BLOCK_ROWS` rows at a time, and writes the bytes `csv.writer` would
+write for every table this package emits; the `csv` module only reads.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
 PGM_MAXVAL = 65535
+
+# rows formatted per write: larger blocks hold more formatted text at once
+# and raise peak RSS, while 64 rows already leave no Python frame per cell
+CSV_BLOCK_ROWS = 64
 
 
 def write_pgm16(path, array: np.ndarray) -> None:
@@ -75,11 +82,22 @@ def read_scaled_pgm(path) -> np.ndarray:
 
 
 def write_csv(path, header: list[str], rows) -> None:
-    """RFC-4180 CSV; `csv` writes floats, numpy float64 included, as the repr of the Python float."""
+    """CSV with CRLF line ends and each cell written as `str(cell)`: the bytes of `csv.writer`.
+
+    `str` of a float, numpy float64 included, is the repr of the Python
+    float, as `csv.writer` writes it.  No cell is quoted: every cell the
+    package writes is a number or an identifier free of commas, quotes
+    and line breaks, and no row is one empty string.  A row whose length
+    differs from the header's raises ValueError.
+    """
+    rows = iter(rows)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\r\n")
+        while block := list(islice(rows, CSV_BLOCK_ROWS)):
+            columns = [map(str, col) for col in zip(*block, strict=True)]
+            if len(columns) != len(header):
+                raise ValueError(f"{path}: a row has {len(columns)} cells, the header {len(header)}")
+            fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
 
 
 def read_csv_floats(path) -> np.ndarray:

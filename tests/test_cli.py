@@ -132,6 +132,9 @@ def test_scaling_golden_outputs(tmp_path, capsys):
         ("ring.inner=0", "ring.inner"),
         ("ring.outer=-2um", "ring.outer"),
         ("squid.turns=0", "squid.turns"),
+        ("squid.lateral_size=-1", "squid.lateral_size"),
+        ("timing.coherence_width=0", "timing.coherence_width"),
+        ("optics.boundary_power_warn=-1", "optics.boundary_power_warn"),
         # passes its own limit; design checks it against the electron wavelength
         ("beam.waist=1e-300", "beam.waist"),
     ],

@@ -1,5 +1,6 @@
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -80,6 +81,37 @@ def test_csv_round_trip(tmp_path):
     np.testing.assert_array_equal(b, det.b)
     np.testing.assert_array_equal([float(row[5]) for row in rows], det.beta)
     assert [row[6] for row in rows] == [det_mod.REGION_NAMES[r] for r in det.region.tolist()]
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 129])
+def test_to_csv_matches_a_csv_writer_reference_across_block_edges(tmp_path, n):
+    rng = np.random.default_rng(n)
+    det = det_mod.DetectorModel(
+        a=rng.normal(size=n) + 1j * rng.normal(size=n),
+        b=rng.normal(size=n) * 1e-300 + 1j * rng.normal(size=n) * 1e200,
+        beta=rng.uniform(-np.pi, np.pi, size=n),
+        region=rng.integers(0, 3, size=n),
+    )
+    det.to_csv(tmp_path / "det.csv")
+    regions = (det_mod.REGION_NAMES[r] for r in det.region)
+    with open(tmp_path / "ref.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["pixel", "re_a", "im_a", "re_b", "im_b", "beta", "region"])
+        writer.writerows(zip(range(n), det.a.real, det.a.imag, det.b.real, det.b.imag, det.beta, regions))
+    assert (tmp_path / "det.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_to_csv_converts_a_block_at_a_time(tmp_path):
+    # converting whole columns to Python objects holds about 10 MB here
+    det = det_mod.trivial(65_536)
+    det_mod.trivial(1).to_csv(tmp_path / "warm.csv")  # leave the first-use fileio import out of the peak
+    tracemalloc.start()
+    try:
+        det.to_csv(tmp_path / "det.csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_equal_weight_power_and_boundary_fraction():

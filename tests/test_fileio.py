@@ -1,10 +1,13 @@
 import csv
 import hashlib
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fluxtem import fileio
+from fluxtem import detector, fileio
 
 
 def test_pgm_round_trip_within_one_quantisation_step(tmp_path):
@@ -43,6 +46,69 @@ def test_csv_writes_numpy_floats_like_python_floats(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[1] == "0.5,0.5"
     assert all(x == y == repr(v) for (x, y), v in zip((line.split(",") for line in lines[1:]), values))
+
+
+def _csv_writer_bytes(path, header, rows) -> bytes:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path.read_bytes()
+
+
+_EDGE_FLOATS = [
+    float("nan"), float("inf"), -float("inf"), 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+    1.7976931348623157e308, 1e16, 9999999999999998.0, 1e-4, 1e-5, 0.1, 1.0 / 3.0, -2.5,
+]
+# every identifier cell the package writes: region names, estimator modes and design-report units
+_IDENTIFIERS = [
+    *detector.REGION_NAMES.values(), "conventional", "entangled",
+    "eV", "m", "kg m/s", "m/s", "rad", "H", "A", "Wb", "s", "Hz", "x",
+]
+_FLOATS = st.one_of(
+    st.integers(0, 2**64 - 1).map(lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0]),
+    st.sampled_from(_EDGE_FLOATS),
+)
+
+
+@st.composite
+def _tables(draw):
+    width = draw(st.integers(1, 6))
+    # csv.writer quotes a row that is one empty string; no table has one
+    identifiers = _IDENTIFIERS + ([""] if width > 1 else [])
+    cells = st.one_of(
+        st.integers(-(2**63), 2**63),
+        _FLOATS,
+        _FLOATS.map(np.float64),
+        st.sampled_from(identifiers),
+    )
+    header = draw(st.lists(st.sampled_from(_IDENTIFIERS), min_size=width, max_size=width))
+    rows = draw(st.lists(st.tuples(*[cells] * width), max_size=3 * fileio.CSV_BLOCK_ROWS + 1))
+    return header, rows
+
+
+@settings(deadline=None, max_examples=150)
+@given(table=_tables())
+def test_write_csv_matches_the_csv_module_byte_for_byte(table, tmp_path_factory):
+    header, rows = table
+    directory = tmp_path_factory.mktemp("csv")
+    fileio.write_csv(directory / "ours.csv", header, rows)
+    assert (directory / "ours.csv").read_bytes() == _csv_writer_bytes(directory / "ref.csv", header, rows)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [(1, 2.0), (3,)],
+        [(1, 2.0, "x")],
+        [(1, 2.0), (3, 4.0, "x")],
+        [(i, float(i)) for i in range(fileio.CSV_BLOCK_ROWS)] + [(0, 0.0, "x")],
+    ],
+    ids=["short-row", "long-row", "long-row-after-a-good-one", "long-row-in-a-later-block"],
+)
+def test_write_csv_rejects_a_ragged_row(tmp_path, rows):
+    with pytest.raises(ValueError):
+        fileio.write_csv(tmp_path / "t.csv", ["i", "x"], rows)
 
 
 def _pairs_file(tmp_path, lines):
