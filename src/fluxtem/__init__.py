@@ -1,17 +1,22 @@
 """fluxtem: entanglement-assisted TEM simulation with an rf-SQUID flux qubit.
 
-Subpackages:
-  protocol   - state-vector measurement cycle and phase accumulation
-  optics     - Fourier-optics beam shaping, ring shadow, detector model
+Modules:
+  protocol   - two-amplitude measurement cycle and phase accumulation
+  optics     - Fourier-optics beam path from stencil mask to detector
+  detector   - per-pixel branch amplitudes, compensation angles, regions
   estimator  - Monte Carlo phase estimation, dose scaling, imaging
   device     - beam deflection and SQUID sizing calculators
+  config     - key = value run configuration with units and limits
+  fileio     - deterministic CSV, PGM and manifest output
+  streams    - seeded random streams derived from (seed, path)
+  constants  - pinned CODATA constants
+  errors     - exception types
   cli        - deterministic experiment runner (also `python -m fluxtem`)
 """
 
 from .constants import CODATA, PhysicalConstants
 from .detector import DetectorModel
 from .estimator import (
-    DoseReport,
     EstimationResult,
     SpecimenMap,
     dose_scaling_experiment,
@@ -38,7 +43,6 @@ __all__ = [
     "CODATA",
     "PhysicalConstants",
     "DetectorModel",
-    "DoseReport",
     "EstimationResult",
     "SpecimenMap",
     "dose_scaling_experiment",

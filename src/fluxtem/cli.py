@@ -311,10 +311,13 @@ def cmd_image(cfg: RunConfig, out: Path, check: bool) -> None:
 
     checks = []
     if check:
-        ratio = pooled["entangled"] / pooled["conventional"]
         target = 1.0 / math.sqrt(k)
-        ok = abs(ratio - target) <= 0.2 * target
-        checks.append(("rmse_ratio", ok, f"ratio {ratio:.4f} vs 1/sqrt(k) = {target:.4f}"))
+        if pooled["conventional"] == 0.0:
+            checks.append(("rmse_ratio", False, f"conventional RMSE is 0, so the ratio to 1/sqrt(k) = {target:.4f} is undefined"))
+        else:
+            ratio = pooled["entangled"] / pooled["conventional"]
+            ok = abs(ratio - target) <= 0.2 * target
+            checks.append(("rmse_ratio", ok, f"ratio {ratio:.4f} vs 1/sqrt(k) = {target:.4f}"))
     _finish(out, cfg, "image", stats, files, checks, check)
 
 

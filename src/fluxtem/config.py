@@ -114,6 +114,7 @@ def _one_of(*choices):
 
 _POSITIVE = (lambda v: v > 0.0), "> 0"
 _NON_NEGATIVE = _at_least(0)
+_WRAPPED_ANGLE = (lambda v: -math.pi < v <= math.pi), "in (-pi, pi]"
 
 # key -> (test, wanted) for values a run cannot use; each list entry is
 # tested on its own, and an optional key passes None to its test
@@ -147,7 +148,8 @@ LIMITS = {
     "ring.outer": _POSITIVE,
     "ring.turns": _at_least(1),
     "protocol.k": _at_least(1),
-    "protocol.delta_phi": ((lambda v: -math.pi < v <= math.pi), "in (-pi, pi]"),
+    "protocol.delta_phi": _WRAPPED_ANGLE,
+    "protocol.sigma0": _WRAPPED_ANGLE,
     "protocol.repetitions": _at_least(1),
     "protocol.detector": _one_of("trivial", "optics"),
     "protocol.trivial_pixels": _at_least(1),

@@ -11,7 +11,7 @@ protocol discards an electron drawn there and draws again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -32,16 +32,13 @@ class DetectorModel:
     """Per-pixel amplitudes (a, b), compensation angles and region classes.
 
     Both amplitude arrays are normalized to unit total power.  `region`
-    holds OUTSIDE_SHADOW / INSIDE_SHADOW / BOUNDARY codes; `shape` keeps
-    the original 2-D grid shape when the detector is an image.
+    holds OUTSIDE_SHADOW / INSIDE_SHADOW / BOUNDARY codes.
     """
 
     a: np.ndarray
     b: np.ndarray
     beta: np.ndarray
     region: np.ndarray
-    tolerance: float = 1e-6
-    shape: tuple[int, int] | None = field(default=None)
 
     def __post_init__(self):
         for name in ("a", "b"):
@@ -105,31 +102,6 @@ class DetectorModel:
         inside = self.region[ok] == INSIDE_SHADOW
         return max(np.abs(beta[~inside]).max(initial=0.0), np.abs(np.abs(beta[inside]) - np.pi).max(initial=0.0))
 
-    def validate(self, check_beta_law: bool = True) -> None:
-        """Check the model invariants, raising InvalidStateError on failure.
-
-        `check_beta_law` additionally requires every non-boundary beta_j
-        to sit within 1e-6 of 0 (outside the shadow) or pi (inside),
-        which is only meaningful at integer-flux operating points.
-        """
-        for name, p in (("a", self.power_a), ("b", self.power_b)):
-            total = p.sum()
-            if abs(total - 1.0) > 1e-10:
-                raise InvalidStateError(f"detector {name} power {total!r} is not 1 within 1e-10")
-        ok = ~self.boundary_mask
-        if ok.any():
-            scale = np.abs(self.a).max()
-            diff = np.abs(np.abs(self.a[ok]) - np.abs(self.b[ok]))
-            worst = diff.max() / scale
-            if worst > self.tolerance:
-                raise InvalidStateError(
-                    f"non-boundary pixel moduli differ by {worst:.3e} (tolerance {self.tolerance:.3e})"
-                )
-            if check_beta_law:
-                worst_beta = self.beta_law_deviation()
-                if worst_beta > 1e-6:
-                    raise InvalidStateError(f"non-boundary beta deviates from {{0, pi}} by {worst_beta:.3e}")
-
     def to_csv(self, path) -> None:
         # imported on first use: importing fileio with the detector moves the
         # package's import order, and that raised every command's peak RSS by ~0.15 MB
@@ -160,26 +132,3 @@ def trivial(n_pixels: int = 64) -> DetectorModel:
         beta=np.zeros(n_pixels),
         region=np.full(n_pixels, OUTSIDE_SHADOW, dtype=np.int8),
     )
-
-
-def two_region(n_outside: int, n_inside: int) -> DetectorModel:
-    """Synthetic shadow detector: b_j = -a_j on the inside block (beta_j = pi)."""
-    n = n_outside + n_inside
-    if n_outside < 0 or n_inside < 0 or n < 1:
-        raise ValueError("pixel counts must be non-negative and sum to >= 1")
-    a = np.full(n, 1.0 / np.sqrt(n), dtype=complex)
-    b = a.copy()
-    b[n_outside:] *= -1.0
-    beta = np.zeros(n)
-    beta[n_outside:] = np.pi
-    region = np.full(n, OUTSIDE_SHADOW, dtype=np.int8)
-    region[n_outside:] = INSIDE_SHADOW
-    return DetectorModel(a=a, b=b, beta=beta, region=region)
-
-
-def degenerate_two_pixel() -> DetectorModel:
-    """Pathological detector a = (1, 0), b = (0, 1): every pixel is boundary."""
-    a = np.array([1.0, 0.0], dtype=complex)
-    b = np.array([0.0, 1.0], dtype=complex)
-    region = np.full(2, BOUNDARY, dtype=np.int8)
-    return DetectorModel(a=a, b=b, beta=np.zeros(2), region=region)

@@ -52,29 +52,6 @@ def required_electrons_entangled(delta_phi: float, k: int) -> int:
     return math.ceil((2.0 / delta_phi) ** 2 / k)
 
 
-@dataclass(frozen=True)
-class DoseReport:
-    """Electron counts of both schemes for one (delta_phi, k) working point."""
-
-    delta_phi: float
-    k: int
-    n_conventional: int
-    n_entangled: int
-    advantage: float
-
-    @classmethod
-    def from_closed_forms(cls, delta_phi: float, k: int) -> "DoseReport":
-        # the ratio of the un-rounded formulas, (2/dphi)^2 / ((2/dphi)^2 / k),
-        # is exactly k; computing it in floating point can miss k by an ulp
-        return cls(
-            delta_phi=delta_phi,
-            k=k,
-            n_conventional=required_electrons_conventional(delta_phi),
-            n_entangled=required_electrons_entangled(delta_phi, k),
-            advantage=float(k),
-        )
-
-
 # ---------------------------------------------------------------------------
 # single-shot estimators
 
@@ -165,64 +142,6 @@ def estimate_phase(
         trials=batch.groups,
         electrons_used=batch.electrons_used,
         boundary_discards=batch.boundary_discards,
-        k=k,
-    )
-
-
-def effective_specimen_phase(specimen_det: DetectorModel, calibration_det: DetectorModel) -> float:
-    """Power-weighted mean detection kick left after calibration compensation.
-
-    This is the phase per electron an end-to-end run accumulates when
-    collapsing on the specimen-loaded detector but compensating with the
-    specimen-free calibration angles; boundary pixels are excluded
-    because `run_group` discards electrons drawn there.
-    """
-    delta = protocol.wrap_angle(specimen_det.beta - calibration_det.beta)
-    w = specimen_det.equal_weight_power
-    ok = ~specimen_det.boundary_mask
-    return float(np.sum(w[ok] * delta[ok]) / np.sum(w[ok]))
-
-
-def estimate_phase_end_to_end(
-    specimen_det: DetectorModel,
-    calibration_beta: np.ndarray,
-    k: int,
-    electron_budget: int,
-    rng: np.random.Generator,
-) -> EstimationResult:
-    """Wave-optics-coupled estimate: collapse on the specimen-loaded detector.
-
-    Runs the exact sequential protocol (the specimen perturbs the branch
-    moduli slightly, so the vectorized equal-weight kernel is not used),
-    compensates with the separately calibrated angles, and inverts the
-    quadrature law.  The recovered value converges to
-    `effective_specimen_phase` of the two detectors.
-    """
-    if electron_budget < k:
-        raise BudgetError(f"budget {electron_budget} is smaller than one group of {k}")
-    calibration_beta = np.asarray(calibration_beta, dtype=float)
-    plan = GroupPlan(k=k, delta_phi=0.0)
-    outcomes = []
-    used = 0
-    discards = 0
-    while used + k <= electron_budget:
-        result = protocol.run_group(plan, specimen_det, rng)
-        used += k + result.boundary_discards
-        discards += result.boundary_discards
-        if used > electron_budget:
-            break
-        comp = float(sum(calibration_beta[r.pixel_index] for r in result.records if not r.boundary))
-        qubit = protocol.compensate(result.qubit, comp)
-        outcomes.append(protocol.measure_qubit(qubit, "quadrature", rng))
-    if not outcomes:
-        raise BudgetError("no group completed within the electron budget")
-    estimate = _invert_quadrature(float(np.mean(outcomes)), k)
-    return EstimationResult(
-        estimate=estimate,
-        std_error=_quadrature_std_error(k, len(outcomes)),
-        trials=len(outcomes),
-        electrons_used=used,
-        boundary_discards=discards,
         k=k,
     )
 

@@ -151,7 +151,7 @@ def build_mask(spec: MaskSpec, n: int, pitch: float) -> WaveField:
             dy, dx = _coords(n)
             theta = np.arctan2(dy, dx)
             for center in spec.gap_angles:
-                delta = np.angle(np.exp(1j * (theta - center)))
+                delta = wrap_angle(theta - center)
                 annulus &= np.abs(delta) > 0.5 * spec.gap_width
         open_px = open_px | annulus
     return WaveField(open_px.astype(complex), pitch, PLANE_DIFFRACTION)
@@ -170,11 +170,6 @@ def propagate(fieldv: WaveField) -> WaveField:
     out = np.fft.fftshift(np.fft.fft2(shifted, norm="ortho"))
     kind = PLANE_IMAGE if fieldv.plane_kind == PLANE_DIFFRACTION else PLANE_DIFFRACTION
     return WaveField(out, fieldv.pitch, kind)
-
-
-def parity(grid: np.ndarray) -> np.ndarray:
-    """Point reflection through the grid center: out[i, j] = in[-i mod n, -j mod n]."""
-    return np.roll(grid[::-1, ::-1], (1, 1), axis=(0, 1))
 
 
 def apply_aperture(fieldv: WaveField, radius: float) -> WaveField:
@@ -227,16 +222,6 @@ def balance_ring_split(fieldv: WaveField, ring: RingSpec) -> WaveField:
     grid = fieldv.grid.copy()
     grid[inside] *= math.sqrt(p_out / p_in)
     return WaveField(grid, fieldv.pitch, fieldv.plane_kind)
-
-
-def weak_phase_specimen(phase_map: np.ndarray, fieldv: WaveField) -> WaveField:
-    """Multiply an image-plane field by exp(i * phase(x)); power is preserved."""
-    if fieldv.plane_kind != PLANE_IMAGE:
-        raise PlaneMismatchError("a weak phase object belongs at an image plane")
-    phase = np.asarray(phase_map, dtype=float)
-    if phase.shape != fieldv.grid.shape:
-        raise GeometryError(f"phase map shape {phase.shape} does not match field {fieldv.grid.shape}")
-    return WaveField(fieldv.grid * np.exp(1j * phase), fieldv.pitch, fieldv.plane_kind)
 
 
 def normalized_cross_correlation(x: np.ndarray, y: np.ndarray) -> float:
@@ -316,20 +301,15 @@ def specimen_intensity(beam: Beam) -> tuple[np.ndarray, np.ndarray]:
     return maps[0], maps[1]
 
 
-def _reimage_to_detector(fieldv: WaveField, cfg: OpticsConfig, phase_map: np.ndarray | None) -> WaveField:
+def _reimage_to_detector(fieldv: WaveField, cfg: OpticsConfig) -> WaveField:
     """Ring plane -> specimen (image) -> detector (diffraction)."""
     spec_plane = propagate(fieldv)
-    if phase_map is not None:
-        spec_plane = weak_phase_specimen(phase_map, spec_plane)
     if cfg.detector_aperture_radius is not None:
         spec_plane = apply_aperture(spec_plane, cfg.detector_aperture_radius)
     return propagate(spec_plane)
 
 
-def build_detector(
-    cfg: OpticsConfig,
-    phase_map: np.ndarray | None = None,
-) -> DetectorModel:
+def build_detector(cfg: OpticsConfig) -> DetectorModel:
     """Detector amplitudes, compensation angles, and shadow classification.
 
     The inside-ring and outside-ring components are carried to the
@@ -339,18 +319,14 @@ def build_detector(
     With no detector aperture the re-image is an exact conjugate and
     every lit pixel is purely inside or outside, giving beta of exactly
     0 or pi when a single flux quantum is trapped.
-
-    `phase_map` folds a weak phase specimen into the amplitudes; the
-    resulting detector then carries the specimen phase on top of the
-    calibration angles of the specimen-free detector.
     """
     base = trace_beam(cfg).branch0
     inside, _, _ = ring_regions(cfg.n, cfg.ring, cfg.pitch)
     g_in = WaveField(np.where(inside, base.grid, 0.0), cfg.pitch, base.plane_kind)
     g_out = WaveField(np.where(~inside, base.grid, 0.0), cfg.pitch, base.plane_kind)
 
-    d_in = _reimage_to_detector(g_in, cfg, phase_map).grid.ravel()
-    d_out = _reimage_to_detector(g_out, cfg, phase_map).grid.ravel()
+    d_in = _reimage_to_detector(g_in, cfg).grid.ravel()
+    d_out = _reimage_to_detector(g_out, cfg).grid.ravel()
 
     phase1 = np.exp(1j * cfg.ring.branch_phase)
     a = d_out + d_in
@@ -371,9 +347,9 @@ def build_detector(
     beta = wrap_angle(np.angle(b) - np.angle(a))
     beta[dark] = 0.0
 
-    # moduli drifting beyond tolerance (e.g. from a specimen) are boundary
+    # moduli drifting beyond tolerance are boundary
     scale = np.abs(a).max()
     drift = (np.abs(np.abs(a) - np.abs(b)) > cfg.tolerance * scale) & ~dark
     region[drift] = BOUNDARY
 
-    return DetectorModel(a=a, b=b, beta=beta, region=region, tolerance=cfg.tolerance, shape=(cfg.n, cfg.n))
+    return DetectorModel(a=a, b=b, beta=beta, region=region)

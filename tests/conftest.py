@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from fluxtem import detector as det_mod
 from fluxtem import optics
 from fluxtem.cli import optics_config
 from fluxtem.config import load_config
+from fluxtem.errors import InvalidStateError
 
 
 @pytest.fixture(scope="session")
@@ -15,7 +17,7 @@ def small_cfg():
 @pytest.fixture(scope="session")
 def small_detector(small_cfg):
     det = optics.build_detector(small_cfg)
-    det.validate()
+    validate_detector(det)
     return det
 
 
@@ -27,7 +29,7 @@ def default_cfg():
 @pytest.fixture(scope="session")
 def default_detector(default_cfg):
     det = optics.build_detector(default_cfg)
-    det.validate()
+    validate_detector(det)
     return det
 
 
@@ -37,3 +39,57 @@ def assert_states_close(actual, expected, tol=1e-12):
     ve = np.array([expected.amp0, expected.amp1])
     overlap = abs(np.vdot(va, ve))
     assert overlap == pytest.approx(1.0, abs=tol), f"states differ: overlap {overlap}"
+
+
+def validate_detector(det, tolerance=1e-6, check_beta_law=True):
+    """Check a detector's invariants, raising InvalidStateError on failure.
+
+    Each branch carries unit power, and every non-boundary pixel has
+    branch moduli equal within `tolerance` of the largest |a_j|.
+    `check_beta_law` also requires every non-boundary beta_j to sit
+    within 1e-6 of 0 (outside the shadow) or pi (inside), which is only
+    meaningful at integer-flux operating points.
+    """
+    for name, p in (("a", det.power_a), ("b", det.power_b)):
+        total = p.sum()
+        if abs(total - 1.0) > 1e-10:
+            raise InvalidStateError(f"detector {name} power {total!r} is not 1 within 1e-10")
+    ok = ~det.boundary_mask
+    if ok.any():
+        scale = np.abs(det.a).max()
+        diff = np.abs(np.abs(det.a[ok]) - np.abs(det.b[ok]))
+        worst = diff.max() / scale
+        if worst > tolerance:
+            raise InvalidStateError(f"non-boundary pixel moduli differ by {worst:.3e} (tolerance {tolerance:.3e})")
+        if check_beta_law:
+            worst_beta = det.beta_law_deviation()
+            if worst_beta > 1e-6:
+                raise InvalidStateError(f"non-boundary beta deviates from {{0, pi}} by {worst_beta:.3e}")
+
+
+def two_region(n_outside, n_inside):
+    """Synthetic shadow detector: b_j = -a_j on the inside block (beta_j = pi)."""
+    n = n_outside + n_inside
+    if n_outside < 0 or n_inside < 0 or n < 1:
+        raise ValueError("pixel counts must be non-negative and sum to >= 1")
+    a = np.full(n, 1.0 / np.sqrt(n), dtype=complex)
+    b = a.copy()
+    b[n_outside:] *= -1.0
+    beta = np.zeros(n)
+    beta[n_outside:] = np.pi
+    region = np.full(n, det_mod.OUTSIDE_SHADOW, dtype=np.int8)
+    region[n_outside:] = det_mod.INSIDE_SHADOW
+    return det_mod.DetectorModel(a=a, b=b, beta=beta, region=region)
+
+
+def degenerate_two_pixel():
+    """Pathological detector a = (1, 0), b = (0, 1): every pixel is boundary."""
+    a = np.array([1.0, 0.0], dtype=complex)
+    b = np.array([0.0, 1.0], dtype=complex)
+    region = np.full(2, det_mod.BOUNDARY, dtype=np.int8)
+    return det_mod.DetectorModel(a=a, b=b, beta=np.zeros(2), region=region)
+
+
+def parity(grid):
+    """Point reflection through the grid center: out[i, j] = in[-i mod n, -j mod n]."""
+    return np.roll(grid[::-1, ::-1], (1, 1), axis=(0, 1))

@@ -2,7 +2,7 @@ import hashlib
 
 import pytest
 
-from fluxtem import cli, fileio, optics
+from fluxtem import cli, estimator, fileio, optics
 
 # SHA-256 of the scaling outputs at the default config and seed 12345
 SCALING_TABLE_SHA256 = "6d01bddd1377ca93f5ddaf28c5efcd27d4d2d09256bda8f18387eb06cd839a80"
@@ -117,6 +117,7 @@ def test_scaling_golden_outputs(tmp_path, capsys):
         ("timing.mqc_frequency=0", "timing.mqc_frequency"),
         ("timing.group_duration=0", "timing.group_duration"),
         ("protocol.sigma0=nan", "protocol.sigma0"),
+        ("protocol.sigma0=1e300", "protocol.sigma0"),
         ("beam.energy=inf", "beam.energy"),
         ("image.total_budget=0", "image.total_budget"),
         ("optics.n=100", "optics.n"),
@@ -181,3 +182,57 @@ def test_strong_phase_map_warns_in_the_manifest(tmp_path, capsys):
     assert "warning: phase map exceeds 0.5 rad" in capsys.readouterr().err
     manifest = (tmp_path / "manifest.txt").read_text()
     assert "warning.0 = phase map exceeds 0.5 rad" in manifest
+
+
+def test_zero_conventional_rmse_fails_the_ratio_check(tmp_path, capsys):
+    # at delta_phi = 0 every conventional electron reads symmetric, so its estimates are exactly 0
+    argv = ["image", "--set", "image.delta_phi=0", "--set", "image.shape=16", "--set", "image.repetitions=2"]
+    assert cli.main(argv + ["--check", "--out", str(tmp_path)]) == cli.EXIT_CHECK_FAILED
+    captured = capsys.readouterr()
+    assert "CHECK rmse_ratio: FAIL (conventional RMSE is 0" in captured.out
+    assert "undefined" in captured.out
+    assert captured.err.strip().endswith("check failed: rmse_ratio")
+    assert "Traceback" not in captured.err
+
+
+FILES_IMAGE_ARGS = ["image.shape=16", "image.repetitions=3", "image.budget=800"]
+FILES_IMAGE_OUTPUTS = [
+    "estimate_map_conventional.csv",
+    "estimate_map_conventional.pgm",
+    "estimate_map_conventional.pgm.txt",
+    "estimate_map_entangled.csv",
+    "estimate_map_entangled.pgm",
+    "estimate_map_entangled.pgm.txt",
+    "rmse_table.csv",
+]
+
+
+def _run_image(out, overrides):
+    argv = ["image", "--seed", "7", "--out", str(out)]
+    for override in FILES_IMAGE_ARGS + overrides:
+        argv += ["--set", override]
+    assert cli.main(argv) == cli.EXIT_OK
+
+
+@pytest.mark.parametrize("phase_format", ["csv", "pgm"])
+def test_files_specimen_reproduces_the_checkerboard(tmp_path, phase_format):
+    spec = estimator.make_checkerboard(16, 8, 0.05)
+    if phase_format == "csv":
+        phase_file = tmp_path / "phase.csv"
+        phase_file.write_text("".join(",".join(map(repr, row)) + "\n" for row in spec.phase.tolist()))
+    else:
+        phase_file = tmp_path / "phase.pgm"
+        fileio.write_pgm16(phase_file, spec.phase)
+    width = spec.phase.shape[1]
+    lines = ["pair,region,row,col"]
+    for i, regions in enumerate(spec.pairs):
+        for region, flat in enumerate(regions):
+            lines += [f"{i},{region},{j // width},{j % width}" for j in flat.tolist()]
+    pairs_file = tmp_path / "pairs.csv"
+    pairs_file.write_text("\n".join(lines) + "\n")
+
+    _run_image(tmp_path / "board", [])
+    files = ["image.specimen=files", f"image.phase_file={phase_file}", f"image.pairs_file={pairs_file}"]
+    _run_image(tmp_path / "files", files)
+    for name in FILES_IMAGE_OUTPUTS:
+        assert (tmp_path / "files" / name).read_bytes() == (tmp_path / "board" / name).read_bytes(), name

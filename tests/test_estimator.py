@@ -1,13 +1,12 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from fluxtem import detector as det_mod
-from fluxtem import estimator, optics
-from fluxtem.errors import AmbiguityError, BudgetError
+from fluxtem import estimator
+from fluxtem.errors import AmbiguityError, BudgetError, DivergentDoseError
 from fluxtem.streams import derive
 
 REPS = 2000
@@ -74,11 +73,34 @@ def test_electrons_to_target_std_rejects_ambiguous_k():
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 8, 31])
-def test_dose_report_advantage_is_k(k):
-    report = estimator.DoseReport.from_closed_forms(0.05, k)
-    assert report.advantage == k
-    assert report.n_conventional == 1600
-    assert report.n_entangled == math.ceil(1600 / k)
+def test_required_electrons_fall_as_one_over_k(k):
+    assert estimator.required_electrons_conventional(0.05) == 1600
+    assert estimator.required_electrons_entangled(0.05, k) == math.ceil(1600 / k)
+
+
+def test_required_electrons_agree_at_k_1():
+    for delta_phi in (0.05, -0.3, 1.0, 3.0):
+        assert estimator.required_electrons_entangled(delta_phi, 1) == estimator.required_electrons_conventional(delta_phi)
+
+
+def test_required_electrons_diverge_at_zero_phase():
+    with pytest.raises(DivergentDoseError):
+        estimator.required_electrons_conventional(0.0)
+    with pytest.raises(DivergentDoseError):
+        estimator.required_electrons_entangled(0.0, 4)
+
+
+@pytest.mark.parametrize("delta_phi", [math.pi, -math.pi, 4.0])
+def test_required_electrons_reject_a_phase_of_pi_or_more(delta_phi):
+    with pytest.raises(ValueError, match="must lie in"):
+        estimator.required_electrons_conventional(delta_phi)
+    with pytest.raises(ValueError, match="must lie in"):
+        estimator.required_electrons_entangled(delta_phi, 2)
+
+
+def test_required_electrons_reject_k_0():
+    with pytest.raises(ValueError, match="k must be"):
+        estimator.required_electrons_entangled(0.05, 0)
 
 
 @pytest.mark.parametrize("seed", range(1, 21))
@@ -93,56 +115,6 @@ def test_fixed_k_std_error_is_the_cramer_rao_bound():
     k, delta_phi = 4, 0.1
     res = estimator.estimate_phase("entangled", delta_phi, 400, None, derive(3), k=k)
     assert res.std_error == 1.0 / (k * math.sqrt(res.trials))
-
-
-# ---------------------------------------------------------------------------
-# end-to-end path: a specimen-loaded detector compensated with calibration angles
-
-
-def shifted_detector(delta):
-    """Eight equal-modulus pixels, half of them inside the shadow, every beta_j raised by `delta`."""
-    beta = np.angle(np.exp(1j * (np.array([0.0] * 4 + [math.pi] * 4) + delta)))
-    a = np.full(8, 1.0 / math.sqrt(8.0), dtype=complex)
-    region = [det_mod.OUTSIDE_SHADOW] * 4 + [det_mod.INSIDE_SHADOW] * 4
-    return det_mod.DetectorModel(a=a, b=a * np.exp(1j * beta), beta=beta, region=region)
-
-
-def test_effective_specimen_phase_of_a_detector_against_itself_is_zero(small_detector):
-    assert estimator.effective_specimen_phase(small_detector, small_detector) == 0.0
-
-
-def test_effective_specimen_phase_wraps_the_kick_difference():
-    # the inside pixels go from pi to pi + 0.1, which wraps to -pi + 0.1
-    delta = estimator.effective_specimen_phase(shifted_detector(0.1), shifted_detector(0.0))
-    assert delta == pytest.approx(0.1, abs=1e-12)
-
-
-def test_end_to_end_budget_below_one_group_is_a_budget_error():
-    det = shifted_detector(0.0)
-    with pytest.raises(BudgetError):
-        estimator.estimate_phase_end_to_end(det, det.beta, 8, 7, derive(1))
-
-
-def test_end_to_end_recovers_a_known_detector_shift():
-    cal = shifted_detector(0.0)
-    results = [estimator.estimate_phase_end_to_end(shifted_detector(0.1), cal.beta, 8, 400, derive(s, 5)) for s in range(6)]
-    assert all(r.trials == 50 and r.electrons_used == 400 and r.boundary_discards == 0 for r in results)
-    mean = np.mean([r.estimate for r in results])
-    sem = results[0].std_error / math.sqrt(len(results))
-    assert abs(mean - 0.1) <= 4 * sem
-
-
-def test_end_to_end_on_the_optics_detector_tracks_the_effective_phase(small_cfg):
-    cfg = replace(small_cfg, tolerance=0.05)
-    phase_map = np.zeros((cfg.n, cfg.n))
-    phase_map[:, cfg.n // 2 :] = 0.02
-    cal = optics.build_detector(cfg)
-    specimen = optics.build_detector(cfg, phase_map=phase_map)
-    want = estimator.effective_specimen_phase(specimen, cal)
-    results = [estimator.estimate_phase_end_to_end(specimen, cal.beta, 8, 800, derive(s, 6)) for s in range(8)]
-    mean = np.mean([r.estimate for r in results])
-    sem = np.mean([r.std_error for r in results]) / math.sqrt(len(results))
-    assert abs(mean - want) <= 4 * sem
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ from fluxtem import detector as det_mod
 from fluxtem import optics as O
 from fluxtem.errors import EmptyFieldError, GeometryError, PlaneMismatchError
 
+from conftest import parity, validate_detector
+
 
 def _gaussian_field(n, sigma):
     dy, dx = np.meshgrid(np.arange(n) - n // 2, np.arange(n) - n // 2, indexing="ij")
@@ -81,7 +83,7 @@ class TestPropagate:
         grid = rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))
         field = O.WaveField(grid)
         twice = O.propagate(O.propagate(field))
-        np.testing.assert_allclose(twice.grid, O.parity(grid), atol=1e-10)
+        np.testing.assert_allclose(twice.grid, parity(grid), atol=1e-10)
 
     def test_gaussian_reciprocal_width(self):
         n, sigma = 256, 12.0
@@ -299,43 +301,7 @@ class TestBuildDetector:
         )
 
     def test_validate_passes(self, small_detector):
-        small_detector.validate(check_beta_law=True)
-
-
-# ---------------------------------------------------------------------------
-# weak phase objects
-
-
-class TestWeakPhase:
-    def test_zero_phase_is_identity(self, small_cfg, small_beam):
-        s0 = O.propagate(small_beam.branch0)
-        out = O.weak_phase_specimen(np.zeros((small_cfg.n, small_cfg.n)), s0)
-        np.testing.assert_array_equal(out.grid, s0.grid)
-
-    def test_uniform_phase_is_global(self, small_cfg, small_beam):
-        s0 = O.propagate(small_beam.branch0)
-        out = O.weak_phase_specimen(np.full((small_cfg.n, small_cfg.n), 0.7), s0)
-        np.testing.assert_allclose(out.grid, s0.grid * np.exp(0.7j), atol=1e-15)
-        # downstream intensity unchanged
-        i_ref = np.abs(O.propagate(s0).grid) ** 2
-        i_out = np.abs(O.propagate(out).grid) ** 2
-        np.testing.assert_allclose(i_out, i_ref, atol=1e-12 * i_ref.max())
-
-    def test_power_preserved_exactly(self, small_cfg, small_beam):
-        s0 = O.propagate(small_beam.branch0)
-        rng = np.random.default_rng(2)
-        phase = rng.uniform(-0.2, 0.2, size=(small_cfg.n, small_cfg.n))
-        out = O.weak_phase_specimen(phase, s0)
-        assert out.power == pytest.approx(s0.power, rel=1e-14)
-
-    def test_shape_mismatch_rejected(self, small_cfg, small_beam):
-        s0 = O.propagate(small_beam.branch0)
-        with pytest.raises(GeometryError):
-            O.weak_phase_specimen(np.zeros((4, 4)), s0)
-
-    def test_wrong_plane_rejected(self, small_cfg, small_beam):
-        with pytest.raises(PlaneMismatchError):  # branch 0 lies at the ring's diffraction plane
-            O.weak_phase_specimen(np.zeros((small_cfg.n, small_cfg.n)), small_beam.branch0)
+        validate_detector(small_detector, check_beta_law=True)
 
 
 # ---------------------------------------------------------------------------
@@ -361,4 +327,4 @@ def test_four_plane_chain_unitarity(default_cfg):
 def test_chain_double_transforms_are_parity(default_cfg):
     f0 = O.trace_beam(default_cfg).branch0
     twice = O.propagate(O.propagate(f0))
-    np.testing.assert_allclose(twice.grid, O.parity(f0.grid), atol=1e-10)
+    np.testing.assert_allclose(twice.grid, parity(f0.grid), atol=1e-10)

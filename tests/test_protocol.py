@@ -12,7 +12,7 @@ from fluxtem import protocol as P
 from fluxtem.errors import InvalidStateError
 from fluxtem.streams import derive
 
-from conftest import assert_states_close
+from conftest import assert_states_close, degenerate_two_pixel, two_region, validate_detector
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -103,7 +103,7 @@ def _half_boundary_detector():
     b = np.array([0.5, 0.5, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0], dtype=complex)
     region = np.array([det_mod.BOUNDARY] * 4 + [det_mod.OUTSIDE_SHADOW] * 4, dtype=np.int8)
     det = det_mod.DetectorModel(a=a / np.linalg.norm(a), b=b / np.linalg.norm(b), beta=np.zeros(8), region=region)
-    det.validate()
+    validate_detector(det)
     return det
 
 
@@ -116,12 +116,14 @@ def _unequal_moduli_detector():
     a /= np.linalg.norm(a)
     b /= np.linalg.norm(b)
     region = np.where(beta == math.pi, det_mod.INSIDE_SHADOW, det_mod.OUTSIDE_SHADOW)
-    return det_mod.DetectorModel(a=a, b=b, beta=beta, region=region, tolerance=0.5)
+    det = det_mod.DetectorModel(a=a, b=b, beta=beta, region=region)
+    validate_detector(det, tolerance=0.5)
+    return det
 
 
 REFERENCE_DETECTORS = {
     "trivial": lambda: det_mod.trivial(8),
-    "two_region": lambda: det_mod.two_region(11, 5),
+    "two_region": lambda: two_region(11, 5),
     "unequal_moduli": _unequal_moduli_detector,
     "half_boundary": _half_boundary_detector,
 }
@@ -219,7 +221,7 @@ class TestApplySpecimen:
         assert_states_close(once.qubit, twice.qubit)
 
     def test_norm_preserved(self):
-        res = P.run_group(P.GroupPlan(k=64, delta_phi=2.3, sigma0=1.1), det_mod.two_region(5, 3), derive(3, 10))
+        res = P.run_group(P.GroupPlan(k=64, delta_phi=2.3, sigma0=1.1), two_region(5, 3), derive(3, 10))
         assert res.qubit.norm_sq() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -234,13 +236,13 @@ class TestCollapse:
         assert res.qubit.relative_phase == pytest.approx(0.5)
 
     def test_sign_flipped_pixel_shifts_pi(self):
-        det = det_mod.two_region(n_outside=0, n_inside=4)  # every pixel has beta = pi
+        det = two_region(n_outside=0, n_inside=4)  # every pixel has beta = pi
         res = P.run_group(P.GroupPlan(k=1, delta_phi=0.0), det, derive(3, 1))
         assert res.records[0].beta == pytest.approx(math.pi)
         assert abs(P.wrap_angle(res.qubit.relative_phase - math.pi)) < 1e-12
 
     def test_degenerate_detector_always_boundary(self):
-        det = det_mod.degenerate_two_pixel()
+        det = degenerate_two_pixel()
         c = _ref_specimen(_ref_entangle(INV_SQRT2, INV_SQRT2), 0.0)
         cum, _ = _ref_cumulative(c, det)
         rng = derive(3, 2)
@@ -248,7 +250,7 @@ class TestCollapse:
             assert det.boundary_mask[np.searchsorted(cum, rng.random(), side="right")]
 
     def test_discard_policy_rejects_all_boundary_detector(self):
-        det = det_mod.degenerate_two_pixel()
+        det = degenerate_two_pixel()
         with pytest.raises(InvalidStateError):
             P.run_group(P.GroupPlan(k=1, delta_phi=0.0), det, derive(3, 3))
 
@@ -268,7 +270,7 @@ class TestCollapse:
             P.run_group(plan, det, derive(3, 11))
 
     def test_detection_distribution_is_born_rule(self):
-        det = det_mod.two_region(3, 5)
+        det = two_region(3, 5)
         q = P.prepare_symmetric(0.7)
         p = _ref_born(_ref_entangle(q.amp0, q.amp1), det)
         np.testing.assert_allclose(p, det.equal_weight_power, atol=1e-15)
@@ -281,7 +283,7 @@ class TestCollapse:
 
 class TestRunGroup:
     def test_single_electron_law(self):
-        det = det_mod.two_region(8, 8)
+        det = two_region(8, 8)
         plan = P.GroupPlan(k=1, delta_phi=0.37, sigma0=0.0)
         res = P.run_group(plan, det, derive(5, 0))
         assert res.qubit.relative_phase == pytest.approx(P.wrap_angle(res.sum_beta + 0.37))
@@ -300,13 +302,13 @@ class TestRunGroup:
         seed=st.integers(0, 2**31),
     )
     def test_phase_law_property(self, sigma0, dphi, k, seed):
-        det = det_mod.two_region(11, 5)
+        det = two_region(11, 5)
         plan = P.GroupPlan(k=k, delta_phi=dphi, sigma0=sigma0)
         res = P.run_group(plan, det, derive(seed, 0))
         assert P.phase_audit(res, plan) < 1e-9
 
     def test_norm_preserved_along_run(self):
-        det = det_mod.two_region(5, 3)
+        det = two_region(5, 3)
         for k in range(1, 33):
             res = P.run_group(P.GroupPlan(k=k, delta_phi=0.21, sigma0=0.3), det, derive(5, 2))
             assert res.qubit.norm_sq() == pytest.approx(1.0, abs=1e-12)
@@ -328,7 +330,7 @@ class TestCompensate:
         assert_states_close(P.compensate(q, 0.0), q)
 
     def test_after_group_leaves_k_delta_phi(self):
-        det = det_mod.two_region(6, 10)
+        det = two_region(6, 10)
         plan = P.GroupPlan(k=4, delta_phi=0.15)
         res = P.run_group(plan, det, derive(6, 0))
         q = P.compensate(res.qubit, res.sum_beta)
@@ -448,7 +450,7 @@ def _enumerate_oracle(plan, det, basis):
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("basis", ["symmetric_antisymmetric", "quadrature"])
 def test_brute_force_distribution(k, basis):
-    det = det_mod.two_region(2, 2)
+    det = two_region(2, 2)
     plan = P.GroupPlan(k=k, delta_phi=0.31, sigma0=0.12)
     oracle = _enumerate_oracle(plan, det, basis)
 
@@ -476,7 +478,7 @@ def test_brute_force_distribution(k, basis):
 
 class TestSimulateGroups:
     def test_phases_follow_law_exactly(self):
-        det = det_mod.two_region(9, 7)
+        det = two_region(9, 7)
         plan = P.GroupPlan(k=6, delta_phi=0.11, sigma0=0.5)
         batch = P.simulate_groups(plan, det, 500, derive(9, 0))
         # compensation removes sum(beta); sigma0 + k*dphi remains
@@ -492,7 +494,7 @@ class TestSimulateGroups:
 
     def test_matches_sequential_distribution(self):
         """Scalar and vectorized paths draw from the same (sum_beta, outcome) law."""
-        det = det_mod.two_region(3, 1)  # P(beta = pi per electron) = 1/4
+        det = two_region(3, 1)  # P(beta = pi per electron) = 1/4
         plan = P.GroupPlan(k=3, delta_phi=0.0)
         n = 4000
         seq_counts = np.zeros(plan.k + 1)
@@ -523,7 +525,7 @@ class TestSimulateGroups:
         assert batch.electrons_used == 600 + batch.boundary_discards
 
     def test_deterministic_given_stream(self):
-        det = det_mod.two_region(5, 5)
+        det = two_region(5, 5)
         plan = P.GroupPlan(k=4, delta_phi=0.07)
         b1 = P.simulate_groups(plan, det, 100, derive(11, 1))
         b2 = P.simulate_groups(plan, det, 100, derive(11, 1))
