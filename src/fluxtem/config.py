@@ -144,6 +144,8 @@ LIMITS = {
     "mask.inner_radius": _NON_NEGATIVE,
     "mask.outer_radius": _NON_NEGATIVE,
     "mask.gap_width": _NON_NEGATIVE,
+    # a double stops resolving the strut gaps far from zero; one turn either way is every gap
+    "mask.gap_angles": ((lambda v: abs(v) <= 2.0 * math.pi), "in [-2pi, 2pi]"),
     "ring.inner": _POSITIVE,
     "ring.outer": _POSITIVE,
     "ring.turns": _at_least(1),
@@ -277,4 +279,10 @@ def load_config(path=None, overrides: list[str] | None = None) -> RunConfig:
         cfg.apply_file(path)
     if overrides:
         cfg.apply_overrides(overrides)
+    total, budget = cfg["image.total_budget"], cfg["image.budget"]
+    if total is not None and total < budget:
+        raise ConfigError(
+            f"image.total_budget = {total} is below image.budget = {budget}, so no pair can be scanned",
+            key="image.total_budget",
+        )
     return cfg

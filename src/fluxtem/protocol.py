@@ -43,6 +43,12 @@ MAX_DISCARDS = 100_000
 
 def wrap_angle(x):
     """Reduce an angle (scalar or array) to the representative in (-pi, pi]."""
+    if type(x) is float and math.isfinite(x):
+        # the numpy path's bits in scalar arithmetic: round() is half-to-even
+        # like np.round, and copysign keeps np.round's -0.0 for q in (-0.5, 0]
+        q = x / TWO_PI
+        r = x - TWO_PI * math.copysign(round(q), q)
+        return r + TWO_PI if r <= -math.pi else r
     x = np.asarray(x, dtype=float)
     r = np.asarray(x - TWO_PI * np.round(x / TWO_PI))
     r[r <= -math.pi] += TWO_PI
@@ -67,8 +73,9 @@ class QubitState:
         return abs(self.amp0) ** 2 + abs(self.amp1) ** 2
 
     def require_normalized(self, tol: float = NORM_TOL) -> None:
-        if not math.isfinite(self.norm_sq()) or abs(self.norm_sq() - 1.0) > tol:
-            raise InvalidStateError(f"qubit norm^2 = {self.norm_sq()!r} is not 1 within {tol}")
+        norm_sq = self.norm_sq()
+        if not math.isfinite(norm_sq) or abs(norm_sq - 1.0) > tol:
+            raise InvalidStateError(f"qubit norm^2 = {norm_sq!r} is not 1 within {tol}")
 
     @property
     def relative_phase(self) -> float:
@@ -132,6 +139,10 @@ def run_group(plan: GroupPlan, det: DetectorModel, rng: np.random.Generator) -> 
     by beta_j.  The final relative phase is therefore
     sigma0 + sum(beta_j) + k*delta_phi exactly (up to floating point).
     A boundary draw is logged, counted as a discard and drawn again.
+
+    Stream contract: the first k draws come from one `rng.random(k)` block,
+    and every draw, discards included, takes the next value in stream
+    order, so a group with d discards consumes the stream's first k + d draws.
     """
     if det.boundary_power_fraction() >= 1.0:
         raise InvalidStateError("detector has no non-boundary power; discarding boundary draws cannot terminate")
@@ -140,9 +151,16 @@ def run_group(plan: GroupPlan, det: DetectorModel, rng: np.random.Generator) -> 
     # rounds differently from Python's, and the output hashes pin numpy's
     kick = np.array([cmath.exp(-0.5j * plan.delta_phi), cmath.exp(0.5j * plan.delta_phi)])
     amps = np.array([qubit.amp0, qubit.amp1])
-    result = GroupResult(qubit=qubit, sum_beta=0.0)
+    # ndarray.item reads one pixel as a Python scalar; a .tolist() copy of
+    # the columns would hold megabytes of objects on a large detector
+    beta_at, boundary_at, a_at, b_at = det.beta.item, det.boundary_mask.item, det.a.item, det.b.item
+    # reversed, so that pop() hands the block out first-in, first-out
+    uniforms = rng.random(plan.k).tolist()[::-1]
+    records = []
+    sum_beta = 0.0
+    discards = 0
     for _ in range(plan.k):
-        c0, c1 = amps * kick
+        c0, c1 = (amps * kick).tolist()
         w0, w1 = abs(c0) ** 2, abs(c1) ** 2
         norm_sq = w0 + w1
         if not math.isfinite(norm_sq) or abs(norm_sq - 1.0) > NORM_TOL:
@@ -154,24 +172,27 @@ def run_group(plan: GroupPlan, det: DetectorModel, rng: np.random.Generator) -> 
             cum /= cum[-1]
             cum[-1] = 1.0
         while True:
-            pixel = int(np.searchsorted(cum, rng.random(), side="right"))
-            beta = float(det.beta[pixel])
-            if not det.boundary_mask[pixel]:
+            pixel = int(cum.searchsorted(uniforms.pop() if uniforms else rng.random(), side="right"))
+            beta = beta_at(pixel)
+            if not boundary_at(pixel):
                 break
-            result.boundary_discards += 1
-            result.records.append(DetectionRecord(pixel, beta, boundary=True))
-            if result.boundary_discards > MAX_DISCARDS:
+            discards += 1
+            records.append(DetectionRecord(pixel, beta, boundary=True))
+            if discards > MAX_DISCARDS:
                 raise InvalidStateError(f"exceeded {MAX_DISCARDS} boundary discards in one group")
-        amp0, amp1 = det.a[pixel] * c0, det.b[pixel] * c1
+        amp0, amp1 = a_at(pixel) * c0, b_at(pixel) * c1
         norm = math.hypot(abs(amp0), abs(amp1))
         if norm == 0.0:
             raise InvalidStateError(f"pixel {pixel} has zero detection amplitude")
-        # np.complex128 / float: Python's complex division rounds differently
-        amps = np.array([amp0 / norm, amp1 / norm])
-        result.records.append(DetectionRecord(pixel, beta))
-        result.sum_beta += beta
-    result.qubit = QubitState(*amps)
-    return result
+        # np.complex128 / float as numpy computes it, dividing by norm + 0j;
+        # Python's complex division rounds differently
+        inv = 1.0 / norm
+        re0, im0, re1, im1 = amp0.real, amp0.imag, amp1.real, amp1.imag
+        amps[0] = complex((re0 + im0 * 0.0) * inv, (im0 - re0 * 0.0) * inv)
+        amps[1] = complex((re1 + im1 * 0.0) * inv, (im1 - re1 * 0.0) * inv)
+        records.append(DetectionRecord(pixel, beta))
+        sum_beta += beta
+    return GroupResult(QubitState(*amps.tolist()), sum_beta, records, discards)
 
 
 def compensate(qubit: QubitState, sum_beta: float) -> QubitState:

@@ -136,6 +136,10 @@ def test_scaling_golden_outputs(tmp_path, capsys):
         ("squid.lateral_size=-1", "squid.lateral_size"),
         ("timing.coherence_width=0", "timing.coherence_width"),
         ("optics.boundary_power_warn=-1", "optics.boundary_power_warn"),
+        ("mask.gap_angles=1e300", "mask.gap_angles"),
+        ("mask.gap_angles=90deg,-7", "mask.gap_angles"),
+        # below image.budget (4000) no pair can be scanned
+        ("image.total_budget=1", "image.total_budget"),
         # passes its own limit; design checks it against the electron wavelength
         ("beam.waist=1e-300", "beam.waist"),
     ],

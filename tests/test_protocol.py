@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -147,6 +148,26 @@ def test_run_group_matches_reference(name):
     # only the unequal-moduli detector leaves the qubit with unequal branch weights
     assert (unequal_draws > 0) == (name == "unequal_moduli")
     assert (total_discards > 0) == (name == "half_boundary")
+
+
+def test_run_group_consumes_the_stream_in_draw_order():
+    # every draw, discards included, takes the stream's next uniform, so the
+    # group uses exactly its first k + discards draws and the next draw is the one after
+    det = _half_boundary_detector()
+    cum = det.equal_weight_cumulative
+    plan = P.GroupPlan(k=4, delta_phi=0.2)
+    discards = []
+    for seed in range(30):
+        rng = derive(seed, 13)
+        res = P.run_group(plan, det, rng)
+        n = plan.k + res.boundary_discards
+        assert len(res.records) == n
+        fresh = derive(seed, 13).random(n + 1)
+        assert [r.pixel_index for r in res.records] == np.searchsorted(cum, fresh[:n], side="right").tolist()
+        assert rng.random() == fresh[n]
+        discards.append(res.boundary_discards)
+    # groups without a discard, and groups with more discards than electrons
+    assert min(discards) == 0 and max(discards) > plan.k
 
 
 # ---------------------------------------------------------------------------
@@ -550,6 +571,43 @@ def test_wrap_angle_keeps_pi_positive():
     assert P.wrap_angle(math.pi) == math.pi
     assert P.wrap_angle(-math.pi) == math.pi
     assert P.wrap_angle(3 * math.pi) == pytest.approx(math.pi)
+
+
+def _bits(x):
+    return struct.pack("<d", x)
+
+
+def _wrap_both_paths(x):
+    """wrap_angle of a Python float (the math path) and of a one-element array (the numpy path)."""
+    return P.wrap_angle(x), float(P.wrap_angle(np.array([x]))[0])
+
+
+WRAP_EDGES = [0.0, -0.0, math.pi, -math.pi, 3 * math.pi, -3 * math.pi, 1e300, -1e300]
+WRAP_EDGES += [math.ulp(0.0), -math.ulp(0.0), 1e-310, -1e-310, 2.2e-308, -2.2e-308]
+# odd multiples of pi: x / 2pi lands on or next to a half-integer tie of round()
+WRAP_EDGES += [(m + 0.5) * P.TWO_PI for m in range(-6, 6)]
+WRAP_EDGES += [math.nextafter(x, s * math.inf) for x in (math.pi, -math.pi, 3 * math.pi) for s in (1, -1)]
+
+
+@pytest.mark.parametrize("x", WRAP_EDGES, ids=repr)
+def test_wrap_angle_math_path_matches_numpy_path_at_edges(x):
+    scalar, array = _wrap_both_paths(x)
+    assert type(scalar) is float
+    assert _bits(scalar) == _bits(array)
+
+
+@settings(deadline=None, max_examples=500)
+@given(st.floats(allow_nan=False, allow_infinity=False) | st.floats(-1e4, 1e4))
+def test_wrap_angle_math_path_matches_numpy_path(x):
+    scalar, array = _wrap_both_paths(x)
+    assert _bits(scalar) == _bits(array)
+
+
+def test_wrap_angle_non_finite_keeps_the_numpy_result():
+    assert math.isnan(P.wrap_angle(math.nan))
+    for x in (math.inf, -math.inf):
+        with pytest.warns(RuntimeWarning, match="invalid value"):
+            assert math.isnan(P.wrap_angle(x))
 
 
 def test_wrap_angle_array_path_matches_scalar_path():
