@@ -378,16 +378,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    out = args.out if args.out is not None else Path(f"{args.command}_out")
     try:
         cfg = load_config(args.config, args.set)
         if args.seed is not None:
             cfg.set_raw("seed", str(args.seed))
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    out = args.out if args.out is not None else Path(f"{args.command}_out")
-    out.mkdir(parents=True, exist_ok=True)
-    try:
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as err:
+            raise ConfigError(f"cannot create --out directory {str(out)!r}: {err}") from None
         _COMMANDS[args.command](cfg, out, args.check)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)

@@ -30,8 +30,6 @@ class BeamSpec:
     waist: float           # [m]
 
     def __post_init__(self):
-        if self.kinetic_energy <= 0.0:
-            raise ValueError("kinetic energy must be positive")
         if self.waist <= 0.0:
             raise ValueError("beam waist must be positive")
 
@@ -45,8 +43,8 @@ class SquidSpec:
     permeability: float         # mu [H/m]
     inductance: float           # L [H]
     critical_current: float     # i_c [A]
-    lateral_size: float = 10e-6
-    turns: int = 1
+    lateral_size: float
+    turns: int
 
 
 @dataclass(frozen=True)
@@ -58,7 +56,7 @@ class DeflectionResult:
 
 def beam_from_energy(
     kinetic_energy_ev: float,
-    waist: float = 10e-6,
+    waist: float,
 ) -> BeamSpec:
     """Fill wavelength, momentum and velocity relativistically from the energy.
 
@@ -119,17 +117,17 @@ def charge_deflection(beam: BeamSpec) -> float:
 
 def squid_sizing(
     wafer_thickness: float,
-    permeability: float = CODATA.mu0,
-    log_factor: float = 1.0,
-    flux_path_length: float | None = None,
-    lateral_size: float = 10e-6,
-    turns: int = 1,
+    permeability: float,
+    log_factor: float,
+    flux_path_length: float,
+    lateral_size: float,
+    turns: int,
 ) -> SquidSpec:
     """Size the hollow-ring SQUID like a shorted coaxial cable.
 
-    L = mu * d up to a geometry-dependent logarithmic factor (default 1,
-    exposed as `log_factor`), and i_c = phi0 / L so that L * i_c equals
-    one flux quantum by construction.
+    L = mu * d up to a geometry-dependent logarithmic factor `log_factor`,
+    and i_c = phi0 / L so that L * i_c equals one flux quantum by
+    construction.
     """
     if wafer_thickness <= 0.0:
         raise ValueError("wafer thickness must be positive")
@@ -138,7 +136,7 @@ def squid_sizing(
     inductance = permeability * wafer_thickness * log_factor
     return SquidSpec(
         wafer_thickness=wafer_thickness,
-        flux_path_length=wafer_thickness if flux_path_length is None else flux_path_length,
+        flux_path_length=flux_path_length,
         permeability=permeability,
         inductance=inductance,
         critical_current=CODATA.phi0 / inductance,
@@ -175,9 +173,9 @@ class DesignReport:
 def design_report(
     beam: BeamSpec,
     squid: SquidSpec,
-    group_duration: float = 10e-9,
-    mqc_frequency: float = 1e6,
-    coherence_width: float = 10e-6,
+    group_duration: float,
+    mqc_frequency: float,
+    coherence_width: float,
 ) -> DesignReport:
     """Collect every design number and check the operating hierarchy.
 

@@ -341,7 +341,7 @@ class SpecimenMap:
         return float(flat[s1].mean() - flat[s0].mean())
 
 
-def make_checkerboard(shape: int = 32, tile: int = 8, delta_phi: float = 0.05) -> SpecimenMap:
+def make_checkerboard(shape: int, tile: int, delta_phi: float) -> SpecimenMap:
     """Two-level checkerboard with one (S0, S1) pair per horizontally adjacent tile pair."""
     if shape % tile != 0 or (shape // tile) % 2 != 0:
         raise ValueError("shape must hold an even number of tiles per side")
@@ -396,13 +396,14 @@ def image_scan(
     seed: int,
     *,
     k: int = 1,
-    total_budget: int | None = None,
+    total_budget: int | None,
     scan_index: int = 0,
 ) -> ImageScanResult:
     """Estimate every pair's phase difference and compare to ground truth.
 
-    Each pair gets `per_pair_budget` electrons (a `total_budget` cap can
-    cut the scan short, leaving NaN estimates and an incomplete flag).
+    Each pair gets `per_pair_budget` electrons (a `total_budget` cap, None
+    for none, can cut the scan short, leaving NaN estimates and an
+    incomplete flag).
     `scan_index` separates the random streams of repeated scans under one seed.
     """
     if not spec.pairs:

@@ -101,6 +101,9 @@ def test_scaling_golden_outputs(tmp_path, capsys):
         ("scaling.target_std=-0.01", "scaling.target_std"),
         ("scaling.k_list=0,1,2", "scaling.k_list"),
         ("scaling.k_list=1.5,2", "scaling.k_list"),
+        # a repeated k is a repeated fit point
+        ("scaling.k_list=1,1,1", "scaling.k_list"),
+        ("scaling.k_list=2,2", "scaling.k_list"),
         ("protocol.k=0", "protocol.k"),
         ("protocol.delta_phi=4", "protocol.delta_phi"),
         ("beam.energy=-1", "beam.energy"),
@@ -148,6 +151,26 @@ def test_bad_scaling_input_is_a_config_error(override, key, tmp_path, capsys):
     assert cli.main(["design", "--set", override, "--out", str(tmp_path)]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error:") and key in err
+
+
+@pytest.mark.parametrize("case", ["missing", "directory", "not utf-8"])
+def test_unreadable_config_file_is_a_config_error(case, tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    if case == "directory":
+        path.mkdir()
+    elif case == "not utf-8":
+        path.write_bytes(b"seed = 7\n# \xff\n")
+    assert cli.main(["design", "--config", str(path), "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and str(path) in err
+
+
+def test_out_path_that_is_a_file_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert cli.main(["design", "--out", str(out)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "--out" in err
 
 
 def test_ambiguous_k_is_a_precondition_error(tmp_path, capsys):

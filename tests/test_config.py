@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from fluxtem.config import LIMITS, SCHEMA, load_config
+from fluxtem import config
+from fluxtem.config import SCHEMA, load_config
 from fluxtem.errors import ConfigError
 
 # hashed into every manifest: a change here changes every output tree
@@ -14,10 +15,41 @@ def test_default_config_hash_is_stable():
 
 
 def test_every_limit_names_a_schema_key_and_admits_its_default():
-    for key, (test, _) in LIMITS.items():
-        default = SCHEMA[key][2]
+    for key, (_, _, default, limit) in SCHEMA.items():
+        if limit is None or default is None:
+            continue
+        test, _ = limit
         for value in default if isinstance(default, tuple) else (default,):
             assert test(value), key
+
+
+def test_every_kind_and_unit_dimension_is_used_by_a_schema_row():
+    kinds = {row[0] for row in SCHEMA.values()}
+    dimensions = {row[1] for row in SCHEMA.values()}
+    vocabulary = {value for name, value in vars(config).items() if name.isupper() and isinstance(value, str)}
+    assert vocabulary - kinds - dimensions == set()
+    assert set(config._UNITS) - dimensions == set()
+
+
+# each key with a None default -> (a value its limit admits, a value it rejects or None without a limit)
+OPTIONAL_KEYS = {
+    "image.pairs_file": ("pairs.csv", None),
+    "image.phase_file": ("phase.csv", None),
+    "image.total_budget": ("5000", "0"),
+    "optics.detector_aperture_radius": ("2um", "0"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(key for key, row in SCHEMA.items() if row[2] is None))
+def test_none_or_an_empty_value_restores_an_optional_key(key):
+    good, bad = OPTIONAL_KEYS[key]
+    assert load_config(None, [f"{key}={good}"])[key] is not None
+    for raw in ("none", "None", ""):
+        assert load_config(None, [f"{key}={good}", f"{key}={raw}"])[key] is None
+    if bad is not None:
+        with pytest.raises(ConfigError) as err:
+            load_config(None, [f"{key}={bad}"])
+        assert err.value.key == key
 
 
 def test_canonical_text_round_trips_through_a_config_file(tmp_path):

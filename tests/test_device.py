@@ -17,7 +17,7 @@ def test_flux_deflection_is_half_the_beam_spread(energy_ev, waist):
 @pytest.mark.parametrize("energy_ev", [80e3, 300e3, 1e6])
 @pytest.mark.parametrize("flux_path_length", [1e-4, 1e-3, 2e-3])
 def test_lorentz_force_gives_the_flux_deflection(energy_ev, flux_path_length):
-    beam = device.beam_from_energy(energy_ev)
+    beam = device.beam_from_energy(energy_ev, waist=10e-6)
     theta_d = device.flux_deflection(beam).theta_d
     theta_lorentz = device.lorentz_consistency(beam, flux_path_length)
     assert abs(theta_lorentz - theta_d) / theta_d <= 1e-12
@@ -26,24 +26,26 @@ def test_lorentz_force_gives_the_flux_deflection(energy_ev, flux_path_length):
 @pytest.mark.parametrize("d", [1e-4, 1e-3, 3.3e-3])
 @pytest.mark.parametrize("log_factor", [1.0, 2.5])
 def test_inductance_times_critical_current_is_one_flux_quantum(d, log_factor):
-    squid = device.squid_sizing(d, log_factor=log_factor)
+    squid = device.squid_sizing(
+        d, permeability=CODATA.mu0, log_factor=log_factor, flux_path_length=d, lateral_size=10e-6, turns=1
+    )
     assert squid.inductance == CODATA.mu0 * d * log_factor
     assert abs(squid.inductance * squid.critical_current - CODATA.phi0) <= 2 * math.ulp(CODATA.phi0)
 
 
 def test_relativistic_wavelength_at_300_kev():
     # lambda = h c / sqrt(E (E + 2 m c^2)), 1.9687 pm at 300 keV
-    beam = device.beam_from_energy(300e3)
+    beam = device.beam_from_energy(300e3, waist=10e-6)
     assert beam.wavelength == pytest.approx(1.9687e-12, rel=1e-4)
     assert beam.velocity < CODATA.c
 
 
 def test_charge_scheme_is_weaker_than_flux_scheme():
-    beam = device.beam_from_energy(300e3)
+    beam = device.beam_from_energy(300e3, waist=10e-6)
     assert device.charge_deflection(beam) < 0.1 * device.flux_deflection(beam).theta_d
 
 
 @pytest.mark.parametrize("energy_ev", [0.0, -1.0])
 def test_non_positive_energy_rejected(energy_ev):
     with pytest.raises(ValueError):
-        device.beam_from_energy(energy_ev)
+        device.beam_from_energy(energy_ev, waist=10e-6)
