@@ -84,28 +84,31 @@ def _finish(out: Path, cfg: RunConfig, command: str, stats: dict, files: list[Pa
 
 
 def cmd_design(cfg: RunConfig, out: Path, check: bool) -> None:
-    beam = device.beam_from_energy(cfg["beam.energy"], waist=cfg["beam.waist"])
-    if beam.waist <= beam.wavelength:
-        # theta_b = lambda / a is a small-angle law: it needs a >> lambda
-        raise ConfigError(
-            f"beam.waist = {beam.waist!r} m is not larger than the electron wavelength {beam.wavelength!r} m",
-            key="beam.waist",
+    try:
+        beam = device.beam_from_energy(cfg["beam.energy"], waist=cfg["beam.waist"])
+        if beam.waist <= beam.wavelength:
+            # theta_b = lambda / a is a small-angle law: it needs a >> lambda
+            raise ConfigError(
+                f"beam.waist = {beam.waist!r} m is not larger than the electron wavelength {beam.wavelength!r} m",
+                key="beam.waist",
+            )
+        squid = device.squid_sizing(
+            cfg["squid.d"],
+            permeability=cfg["squid.mu_r"] * CODATA.mu0,
+            log_factor=cfg["squid.log_factor"],
+            flux_path_length=cfg["squid.flux_path_length"],
+            lateral_size=cfg["squid.lateral_size"],
+            turns=cfg["squid.turns"],
         )
-    squid = device.squid_sizing(
-        cfg["squid.d"],
-        permeability=cfg["squid.mu_r"] * CODATA.mu0,
-        log_factor=cfg["squid.log_factor"],
-        flux_path_length=cfg["squid.flux_path_length"],
-        lateral_size=cfg["squid.lateral_size"],
-        turns=cfg["squid.turns"],
-    )
-    report = device.design_report(
-        beam,
-        squid,
-        group_duration=cfg["timing.group_duration"],
-        mqc_frequency=cfg["timing.mqc_frequency"],
-        coherence_width=cfg["timing.coherence_width"],
-    )
+        report = device.design_report(
+            beam,
+            squid,
+            group_duration=cfg["timing.group_duration"],
+            mqc_frequency=cfg["timing.mqc_frequency"],
+            coherence_width=cfg["timing.coherence_width"],
+        )
+    except ArithmeticError as err:
+        raise ConfigError(f"the design inputs leave the float range: {type(err).__name__}: {err}") from err
     csv_path = out / "design_report.csv"
     fileio.write_csv(csv_path, ["quantity", "value", "unit"], report.rows)
     txt_path = out / "design_report.txt"
@@ -150,10 +153,11 @@ def cmd_optics(cfg: RunConfig, out: Path, check: bool) -> None:
     files.append(det_path)
 
     boundary_frac = det.boundary_power_fraction()
+    ncc = optics.normalized_cross_correlation(map0, map1)
     stats = {
         "boundary_power_fraction": repr(boundary_frac),
         "branch_overlap": repr(overlap),
-        "ncc_specimen_maps": repr(optics.normalized_cross_correlation(map0, map1)),
+        "ncc_specimen_maps": repr(ncc),
     }
     if boundary_frac > cfg["optics.boundary_power_warn"]:
         stats["warning.detector_quality"] = (
@@ -168,7 +172,6 @@ def cmd_optics(cfg: RunConfig, out: Path, check: bool) -> None:
             worst = det.beta_law_deviation()
             checks.append(("beta_law", worst < 1e-6, f"max deviation from {{0, pi}} = {worst:.2e}"))
             peaks = (np.unravel_index(map0.argmax(), map0.shape), np.unravel_index(map1.argmax(), map1.shape))
-            ncc = optics.normalized_cross_correlation(map0, map1)
             checks.append(("branch_maps_distinct", ncc < 0.9 and peaks[0] != peaks[1], f"ncc = {ncc:.3f}"))
             if ocfg.balance:
                 checks.append(("branch_orthogonality", overlap < 1e-10, f"|<0|1>| = {overlap:.2e}"))
@@ -200,7 +203,7 @@ def cmd_protocol(cfg: RunConfig, out: Path, check: bool) -> None:
         outcomes[trial] = outcome
         outcome_rows.append((trial, result.sum_beta, result.boundary_discards, qubit.relative_phase, outcome))
         for step, rec in enumerate(result.records):
-            record_rows.append((trial, step, rec.pixel_index, rec.beta, int(rec.boundary)))
+            record_rows.append((trial, step, *rec))
 
     outcomes_path = out / "outcomes.csv"
     fileio.write_csv(outcomes_path, ["trial", "sum_beta", "boundary_discards", "phase_after_compensation", "outcome"], outcome_rows)
@@ -240,6 +243,8 @@ def _load_specimen(cfg: RunConfig) -> estimator.SpecimenMap:
             phase = fileio.read_scaled_pgm(phase_file)
         else:
             phase = fileio.read_csv_floats(phase_file)
+        if not np.isfinite(phase).all():
+            raise ValueError("the phase map holds a non-finite value")
     except (OSError, ValueError, KeyError) as err:
         raise ConfigError(f"cannot load image.phase_file {phase_file!r}: {err}", key="image.phase_file") from err
     try:
@@ -270,37 +275,22 @@ def cmd_image(cfg: RunConfig, out: Path, check: bool) -> None:
     rmse_rows = []
     pooled = {}
     for mode, mode_k in (("conventional", 1), ("entangled", k)):
-        sq_sum = 0.0
-        count = 0
-        dose = 0
-        discards = 0
-        incomplete = False
-        last = None
-        for rep in range(reps):
-            scan = estimator.image_scan(
-                spec, mode, budget, det, seed, k=mode_k, total_budget=total_budget, scan_index=rep
-            )
-            done = ~np.isnan(scan.estimates)
-            sq_sum += float(np.sum((scan.estimates[done] - scan.true_values[done]) ** 2))
-            count += int(done.sum())
-            dose += scan.total_dose
-            discards += scan.boundary_discards
-            incomplete |= scan.incomplete
-            last = scan
-        rmse = math.sqrt(sq_sum / count) if count else float("nan")
-        pooled[mode] = rmse
-        rmse_rows.append((mode, mode_k, rmse, dose, discards, int(incomplete)))
-        stats[f"dose.{mode}"] = dose
-        stats[f"incomplete.{mode}"] = incomplete
+        scan = estimator.image_scan(
+            spec, mode, budget, det, seed, k=mode_k, total_budget=total_budget, repetitions=reps
+        )
+        pooled[mode] = scan.rmse
+        rmse_rows.append((mode, mode_k, scan.rmse, scan.total_dose, scan.boundary_discards, int(scan.incomplete)))
+        stats[f"dose.{mode}"] = scan.total_dose
+        stats[f"incomplete.{mode}"] = scan.incomplete
         map_csv = out / f"estimate_map_{mode}.csv"
         fileio.write_csv(
             map_csv,
             ["pair", "true_delta_phi", "estimate", "std_error"],
-            zip(range(len(spec.pairs)), last.true_values.tolist(), last.estimates.tolist(), last.std_errors.tolist()),
+            zip(range(len(spec.pairs)), scan.true_values.tolist(), scan.estimates.tolist(), scan.std_errors.tolist()),
         )
         files.append(map_csv)
         map_pgm = out / f"estimate_map_{mode}.pgm"
-        fileio.write_pgm16(map_pgm, last.painted_map())
+        fileio.write_pgm16(map_pgm, spec.paint(scan.estimates))
         files.extend([map_pgm, Path(str(map_pgm) + ".txt")])
 
     rmse_path = out / "rmse_table.csv"
@@ -348,7 +338,9 @@ def cmd_scaling(cfg: RunConfig, out: Path, check: bool) -> None:
         if result.slope_stderr is not None:
             stats["slope_stderr"] = repr(result.slope_stderr)
     checks = []
-    if check and result.slope is not None:
+    if check and result.slope is None:
+        checks.append(("dose_scaling_slope", False, "one k: no slope to fit"))
+    elif check:
         ok = abs(result.slope + 1.0) <= 0.1
         checks.append(("dose_scaling_slope", ok, f"slope {result.slope:.4f} (want -1 +- 0.1)"))
     _finish(out, cfg, "scaling", stats, [table_path, probes_path], checks, check)

@@ -85,8 +85,8 @@ def estimate_phase(
     mode: str,
     true_delta_phi: float,
     electron_budget: int,
-    det: DetectorModel | None = None,
-    rng: np.random.Generator | None = None,
+    det: DetectorModel,
+    rng: np.random.Generator,
     *,
     k: int = 1,
 ) -> EstimationResult:
@@ -105,8 +105,6 @@ def estimate_phase(
         raise ValueError(f"unknown mode {mode!r}")
     if electron_budget < 1:
         raise BudgetError(f"electron budget must be >= 1, got {electron_budget}")
-    if rng is None:
-        raise ValueError("an explicit random generator is required")
 
     if mode == "conventional":
         outcomes = protocol.conventional_trials(true_delta_phi, electron_budget, rng)
@@ -127,8 +125,6 @@ def estimate_phase(
         )
     if electron_budget < k:
         raise BudgetError(f"budget {electron_budget} is smaller than one group of {k}")
-    if det is None:
-        det = det_mod.trivial()
 
     plan = GroupPlan(k=k, delta_phi=true_delta_phi)
     batch = protocol.simulate_groups(plan, det, electron_budget // k, rng, budget=electron_budget)
@@ -207,7 +203,7 @@ def electrons_to_target_std(
     target_std: float,
     repetitions: int,
     seed: int,
-    det: DetectorModel | None = None,
+    det: DetectorModel,
     mode: str = "entangled",
 ) -> ScalingRow:
     """Measure the electron budget at which the estimate spread hits target_std.
@@ -216,8 +212,7 @@ def electrons_to_target_std(
     `repetitions` independent estimates drops below target, then
     bisects in log space to about 3%.  The search never assumes the
     1/sqrt(k N) law it is used to test.  Each probed budget draws all its
-    repetitions from one stream, derive(seed, DOMAIN_SCALING, k, budget);
-    `det` defaults to the trivial detector.
+    repetitions from one stream, derive(seed, DOMAIN_SCALING, k, budget).
     """
     if target_std <= 0.0:
         raise ValueError("target_std must be positive")
@@ -229,8 +224,6 @@ def electrons_to_target_std(
         raise ValueError("k must be >= 1")
     if mode == "entangled" and abs(k * delta_phi) >= 0.5 * math.pi:
         raise AmbiguityError(f"k = {k} puts |k * delta_phi| >= pi/2; the quadrature inversion is ambiguous")
-    if det is None:
-        det = det_mod.trivial()
     probes: list[tuple[int, float]] = []
 
     budget = max(4 * k, 16)
@@ -340,6 +333,14 @@ class SpecimenMap:
         flat = self.phase.ravel()
         return float(flat[s1].mean() - flat[s0].mean())
 
+    def paint(self, values) -> np.ndarray:
+        """Each pair's value over its two regions, NaN elsewhere; a NaN value keeps what another pair painted."""
+        out = np.full(self.phase.size, np.nan)
+        for (s0, s1), value in zip(self.pairs, values, strict=True):
+            if not math.isnan(value):
+                out[s0] = out[s1] = value
+        return out.reshape(self.phase.shape)
+
 
 def make_checkerboard(shape: int, tile: int, delta_phi: float) -> SpecimenMap:
     """Two-level checkerboard with one (S0, S1) pair per horizontally adjacent tile pair."""
@@ -366,75 +367,73 @@ def make_checkerboard(shape: int, tile: int, delta_phi: float) -> SpecimenMap:
 
 @dataclass
 class ImageScanResult:
-    """Per-pair estimates against ground truth, with dose bookkeeping."""
+    """One mode's repeated scans: the pooled error and dose, and the last scan's per-pair estimates."""
 
+    true_values: np.ndarray
     estimates: np.ndarray
     std_errors: np.ndarray
-    true_values: np.ndarray
+    rmse: float
     total_dose: int
     boundary_discards: int
     incomplete: bool
-    shape: tuple[int, int]
-    pairs: list[tuple[np.ndarray, np.ndarray]]
-
-    def painted_map(self) -> np.ndarray:
-        """Paint each estimated pair value over its two regions (NaN elsewhere)."""
-        out = np.full(self.shape[0] * self.shape[1], np.nan)
-        for i, (s0, s1) in enumerate(self.pairs):
-            if math.isnan(self.estimates[i]):
-                continue
-            out[s0] = self.estimates[i]
-            out[s1] = self.estimates[i]
-        return out.reshape(self.shape)
 
 
 def image_scan(
     spec: SpecimenMap,
     mode: str,
     per_pair_budget: int,
-    det: DetectorModel | None,
+    det: DetectorModel,
     seed: int,
     *,
-    k: int = 1,
+    k: int,
     total_budget: int | None,
-    scan_index: int = 0,
+    repetitions: int,
 ) -> ImageScanResult:
-    """Estimate every pair's phase difference and compare to ground truth.
+    """Scan every pair `repetitions` times and pool the squared error against ground truth.
 
-    Each pair gets `per_pair_budget` electrons (a `total_budget` cap, None
-    for none, can cut the scan short, leaving NaN estimates and an
-    incomplete flag).
-    `scan_index` separates the random streams of repeated scans under one seed.
+    Each pair gets `per_pair_budget` electrons.  A `total_budget` cap on
+    each scan (None for none) can cut it short, leaving NaN estimates and
+    the incomplete flag.  Scan r draws pair i from
+    derive(seed, DOMAIN_IMAGE, mode_id, r, i).
     """
     if not spec.pairs:
         raise ValueError("specimen has no pairs to scan")
     if per_pair_budget < 1:
         raise BudgetError("per-pair budget must be >= 1")
+    if repetitions < 1:
+        raise ValueError("repetitions must be >= 1")
     mode_id = MODES.index(mode) if mode in MODES else -1
     n = len(spec.pairs)
-    estimates = np.full(n, np.nan)
-    std_errors = np.full(n, np.nan)
     true_values = np.array([spec.pair_delta_phi(i) for i in range(n)])
+    sq_sum = 0.0
+    count = 0
     spent = 0
     discards = 0
     incomplete = False
-    for i in range(n):
-        if total_budget is not None and spent + per_pair_budget > total_budget:
-            incomplete = True
-            break
-        rng = derive(seed, DOMAIN_IMAGE, mode_id, scan_index, i)
-        res = estimate_phase(mode, true_values[i], per_pair_budget, det, rng, k=k)
-        estimates[i] = res.estimate
-        std_errors[i] = res.std_error
-        spent += res.electrons_used
-        discards += res.boundary_discards
+    for r in range(repetitions):
+        estimates = np.full(n, np.nan)
+        std_errors = np.full(n, np.nan)
+        scan_spent = 0
+        for i in range(n):
+            if total_budget is not None and scan_spent + per_pair_budget > total_budget:
+                incomplete = True
+                break
+            rng = derive(seed, DOMAIN_IMAGE, mode_id, r, i)
+            res = estimate_phase(mode, true_values[i], per_pair_budget, det, rng, k=k)
+            estimates[i] = res.estimate
+            std_errors[i] = res.std_error
+            scan_spent += res.electrons_used
+            discards += res.boundary_discards
+        done = ~np.isnan(estimates)
+        sq_sum += float(np.sum((estimates[done] - true_values[done]) ** 2))
+        count += int(done.sum())
+        spent += scan_spent
     return ImageScanResult(
+        true_values=true_values,
         estimates=estimates,
         std_errors=std_errors,
-        true_values=true_values,
+        rmse=math.sqrt(sq_sum / count) if count else float("nan"),
         total_dose=spent,
         boundary_discards=discards,
         incomplete=incomplete,
-        shape=spec.phase.shape,
-        pairs=spec.pairs,
     )

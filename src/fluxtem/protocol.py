@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
@@ -65,10 +65,6 @@ class QubitState:
     amp0: complex
     amp1: complex
 
-    def __post_init__(self):
-        object.__setattr__(self, "amp0", complex(self.amp0))
-        object.__setattr__(self, "amp1", complex(self.amp1))
-
     def norm_sq(self) -> float:
         return abs(self.amp0) ** 2 + abs(self.amp1) ** 2
 
@@ -81,15 +77,6 @@ class QubitState:
     def relative_phase(self) -> float:
         """arg(amp1) - arg(amp0), wrapped to (-pi, pi]."""
         return wrap_angle(cmath.phase(self.amp1) - cmath.phase(self.amp0))
-
-
-@dataclass(frozen=True)
-class DetectionRecord:
-    """One far-field detection: pixel index, its beta, and whether it was a discarded boundary draw."""
-
-    pixel_index: int
-    beta: float
-    boundary: bool = False
 
 
 @dataclass(frozen=True)
@@ -112,12 +99,12 @@ class GroupPlan:
 
 @dataclass
 class GroupResult:
-    """Output of `run_group`: final qubit, accumulated beta, and the event log."""
+    """Output of `run_group`: final qubit, accumulated beta, and (pixel, beta_j, boundary_flag) records."""
 
     qubit: QubitState
     sum_beta: float
-    records: list[DetectionRecord] = field(default_factory=list)
-    boundary_discards: int = 0
+    records: list[tuple[int, float, int]]
+    boundary_discards: int
 
 
 def prepare_symmetric(sigma: float) -> QubitState:
@@ -177,7 +164,7 @@ def run_group(plan: GroupPlan, det: DetectorModel, rng: np.random.Generator) -> 
             if not boundary_at(pixel):
                 break
             discards += 1
-            records.append(DetectionRecord(pixel, beta, boundary=True))
+            records.append((pixel, beta, 1))
             if discards > MAX_DISCARDS:
                 raise InvalidStateError(f"exceeded {MAX_DISCARDS} boundary discards in one group")
         amp0, amp1 = a_at(pixel) * c0, b_at(pixel) * c1
@@ -190,7 +177,7 @@ def run_group(plan: GroupPlan, det: DetectorModel, rng: np.random.Generator) -> 
         re0, im0, re1, im1 = amp0.real, amp0.imag, amp1.real, amp1.imag
         amps[0] = complex((re0 + im0 * 0.0) * inv, (im0 - re0 * 0.0) * inv)
         amps[1] = complex((re1 + im1 * 0.0) * inv, (im1 - re1 * 0.0) * inv)
-        records.append(DetectionRecord(pixel, beta))
+        records.append((pixel, beta, 0))
         sum_beta += beta
     return GroupResult(QubitState(*amps.tolist()), sum_beta, records, discards)
 

@@ -1,5 +1,6 @@
 import hashlib
 
+import numpy as np
 import pytest
 
 from fluxtem import cli, estimator, fileio, optics
@@ -194,6 +195,52 @@ def test_overlapping_pair_regions_are_a_config_error(tmp_path, capsys):
     assert cli.main(argv) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "image.pairs_file" in err and "overlap" in err
+
+
+@pytest.mark.parametrize("case", ["nan", "inf", "pgm sidecar nan"])
+def test_non_finite_phase_file_is_a_config_error(case, tmp_path, capsys):
+    if case == "pgm sidecar nan":
+        phase = tmp_path / "phase.pgm"
+        fileio.write_pgm16(phase, np.array([[0.0, 0.1], [0.0, 0.1]]))
+        (tmp_path / "phase.pgm.txt").write_text("min = nan\nmax = 0.1\n")
+    else:
+        phase = tmp_path / "phase.csv"
+        phase.write_text(f"0,{case}\n0,0.1\n")
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text("pair,region,row,col\n0,0,0,0\n0,1,0,1\n")
+    argv = ["image", "--set", "image.specimen=files", "--set", f"image.phase_file={phase}"]
+    argv += ["--set", f"image.pairs_file={pairs}", "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "image.phase_file" in err and "non-finite" in err
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        # group_duration * mqc_frequency underflows to 0 in the timing headroom
+        ["timing.group_duration=1e-300", "timing.mqc_frequency=1e-300"],
+        # the beam's total energy squared overflows
+        ["beam.energy=1e300"],
+    ],
+    ids=["underflow", "overflow"],
+)
+def test_design_inputs_outside_the_float_range_are_a_config_error(overrides, tmp_path, capsys):
+    argv = ["design", "--out", str(tmp_path)]
+    for override in overrides:
+        argv += ["--set", override]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "float range" in err
+
+
+def test_scaling_check_with_one_k_fails_for_want_of_a_slope(tmp_path, capsys):
+    argv = ["scaling", "--set", "scaling.k_list=4", "--check", "--out", str(tmp_path)]
+    assert cli.main(argv) == cli.EXIT_CHECK_FAILED
+    captured = capsys.readouterr()
+    assert "CHECK dose_scaling_slope: FAIL (one k: no slope to fit)" in captured.out
+    assert captured.err.strip().endswith("check failed: dose_scaling_slope")
+    assert "check.dose_scaling_slope = FAIL (one k: no slope to fit)" in (tmp_path / "manifest.txt").read_text()
 
 
 def test_shape_without_an_even_tile_count_is_a_config_error(tmp_path, capsys):

@@ -7,7 +7,7 @@ from scipy import stats
 from fluxtem import detector as det_mod
 from fluxtem import estimator
 from fluxtem.errors import AmbiguityError, BudgetError, DivergentDoseError
-from fluxtem.streams import derive
+from fluxtem.streams import DOMAIN_IMAGE, derive
 
 REPS = 2000
 
@@ -69,7 +69,7 @@ def test_batch_kernel_raises_when_no_group_completes(det, budget):
 
 def test_electrons_to_target_std_rejects_ambiguous_k():
     with pytest.raises(AmbiguityError):
-        estimator.electrons_to_target_std(0.2, 8, 0.05, 10, seed=1)
+        estimator.electrons_to_target_std(0.2, 8, 0.05, 10, seed=1, det=det_mod.trivial())
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 8, 31])
@@ -113,7 +113,7 @@ def test_dose_scaling_slope_at_default_config(seed):
 
 def test_fixed_k_std_error_is_the_cramer_rao_bound():
     k, delta_phi = 4, 0.1
-    res = estimator.estimate_phase("entangled", delta_phi, 400, None, derive(3), k=k)
+    res = estimator.estimate_phase("entangled", delta_phi, 400, det_mod.trivial(), derive(3), k=k)
     assert res.std_error == 1.0 / (k * math.sqrt(res.trials))
 
 
@@ -139,3 +139,68 @@ def test_specimen_map_warns_above_half_a_radian():
     assert estimator.make_checkerboard(16, 4, 0.5).warnings == []
     (warning,) = estimator.make_checkerboard(16, 4, 0.51).warnings
     assert "exceeds 0.5 rad" in warning
+
+
+def test_paint_keeps_a_shared_pixel_that_a_later_unscanned_pair_covers():
+    spec = estimator.SpecimenMap(phase=np.zeros((2, 2)), pairs=[([0], [1]), ([1], [2])])
+    np.testing.assert_array_equal(spec.paint([0.1, 0.2]), [[0.1, 0.2], [0.2, np.nan]])
+    np.testing.assert_array_equal(spec.paint([0.1, np.nan]), [[0.1, 0.1], [np.nan, np.nan]])
+
+
+# ---------------------------------------------------------------------------
+# image scans
+
+
+@pytest.mark.parametrize("mode, k", [("conventional", 1), ("entangled", 4)])
+def test_image_scan_pools_a_hand_loop_of_estimate_phase(mode, k):
+    spec = estimator.make_checkerboard(16, 4, 0.05)
+    det = quarter_boundary_detector()
+    reps, budget, seed = 3, 200, 9
+    scan = estimator.image_scan(spec, mode, budget, det, seed, k=k, total_budget=None, repetitions=reps)
+
+    mode_id = estimator.MODES.index(mode)
+    sq_sum = 0.0
+    count = dose = discards = 0
+    for r in range(reps):
+        estimates, errors = [], []
+        for i in range(len(spec.pairs)):
+            truth = spec.pair_delta_phi(i)
+            res = estimator.estimate_phase(mode, truth, budget, det, derive(seed, DOMAIN_IMAGE, mode_id, r, i), k=k)
+            estimates.append(res.estimate)
+            errors.append(res.estimate - truth)
+            dose += res.electrons_used
+            discards += res.boundary_discards
+        sq_sum += float(np.sum(np.array(errors) ** 2))
+        count += len(errors)
+    assert scan.rmse == math.sqrt(sq_sum / count)
+    assert (scan.total_dose, scan.boundary_discards, scan.incomplete) == (dose, discards, False)
+    # the estimates are the last scan's
+    assert scan.estimates.tolist() == estimates
+    assert (discards > 0) == (mode == "entangled")
+
+
+def test_image_scan_total_budget_cap_leaves_unscanned_pairs_nan():
+    spec = estimator.make_checkerboard(16, 4, 0.05)
+    scan = estimator.image_scan(
+        spec, "conventional", 200, det_mod.trivial(), 9, k=1, total_budget=500, repetitions=2
+    )
+    assert scan.incomplete
+    assert scan.total_dose == 2 * 400
+    assert np.isfinite(scan.estimates[:2]).all() and np.isnan(scan.estimates[2:]).all()
+    assert np.isnan(scan.std_errors[2:]).all()
+    # the pooled error counts only scanned pairs
+    one = estimator.image_scan(spec, "conventional", 200, det_mod.trivial(), 9, k=1, total_budget=500, repetitions=1)
+    assert one.rmse == math.sqrt(float(np.sum((one.estimates[:2] - one.true_values[:2]) ** 2)) / 2)
+    painted = spec.paint(scan.estimates).ravel()
+    for i, (s0, s1) in enumerate(spec.pairs):
+        regions = np.concatenate([s0, s1])
+        if i < 2:
+            assert (painted[regions] == scan.estimates[i]).all()
+        else:
+            assert np.isnan(painted[regions]).all()
+
+
+def test_image_scan_rejects_zero_repetitions():
+    spec = estimator.make_checkerboard(16, 4, 0.05)
+    with pytest.raises(ValueError, match="repetitions"):
+        estimator.image_scan(spec, "entangled", 200, det_mod.trivial(), 9, k=4, total_budget=None, repetitions=0)

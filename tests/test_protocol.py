@@ -140,8 +140,8 @@ def test_run_group_matches_reference(name):
         draws, discards, sum_beta, amps, unequal = _reference_group(plan, det, derive(seed, 12))
         unequal_draws += unequal
         total_discards += discards
-        assert [(r.pixel_index, r.boundary) for r in res.records] == draws
-        assert [r.beta for r in res.records] == [float(det.beta[j]) for j, _ in draws]
+        assert [(pixel, flag) for pixel, _, flag in res.records] == draws
+        assert [beta for _, beta, _ in res.records] == [float(det.beta[j]) for j, _ in draws]
         assert res.boundary_discards == discards
         assert res.sum_beta == sum_beta
         np.testing.assert_array_equal(np.array([res.qubit.amp0, res.qubit.amp1]), amps)
@@ -163,7 +163,7 @@ def test_run_group_consumes_the_stream_in_draw_order():
         n = plan.k + res.boundary_discards
         assert len(res.records) == n
         fresh = derive(seed, 13).random(n + 1)
-        assert [r.pixel_index for r in res.records] == np.searchsorted(cum, fresh[:n], side="right").tolist()
+        assert [pixel for pixel, _, _ in res.records] == np.searchsorted(cum, fresh[:n], side="right").tolist()
         assert rng.random() == fresh[n]
         discards.append(res.boundary_discards)
     # groups without a discard, and groups with more discards than electrons
@@ -253,13 +253,13 @@ class TestApplySpecimen:
 class TestCollapse:
     def test_trivial_detector_leaves_phase(self):
         res = P.run_group(P.GroupPlan(k=1, delta_phi=0.3, sigma0=0.2), det_mod.trivial(16), derive(3, 0))
-        assert res.records[0].beta == 0.0
+        assert res.records[0][1] == 0.0
         assert res.qubit.relative_phase == pytest.approx(0.5)
 
     def test_sign_flipped_pixel_shifts_pi(self):
         det = two_region(n_outside=0, n_inside=4)  # every pixel has beta = pi
         res = P.run_group(P.GroupPlan(k=1, delta_phi=0.0), det, derive(3, 1))
-        assert res.records[0].beta == pytest.approx(math.pi)
+        assert res.records[0][1] == pytest.approx(math.pi)
         assert abs(P.wrap_angle(res.qubit.relative_phase - math.pi)) < 1e-12
 
     def test_degenerate_detector_always_boundary(self):
