@@ -77,6 +77,9 @@ def _finish(out: Path, cfg: RunConfig, command: str, stats: dict, files: list[Pa
     for name, passed, detail in checks:
         entries[f"check.{name}"] = f"{'PASS' if passed else 'FAIL'} ({detail})"
     fileio.write_manifest(out / "manifest.txt", entries, files + [config_file])
+    for name, value in stats.items():
+        if name.startswith("warning."):
+            print(f"warning: {value}", file=sys.stderr)
     for name, passed, detail in checks:
         print(f"CHECK {name}: {'PASS' if passed else 'FAIL'} ({detail})")
     if check_mode and any(not passed for _, passed, _ in checks):
@@ -109,6 +112,10 @@ def cmd_design(cfg: RunConfig, out: Path, check: bool) -> None:
         )
     except ArithmeticError as err:
         raise ConfigError(f"the design inputs leave the float range: {type(err).__name__}: {err}") from err
+    # every row is a positive physical quantity, so it must be a finite normal float
+    bad = [name for name, value, _ in report.rows if not sys.float_info.min <= value <= sys.float_info.max]
+    if bad:
+        raise ConfigError(f"the design inputs leave the float range in {', '.join(bad)}")
     csv_path = out / "design_report.csv"
     fileio.write_csv(csv_path, ["quantity", "value", "unit"], report.rows)
     txt_path = out / "design_report.txt"
@@ -258,7 +265,6 @@ def cmd_image(cfg: RunConfig, out: Path, check: bool) -> None:
     stats = {"pairs": len(spec.pairs)}
     for i, w in enumerate(spec.warnings):
         stats[f"warning.{i}"] = w
-        print(f"warning: {w}", file=sys.stderr)
     if not spec.pairs:
         print("warning: empty pair list, nothing to scan", file=sys.stderr)
         _finish(out, cfg, "image", stats, [], [], check)

@@ -29,10 +29,6 @@ class BeamSpec:
     velocity: float        # [m/s]
     waist: float           # [m]
 
-    def __post_init__(self):
-        if self.waist <= 0.0:
-            raise ValueError("beam waist must be positive")
-
 
 @dataclass(frozen=True)
 class SquidSpec:
@@ -99,8 +95,6 @@ def lorentz_consistency(beam: BeamSpec, flux_path_length: float) -> float:
     The interaction time l / v cancels l and v exactly, leaving
     delta_p = e phi0 / a and theta_d = e phi0 / (a p) = h / (2 p a).
     """
-    if flux_path_length <= 0.0:
-        raise ValueError("flux path length must be positive")
     force = CODATA.e * beam.velocity * CODATA.phi0 / (beam.waist * flux_path_length)
     dt = flux_path_length / beam.velocity
     return force * dt / beam.momentum
@@ -129,10 +123,6 @@ def squid_sizing(
     and i_c = phi0 / L so that L * i_c equals one flux quantum by
     construction.
     """
-    if wafer_thickness <= 0.0:
-        raise ValueError("wafer thickness must be positive")
-    if log_factor <= 0.0:
-        raise ValueError("log factor must be positive")
     inductance = permeability * wafer_thickness * log_factor
     return SquidSpec(
         wafer_thickness=wafer_thickness,

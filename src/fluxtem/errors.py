@@ -9,10 +9,6 @@ class InvalidStateError(FluxTemError, ValueError):
     """A quantum state failed a normalization or structure check."""
 
 
-class PlaneMismatchError(FluxTemError, ValueError):
-    """An optics operation was applied at the wrong kind of plane."""
-
-
 class EmptyFieldError(FluxTemError, ValueError):
     """A wave field carries no power, so propagation is meaningless."""
 

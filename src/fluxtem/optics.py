@@ -28,11 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detector import BOUNDARY, INSIDE_SHADOW, OUTSIDE_SHADOW, DetectorModel
-from .errors import EmptyFieldError, GeometryError, PlaneMismatchError
+from .errors import EmptyFieldError, GeometryError
 from .protocol import wrap_angle
-
-PLANE_DIFFRACTION = "diffraction"
-PLANE_IMAGE = "image"
 
 # Pixels whose total detected power falls below this fraction of the
 # brightest pixel are dark shadow; they are unreachable in sampling and
@@ -46,19 +43,6 @@ class WaveField:
 
     grid: np.ndarray
     pitch: float = 1.0
-    plane_kind: str = PLANE_DIFFRACTION
-
-    def __post_init__(self):
-        self.grid = np.asarray(self.grid, dtype=complex)
-        n = self.grid.shape[0]
-        if self.grid.ndim != 2 or self.grid.shape[1] != n:
-            raise GeometryError(f"field must be square, got {self.grid.shape}")
-        if n < 2 or (n & (n - 1)) != 0:
-            raise GeometryError(f"grid size must be a power of two >= 2, got {n}")
-        if self.plane_kind not in (PLANE_DIFFRACTION, PLANE_IMAGE):
-            raise ValueError(f"unknown plane kind {self.plane_kind!r}")
-        if not math.isfinite(self.power):
-            raise ValueError("field power must be finite")
 
     @property
     def n(self) -> int:
@@ -102,8 +86,6 @@ class RingSpec:
     def __post_init__(self):
         if not 0.0 < self.ring_inner < self.ring_outer:
             raise GeometryError("need 0 < ring_inner < ring_outer")
-        if self.turns < 1:
-            raise ValueError("turns must be >= 1")
 
     @property
     def branch_phase(self) -> float:
@@ -154,31 +136,28 @@ def build_mask(spec: MaskSpec, n: int, pitch: float) -> WaveField:
                 delta = wrap_angle(theta - center)
                 annulus &= np.abs(delta) > 0.5 * spec.gap_width
         open_px = open_px | annulus
-    return WaveField(open_px.astype(complex), pitch, PLANE_DIFFRACTION)
+    return WaveField(open_px.astype(complex), pitch)
 
 
 def propagate(fieldv: WaveField) -> WaveField:
     """Unitary centered 2-D Fourier transform to the conjugate plane.
 
-    Toggles the plane kind and preserves total power (Parseval) to
-    floating-point accuracy.  Applying it twice reproduces the input
-    mirrored through the grid center (parity).
+    Preserves total power (Parseval) to floating-point accuracy.
+    Applying it twice reproduces the input mirrored through the grid
+    center (parity).
     """
     if fieldv.power == 0.0:
         raise EmptyFieldError("cannot propagate a field with zero power")
     shifted = np.fft.ifftshift(fieldv.grid)
     out = np.fft.fftshift(np.fft.fft2(shifted, norm="ortho"))
-    kind = PLANE_IMAGE if fieldv.plane_kind == PLANE_DIFFRACTION else PLANE_DIFFRACTION
-    return WaveField(out, fieldv.pitch, kind)
+    return WaveField(out, fieldv.pitch)
 
 
 def apply_aperture(fieldv: WaveField, radius: float) -> WaveField:
     """Hard circular low-pass at an image plane (power can only decrease)."""
-    if fieldv.plane_kind != PLANE_IMAGE:
-        raise PlaneMismatchError("aperture belongs at an image plane")
     r = _radius_grid(fieldv.n)
     keep = r <= radius / fieldv.pitch
-    return WaveField(np.where(keep, fieldv.grid, 0.0), fieldv.pitch, fieldv.plane_kind)
+    return WaveField(np.where(keep, fieldv.grid, 0.0), fieldv.pitch)
 
 
 def apply_ab_phase(fieldv: WaveField, ring: RingSpec, qubit_branch: int) -> WaveField:
@@ -189,16 +168,12 @@ def apply_ab_phase(fieldv: WaveField, ring: RingSpec, qubit_branch: int) -> Wave
     exp(i * pi * flux_fraction * turns); branch 0 leaves phases alone.
     Moduli inside and outside are untouched.
     """
-    if fieldv.plane_kind != PLANE_DIFFRACTION:
-        raise PlaneMismatchError("the ring sits at a diffraction plane")
-    if qubit_branch not in (0, 1):
-        raise ValueError("qubit_branch must be 0 or 1")
     inside, body, _ = ring_regions(fieldv.n, ring, fieldv.pitch)
     grid = fieldv.grid.copy()
     grid[body] = 0.0
     if qubit_branch == 1:
         grid[inside] *= np.exp(1j * ring.branch_phase)
-    return WaveField(grid, fieldv.pitch, fieldv.plane_kind)
+    return WaveField(grid, fieldv.pitch)
 
 
 def inside_outside_powers(fieldv: WaveField, ring: RingSpec) -> tuple[float, float]:
@@ -221,7 +196,7 @@ def balance_ring_split(fieldv: WaveField, ring: RingSpec) -> WaveField:
     inside, _, _ = ring_regions(fieldv.n, ring, fieldv.pitch)
     grid = fieldv.grid.copy()
     grid[inside] *= math.sqrt(p_out / p_in)
-    return WaveField(grid, fieldv.pitch, fieldv.plane_kind)
+    return WaveField(grid, fieldv.pitch)
 
 
 def normalized_cross_correlation(x: np.ndarray, y: np.ndarray) -> float:
@@ -229,8 +204,6 @@ def normalized_cross_correlation(x: np.ndarray, y: np.ndarray) -> float:
     x = np.asarray(x, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
     denom = math.sqrt(float(np.dot(x, x)) * float(np.dot(y, y)))
-    if denom == 0.0:
-        raise ValueError("cannot correlate zero maps")
     return float(np.dot(x, y)) / denom
 
 
@@ -280,7 +253,7 @@ def trace_beam(cfg: OpticsConfig) -> Beam:
     norm = math.sqrt(base.power)
     if norm == 0.0:
         raise EmptyFieldError("no beam power survives the ring plane")
-    branch0 = WaveField(base.grid / norm, base.pitch, base.plane_kind)
+    branch0 = WaveField(base.grid / norm, base.pitch)
     return Beam(cfg, mask, incident, branch0)
 
 
@@ -322,8 +295,8 @@ def build_detector(cfg: OpticsConfig) -> DetectorModel:
     """
     base = trace_beam(cfg).branch0
     inside, _, _ = ring_regions(cfg.n, cfg.ring, cfg.pitch)
-    g_in = WaveField(np.where(inside, base.grid, 0.0), cfg.pitch, base.plane_kind)
-    g_out = WaveField(np.where(~inside, base.grid, 0.0), cfg.pitch, base.plane_kind)
+    g_in = WaveField(np.where(inside, base.grid, 0.0), cfg.pitch)
+    g_out = WaveField(np.where(~inside, base.grid, 0.0), cfg.pitch)
 
     d_in = _reimage_to_detector(g_in, cfg).grid.ravel()
     d_out = _reimage_to_detector(g_out, cfg).grid.ravel()

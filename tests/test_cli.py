@@ -216,22 +216,50 @@ def test_non_finite_phase_file_is_a_config_error(case, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "overrides",
+    "overrides, named",
     [
         # group_duration * mqc_frequency underflows to 0 in the timing headroom
-        ["timing.group_duration=1e-300", "timing.mqc_frequency=1e-300"],
+        (["timing.group_duration=1e-300", "timing.mqc_frequency=1e-300"], "ZeroDivisionError"),
         # the beam's total energy squared overflows
-        ["beam.energy=1e300"],
+        (["beam.energy=1e300"], "OverflowError"),
+        # the deflection angles are subnormal, and theta_d_lorentz is 0
+        (["beam.waist=1e300"], "theta_d_flux"),
+        (["squid.lateral_size=1e-320"], "lateral_size"),
+        (["squid.mu_r=1e-300"], "inductance"),
     ],
-    ids=["underflow", "overflow"],
+    ids=["underflow", "overflow", "subnormal angles", "subnormal size", "subnormal inductance"],
 )
-def test_design_inputs_outside_the_float_range_are_a_config_error(overrides, tmp_path, capsys):
+def test_design_inputs_outside_the_float_range_are_a_config_error(overrides, named, tmp_path, capsys):
     argv = ["design", "--out", str(tmp_path)]
     for override in overrides:
         argv += ["--set", override]
     assert cli.main(argv) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err.startswith("config error:") and "float range" in err
+    assert err.startswith("config error:") and "float range" in err and named in err
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        (["ring.inner=3um"], "need 0 < ring_inner < ring_outer"),
+        (["ring.outer=2e-5"], "ring does not fit"),
+        (["mask.outer_radius=2e-5"], "mask geometry exceeds the grid"),
+        (["mask.disc_radius=0", "mask.outer_radius=0"], "cannot propagate a field with zero power"),
+    ],
+)
+def test_optics_geometry_the_grid_cannot_hold_is_a_precondition_error(overrides, message, tmp_path, capsys):
+    argv = ["optics", "--out", str(tmp_path)]
+    for override in SMALL_OPTICS + overrides:
+        argv += ["--set", override]
+    assert cli.main(argv) == cli.EXIT_PRECONDITION
+    err = capsys.readouterr().err
+    assert err.startswith(f"precondition error: {message}") and "Traceback" not in err
+
+
+def test_design_warnings_are_printed(tmp_path, capsys):
+    assert cli.main(["design", "--set", "timing.group_duration=1", "--out", str(tmp_path)]) == cli.EXIT_OK
+    assert capsys.readouterr().err.startswith("warning: group duration")
+    assert "warning.0 = group duration" in (tmp_path / "manifest.txt").read_text()
 
 
 def test_scaling_check_with_one_k_fails_for_want_of_a_slope(tmp_path, capsys):

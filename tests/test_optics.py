@@ -6,7 +6,7 @@ import pytest
 
 from fluxtem import detector as det_mod
 from fluxtem import optics as O
-from fluxtem.errors import EmptyFieldError, GeometryError, PlaneMismatchError
+from fluxtem.errors import EmptyFieldError, GeometryError
 
 from conftest import parity, validate_detector
 
@@ -71,13 +71,6 @@ class TestPropagate:
         out = O.propagate(field)
         assert abs(out.power - field.power) / field.power < 1e-10
 
-    def test_plane_kind_toggles(self):
-        field = _gaussian_field(64, 5.0)
-        assert field.plane_kind == O.PLANE_DIFFRACTION
-        once = O.propagate(field)
-        assert once.plane_kind == O.PLANE_IMAGE
-        assert O.propagate(once).plane_kind == O.PLANE_DIFFRACTION
-
     def test_double_transform_is_parity(self):
         rng = np.random.default_rng(1)
         grid = rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))
@@ -103,10 +96,6 @@ class TestPropagate:
         out = O.propagate(O.WaveField(grid))
         np.testing.assert_allclose(np.abs(out.grid), 1.0 / n, atol=1e-12)
 
-    def test_non_power_of_two_rejected(self):
-        with pytest.raises(GeometryError):
-            O.WaveField(np.ones((20, 20), dtype=complex))
-
 
 # ---------------------------------------------------------------------------
 # aperture
@@ -128,11 +117,6 @@ class TestAperture:
         field = O.propagate(_gaussian_field(64, 2.0))
         out = O.apply_aperture(field, radius=5.0)
         assert out.power <= field.power
-
-    def test_wrong_plane_rejected(self):
-        field = _gaussian_field(64, 6.0)  # diffraction plane
-        with pytest.raises(PlaneMismatchError):
-            O.apply_aperture(field, radius=5.0)
 
     def test_aperture_smooths_ring_plane(self, small_cfg):
         """Total variation of the ring-plane intensity drops when the aperture acts."""
@@ -197,11 +181,6 @@ class TestAbPhase:
         incident = O.apply_ab_phase(small_beam.incident, small_cfg.ring, 0)
         phased = O.apply_ab_phase(incident, small_cfg.ring, 1)
         assert phased.power == incident.power
-
-    def test_wrong_plane_rejected(self, small_cfg):
-        image_plane = O.propagate(_gaussian_field(small_cfg.n, 5.0))
-        with pytest.raises(PlaneMismatchError):
-            O.apply_ab_phase(image_plane, small_cfg.ring, 0)
 
 
 def test_balanced_branches_orthogonal(small_beam):
@@ -287,10 +266,10 @@ class TestBuildDetector:
         # multiply the source by a constant phase through a custom chain
         det_ref = small_detector
         base = small_beam.branch0
-        rotated = O.WaveField(base.grid * np.exp(0.77j), base.pitch, base.plane_kind)
+        rotated = O.WaveField(base.grid * np.exp(0.77j), base.pitch)
         inside, _, _ = O.ring_regions(small_cfg.n, small_cfg.ring, small_cfg.pitch)
-        d_in = O.propagate(O.propagate(O.WaveField(np.where(inside, rotated.grid, 0), base.pitch, base.plane_kind)))
-        d_out = O.propagate(O.propagate(O.WaveField(np.where(~inside, rotated.grid, 0), base.pitch, base.plane_kind)))
+        d_in = O.propagate(O.propagate(O.WaveField(np.where(inside, rotated.grid, 0), base.pitch)))
+        d_out = O.propagate(O.propagate(O.WaveField(np.where(~inside, rotated.grid, 0), base.pitch)))
         a = (d_out.grid + d_in.grid).ravel()
         b = (d_out.grid + np.exp(1j * small_cfg.ring.branch_phase) * d_in.grid).ravel()
         beta = np.angle(b) - np.angle(a)
