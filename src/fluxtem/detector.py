@@ -110,15 +110,14 @@ class DetectorModel:
         # each block of rows is converted to Python floats and strings in one
         # .tolist() per column; whole columns would hold ~10 MB of objects at once
         columns = (self.a.real, self.a.imag, self.b.real, self.b.imag, self.beta)
-        n = self.n_pixels
 
-        def rows():
-            for start in range(0, n, fileio.CSV_BLOCK_ROWS):
-                part = slice(start, start + fileio.CSV_BLOCK_ROWS)
+        def rows(lo, hi):
+            for start in range(lo, hi, fileio.CSV_BLOCK_ROWS):
+                part = slice(start, min(start + fileio.CSV_BLOCK_ROWS, hi))
                 regions = map(REGION_NAMES.__getitem__, self.region[part].tolist())
-                yield from zip(range(start, n), *(c[part].tolist() for c in columns), regions)
+                yield from zip(range(start, hi), *(c[part].tolist() for c in columns), regions)
 
-        fileio.write_csv(path, _CSV_HEADER, rows())
+        fileio.write_csv_parts(path, _CSV_HEADER, self.n_pixels, rows)
 
 
 def trivial(n_pixels: int = 64) -> DetectorModel:

@@ -5,12 +5,21 @@ with a fixed configuration and seed reproduces its output tree
 bit-exactly.  `write_csv` formats its rows itself, a block of
 `CSV_BLOCK_ROWS` rows at a time, and writes the bytes `csv.writer` would
 write for every table this package emits; the `csv` module only reads.
+
+`write_csv_parts` writes the same bytes for a table whose rows can be
+made in any range, splitting the rows into one contiguous part per CPU
+that the process may run on and formatting each extra part in a forked
+child.  `os.fork` and `os.sched_getaffinity` are Linux facilities, so
+the package is Linux-only.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import os
+import shutil
+import tempfile
 from itertools import islice
 from pathlib import Path
 
@@ -90,14 +99,78 @@ def write_csv(path, header: list[str], rows) -> None:
     and line breaks, and no row is one empty string.  A row whose length
     differs from the header's raises ValueError.
     """
-    rows = iter(rows)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        while block := list(islice(rows, CSV_BLOCK_ROWS)):
-            columns = [map(str, col) for col in zip(*block, strict=True)]
-            if len(columns) != len(header):
-                raise ValueError(f"{path}: a row has {len(columns)} cells, the header {len(header)}")
-            fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
+        _write_rows(fh, path, len(header), rows)
+
+
+def write_csv_parts(path, header: list[str], n_rows: int, rows_between) -> None:
+    """Write the file `write_csv(path, header, rows_between(0, n_rows))` writes, on every CPU.
+
+    `rows_between(lo, hi)` yields rows lo..hi-1.  The rows are split into
+    contiguous parts, one per CPU in `os.sched_getaffinity(0)` but none
+    smaller than `CSV_BLOCK_ROWS` rows, so one CPU or a small table forks
+    nothing.  Each part after the first is formatted by a forked child
+    into an anonymous temporary file, which no directory lists, and is
+    appended in order; the first part is formatted here.  A child that
+    fails raises RuntimeError naming its rows.  Every child is reaped
+    before this returns or raises.
+    """
+    n_parts = max(1, min(len(os.sched_getaffinity(0)), n_rows // CSV_BLOCK_ROWS))
+    bounds = [n_rows * i // n_parts for i in range(n_parts + 1)]
+    parts, pids = [], []  # (part file, lo, hi) and the pids not yet reaped, in row order
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            parts.append((tempfile.TemporaryFile("w+", newline=""), lo, hi))
+            pids.append(_fork_part(parts[-1][0], path, len(header), rows_between(lo, hi)))
+        with open(path, "w", newline="") as fh:
+            fh.write(",".join(header) + "\r\n")
+            _write_rows(fh, path, len(header), rows_between(0, bounds[1]))
+            fh.flush()  # the parts are appended to fh.buffer, below the text layer
+            for part, lo, hi in parts:
+                _, status = os.waitpid(pids.pop(0), 0)
+                code = os.waitstatus_to_exitcode(status)
+                if code != 0:
+                    raise RuntimeError(f"{path}: formatting rows {lo}..{hi - 1} failed (child exit status {code})")
+                part.seek(0)
+                shutil.copyfileobj(part.buffer, fh.buffer)
+    finally:
+        for pid in pids:
+            os.waitpid(pid, 0)
+        for part, _, _ in parts:
+            part.close()
+
+
+def _fork_part(part, path, width: int, rows) -> int:
+    """Fork a child that writes `rows` into the open text file `part` and exits; returns its pid.
+
+    The child leaves only through `os._exit`, so it never returns into
+    the caller and never flushes the buffers of files it inherited.
+    """
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            _write_rows(part, path, width, rows)
+            part.flush()
+            code = 0
+        except BaseException:
+            import traceback
+
+            os.write(2, traceback.format_exc().encode())
+        finally:
+            os._exit(code)
+    return pid
+
+
+def _write_rows(fh, path, width: int, rows) -> None:
+    """Format `rows` into the text file `fh`, a block of `CSV_BLOCK_ROWS` rows at a time."""
+    rows = iter(rows)
+    while block := list(islice(rows, CSV_BLOCK_ROWS)):
+        columns = [map(str, col) for col in zip(*block, strict=True)]
+        if len(columns) != width:
+            raise ValueError(f"{path}: a row has {len(columns)} cells, the header {width}")
+        fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
 
 
 def read_csv_floats(path) -> np.ndarray:

@@ -1,5 +1,6 @@
 import csv
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from fluxtem import detector as det_mod
 from fluxtem.errors import InvalidStateError
+from fluxtem.fileio import CSV_BLOCK_ROWS
 
 from conftest import degenerate_two_pixel, two_region, validate_detector
 
@@ -83,8 +85,12 @@ def test_csv_round_trip(tmp_path):
     assert [row[6] for row in rows] == [det_mod.REGION_NAMES[r] for r in det.region.tolist()]
 
 
-@pytest.mark.parametrize("n", [1, 63, 64, 65, 129])
-def test_to_csv_matches_a_csv_writer_reference_across_block_edges(tmp_path, n):
+def _no_fork():
+    raise AssertionError("forked a child for a part smaller than a block or on one CPU")
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 129, 192, 1000])
+def test_to_csv_matches_a_csv_writer_reference_across_block_edges(tmp_path, monkeypatch, n):
     rng = np.random.default_rng(n)
     det = det_mod.DetectorModel(
         a=rng.normal(size=n) + 1j * rng.normal(size=n),
@@ -92,13 +98,20 @@ def test_to_csv_matches_a_csv_writer_reference_across_block_edges(tmp_path, n):
         beta=rng.uniform(-np.pi, np.pi, size=n),
         region=rng.integers(0, 3, size=n),
     )
-    det.to_csv(tmp_path / "det.csv")
     regions = (det_mod.REGION_NAMES[r] for r in det.region)
     with open(tmp_path / "ref.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["pixel", "re_a", "im_a", "re_b", "im_b", "beta", "region"])
         writer.writerows(zip(range(n), det.a.real, det.a.imag, det.b.real, det.b.imag, det.beta, regions))
-    assert (tmp_path / "det.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    # three CPUs split n >= 128 rows into uneven parts formatted by forked children;
+    # one CPU, or fewer rows than two blocks, forks none
+    for cpus in (1, 3):
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            if cpus == 1 or n < 2 * CSV_BLOCK_ROWS:
+                patch.setattr(os, "fork", _no_fork)
+            det.to_csv(tmp_path / "det.csv")
+        assert (tmp_path / "det.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes(), f"{cpus} CPUs"
 
 
 def test_to_csv_converts_a_block_at_a_time(tmp_path):

@@ -1,6 +1,8 @@
 import csv
 import hashlib
+import os
 import struct
+import tempfile
 
 import numpy as np
 import pytest
@@ -109,6 +111,38 @@ def test_write_csv_matches_the_csv_module_byte_for_byte(table, tmp_path_factory)
 def test_write_csv_rejects_a_ragged_row(tmp_path, rows):
     with pytest.raises(ValueError):
         fileio.write_csv(tmp_path / "t.csv", ["i", "x"], rows)
+
+
+def _rows_with_a_long_one(bad):
+    def rows_between(lo, hi):
+        for i in range(lo, hi):
+            yield (i, float(i), "x") if i == bad else (i, float(i))
+
+    return rows_between
+
+
+@pytest.mark.parametrize(
+    "bad, error, message",
+    [(10, ValueError, None), (150, RuntimeError, "rows 128..191 failed")],
+    ids=["in-the-first-part", "in-a-child-part"],
+)
+def test_write_csv_parts_reaps_every_child_and_leaves_nothing_behind(tmp_path, monkeypatch, capfd, bad, error, message):
+    # 192 rows on three CPUs: rows 64..127 and 128..191 go to two children
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    temp_dir = tmp_path / "tmp"
+    temp_dir.mkdir()
+    monkeypatch.setenv("TMPDIR", str(temp_dir))
+    monkeypatch.setattr(tempfile, "tempdir", None)
+    with open(tmp_path / "log.txt", "w") as log:
+        log.write("written before the call\n")  # left in the buffer, unflushed
+        with pytest.raises(error, match=message):
+            fileio.write_csv_parts(tmp_path / "t.csv", ["i", "x"], 192, _rows_with_a_long_one(bad))
+    assert (tmp_path / "log.txt").read_text() == "written before the call\n"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert list(temp_dir.iterdir()) == []
+    if error is RuntimeError:
+        assert "ValueError: " in capfd.readouterr().err  # the child's traceback
 
 
 def _pairs_file(tmp_path, lines):
