@@ -198,24 +198,27 @@ def cmd_protocol(cfg: RunConfig, out: Path, check: bool) -> None:
     seed = cfg["seed"]
 
     outcome_rows = []
-    record_rows = []
     audit_max = 0.0
     outcomes = np.empty(reps, dtype=np.uint8)
-    for trial in range(reps):
-        rng = derive(seed, DOMAIN_PROTOCOL, trial)
-        result = protocol.run_group(plan, det, rng)
-        audit_max = max(audit_max, protocol.phase_audit(result, plan))
-        qubit = protocol.compensate(result.qubit, result.sum_beta)
-        outcome = protocol.measure_qubit(qubit, basis, rng)
-        outcomes[trial] = outcome
-        outcome_rows.append((trial, result.sum_beta, result.boundary_discards, qubit.relative_phase, outcome))
-        for step, rec in enumerate(result.records):
-            record_rows.append((trial, step, *rec))
 
+    def record_rows():
+        # the trials run as records.csv is written, so only a block of its rows is ever held
+        nonlocal audit_max
+        for trial in range(reps):
+            rng = derive(seed, DOMAIN_PROTOCOL, trial)
+            result = protocol.run_group(plan, det, rng)
+            audit_max = max(audit_max, protocol.phase_audit(result, plan))
+            qubit = protocol.compensate(result.qubit, result.sum_beta)
+            outcome = protocol.measure_qubit(qubit, basis, rng)
+            outcomes[trial] = outcome
+            outcome_rows.append((trial, result.sum_beta, result.boundary_discards, qubit.relative_phase, outcome))
+            for step, rec in enumerate(result.records):
+                yield (trial, step, *rec)
+
+    records_path = out / "records.csv"
+    fileio.write_csv(records_path, ["trial", "step", "pixel", "beta_j", "boundary_flag"], record_rows())
     outcomes_path = out / "outcomes.csv"
     fileio.write_csv(outcomes_path, ["trial", "sum_beta", "boundary_discards", "phase_after_compensation", "outcome"], outcome_rows)
-    records_path = out / "records.csv"
-    fileio.write_csv(records_path, ["trial", "step", "pixel", "beta_j", "boundary_flag"], record_rows)
 
     residual = plan.sigma0 + plan.k * plan.delta_phi
     _, p1 = protocol.measurement_probabilities(protocol.prepare_symmetric(residual), basis)
@@ -394,6 +397,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CHECK_FAILED
     except FluxTemError as err:
         print(f"precondition error: {err}", file=sys.stderr)
+        return EXIT_PRECONDITION
+    except MemoryError as err:
+        # numpy refuses an array the config sizes past memory, e.g. protocol.k = 1e15
+        print(f"precondition error: out of memory: {err}", file=sys.stderr)
         return EXIT_PRECONDITION
     return EXIT_OK
 

@@ -122,8 +122,6 @@ class DetectorModel:
 
 def trivial(n_pixels: int = 64) -> DetectorModel:
     """Uniform detector with a_j = b_j everywhere, so beta_j = 0."""
-    if n_pixels < 1:
-        raise ValueError("n_pixels must be positive")
     amp = np.full(n_pixels, 1.0 / np.sqrt(n_pixels), dtype=complex)
     return DetectorModel(
         a=amp,

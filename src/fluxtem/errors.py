@@ -17,10 +17,6 @@ class GeometryError(FluxTemError, ValueError):
     """Mask or ring geometry does not fit the simulation grid."""
 
 
-class DivergentDoseError(FluxTemError, ValueError):
-    """Electron-count formulas diverge (zero phase difference)."""
-
-
 class AmbiguityError(FluxTemError, ValueError):
     """Accumulated phase leaves the invertible branch of the estimator."""
 

@@ -1,13 +1,18 @@
-"""Monte Carlo phase estimation, dose accounting, and synthetic imaging.
+"""Monte Carlo phase estimation, dose scaling, and synthetic imaging.
 
-The dose bookkeeping rests on two closed forms: a conventional scheme
-needs about (2/dphi)^2 electrons to see a phase difference dphi, while
-k-electron entangled groups need (1/k)(2/dphi)^2, reaching the
-Heisenberg limit of about 2/dphi electrons when the whole budget fits
-in one group.  The estimators here are exact maximum likelihood for the
-corresponding one-parameter Bernoulli models, whose Fisher information
-is 1 per electron (conventional) and k per electron (entangled), so the
-closed-form scaling is also the achievable variance scaling.
+A conventional scheme needs about (2/dphi)^2 electrons to see a phase
+difference dphi, while k-electron entangled groups need (1/k)(2/dphi)^2,
+reaching the Heisenberg limit of about 2/dphi electrons when the whole
+budget fits in one group.  The estimators here are exact maximum
+likelihood for the corresponding one-parameter Bernoulli models, whose
+Fisher information is 1 per electron (conventional) and k per electron
+(entangled), so that 1/k dose law is also the achievable variance
+scaling.  `fluxtem scaling` measures it without assuming it.
+
+The functions take the values `config.SCHEMA` has already checked, so
+they repeat none of its limits; what they still raise is what a valid
+config can reach: an ambiguous k * dphi (`AmbiguityError`) and a budget
+that completes no group or no target spread (`BudgetError`).
 """
 
 from __future__ import annotations
@@ -20,36 +25,11 @@ import numpy as np
 from . import detector as det_mod
 from . import protocol
 from .detector import DetectorModel
-from .errors import AmbiguityError, BudgetError, DivergentDoseError
+from .errors import AmbiguityError, BudgetError
 from .protocol import GroupPlan
 from .streams import DOMAIN_IMAGE, DOMAIN_SCALING, derive
 
 MODES = ("conventional", "entangled")
-
-
-# ---------------------------------------------------------------------------
-# closed-form dose formulas
-
-
-def _check_delta_phi(delta_phi: float) -> None:
-    if delta_phi == 0.0:
-        raise DivergentDoseError("electron count diverges at delta_phi = 0")
-    if not 0.0 < abs(delta_phi) < math.pi:
-        raise ValueError(f"|delta_phi| must lie in (0, pi), got {delta_phi!r}")
-
-
-def required_electrons_conventional(delta_phi: float) -> int:
-    """ceil((2 / delta_phi)^2), the conventional-scheme electron count."""
-    _check_delta_phi(delta_phi)
-    return math.ceil((2.0 / delta_phi) ** 2)
-
-
-def required_electrons_entangled(delta_phi: float, k: int) -> int:
-    """ceil((1/k)(2 / delta_phi)^2); equals the conventional count at k = 1."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    _check_delta_phi(delta_phi)
-    return math.ceil((2.0 / delta_phi) ** 2 / k)
 
 
 # ---------------------------------------------------------------------------
@@ -101,11 +81,6 @@ def estimate_phase(
     Requires |k * dphi| < pi/2 so the inversion is unambiguous.  Boundary
     discards consume budget but carry no information.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    if electron_budget < 1:
-        raise BudgetError(f"electron budget must be >= 1, got {electron_budget}")
-
     if mode == "conventional":
         outcomes = protocol.conventional_trials(true_delta_phi, electron_budget, rng)
         p_hat = float(outcomes.mean())
@@ -117,8 +92,6 @@ def estimate_phase(
             boundary_discards=0,
         )
 
-    if k < 1:
-        raise ValueError("k must be >= 1")
     if abs(k * true_delta_phi) >= 0.5 * math.pi:
         raise AmbiguityError(
             f"|k * delta_phi| = {abs(k * true_delta_phi):.4f} >= pi/2; the quadrature inversion is ambiguous"
@@ -191,9 +164,9 @@ def _estimate_batch(mode, delta_phi, budget, repetitions, det, rng, k):
     return np.arcsin(np.clip(2.0 * hits / groups - 1.0, -1.0, 1.0)) / k, groups
 
 
-def _empirical_std(delta_phi, k, budget, repetitions, seed, det, mode):
+def _empirical_std(delta_phi, k, budget, repetitions, seed, det):
     rng = derive(seed, DOMAIN_SCALING, k, budget)
-    estimates, _ = _estimate_batch(mode, delta_phi, budget, repetitions, det, rng, k)
+    estimates, _ = _estimate_batch("entangled", delta_phi, budget, repetitions, det, rng, k)
     return float(estimates.std(ddof=1))
 
 
@@ -204,9 +177,8 @@ def electrons_to_target_std(
     repetitions: int,
     seed: int,
     det: DetectorModel,
-    mode: str = "entangled",
 ) -> ScalingRow:
-    """Measure the electron budget at which the estimate spread hits target_std.
+    """Measure the entangled budget at which the estimate spread hits target_std.
 
     Doubles the budget until the empirical standard deviation over
     `repetitions` independent estimates drops below target, then
@@ -214,26 +186,18 @@ def electrons_to_target_std(
     1/sqrt(k N) law it is used to test.  Each probed budget draws all its
     repetitions from one stream, derive(seed, DOMAIN_SCALING, k, budget).
     """
-    if target_std <= 0.0:
-        raise ValueError("target_std must be positive")
-    if repetitions < 2:
-        raise ValueError("need at least two repetitions to measure a spread")
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if mode == "entangled" and abs(k * delta_phi) >= 0.5 * math.pi:
+    if abs(k * delta_phi) >= 0.5 * math.pi:
         raise AmbiguityError(f"k = {k} puts |k * delta_phi| >= pi/2; the quadrature inversion is ambiguous")
     probes: list[tuple[int, float]] = []
 
     budget = max(4 * k, 16)
-    std = _empirical_std(delta_phi, k, budget, repetitions, seed, det, mode)
+    std = _empirical_std(delta_phi, k, budget, repetitions, seed, det)
     probes.append((budget, std))
     while std > target_std:
         if budget > 10**9:
             raise BudgetError("target spread unreachable below 1e9 electrons")
         budget *= 2
-        std = _empirical_std(delta_phi, k, budget, repetitions, seed, det, mode)
+        std = _empirical_std(delta_phi, k, budget, repetitions, seed, det)
         probes.append((budget, std))
 
     lo, hi = budget // 2, budget
@@ -242,7 +206,7 @@ def electrons_to_target_std(
         lo = max(k, hi // 2)
     while hi > lo + 1 and hi / lo > 1.03:
         mid = int(round(math.sqrt(lo * hi)))
-        std = _empirical_std(delta_phi, k, mid, repetitions, seed, det, mode)
+        std = _empirical_std(delta_phi, k, mid, repetitions, seed, det)
         probes.append((mid, std))
         if std <= target_std:
             hi, achieved = mid, std
@@ -264,8 +228,6 @@ def dose_scaling_experiment(
     fitted slope of -1 for log(electrons) against log(k).  The detector
     is built once for every k.
     """
-    if not k_list:
-        raise ValueError("k_list must not be empty")
     det = det_mod.trivial()
     rows = [electrons_to_target_std(delta_phi, k, target_std, repetitions, seed, det) for k in k_list]
     slope = slope_stderr = intercept = None
@@ -396,13 +358,7 @@ def image_scan(
     the incomplete flag.  Scan r draws pair i from
     derive(seed, DOMAIN_IMAGE, mode_id, r, i).
     """
-    if not spec.pairs:
-        raise ValueError("specimen has no pairs to scan")
-    if per_pair_budget < 1:
-        raise BudgetError("per-pair budget must be >= 1")
-    if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
-    mode_id = MODES.index(mode) if mode in MODES else -1
+    mode_id = MODES.index(mode)
     n = len(spec.pairs)
     true_values = np.array([spec.pair_delta_phi(i) for i in range(n)])
     sq_sum = 0.0

@@ -87,15 +87,6 @@ class GroupPlan:
     delta_phi: float
     sigma0: float = 0.0
 
-    def __post_init__(self):
-        if int(self.k) != self.k or self.k < 1:
-            raise ValueError(f"group size k must be a positive integer, got {self.k!r}")
-        object.__setattr__(self, "k", int(self.k))
-        if not (-math.pi < self.delta_phi <= math.pi):
-            raise ValueError(f"delta_phi must lie in (-pi, pi], got {self.delta_phi!r}")
-        if not math.isfinite(self.sigma0):
-            raise ValueError("sigma0 must be finite")
-
 
 @dataclass
 class GroupResult:
@@ -109,8 +100,6 @@ class GroupResult:
 
 def prepare_symmetric(sigma: float) -> QubitState:
     """Prepare (e^{-i sigma/2}|0> + e^{+i sigma/2}|1>)/sqrt(2)."""
-    if not math.isfinite(sigma):
-        raise ValueError(f"sigma must be finite, got {sigma!r}")
     inv = 1.0 / math.sqrt(2.0)
     return QubitState(cmath.exp(-0.5j * sigma) * inv, cmath.exp(0.5j * sigma) * inv)
 
@@ -209,8 +198,6 @@ def measurement_probabilities(qubit: QubitState, basis: Basis) -> tuple[float, f
     canonical equal-modulus states these evaluate to sin^2(sigma/2) and
     (1 + sin sigma)/2.
     """
-    if basis not in BASES:
-        raise ValueError(f"unknown basis {basis!r}")
     qubit.require_normalized()
     rho01 = qubit.amp0 * qubit.amp1.conjugate()
     if basis == "symmetric_antisymmetric":
@@ -234,8 +221,6 @@ def conventional_probability(delta_phi: float) -> float:
 
 def conventional_trials(delta_phi: float, n: int, rng: np.random.Generator) -> np.ndarray:
     """Outcomes of `n` unentangled electrons read out in the symmetric/antisymmetric basis (uint8)."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
     return (rng.random(n) < conventional_probability(delta_phi)).astype(np.uint8)
 
 
@@ -252,8 +237,6 @@ def draw_good_pixels(
     electrons drawn including discards, discard count).  Consumes exactly
     as many draws as a sequential collapse loop would.
     """
-    if need < 0:
-        raise ValueError("need must be non-negative")
     if det.boundary_power_fraction() >= 1.0:
         raise InvalidStateError("detector has no non-boundary power")
     cum = det.equal_weight_cumulative
@@ -312,9 +295,6 @@ def simulate_groups(
     incomplete trailing groups are dropped from the statistics but their
     electrons stay spent.
     """
-    if n_groups < 0:
-        raise ValueError("n_groups must be non-negative")
-
     good_pixels, used, discards = draw_good_pixels(det, n_groups * plan.k, rng, budget=budget)
     completed = good_pixels.size // plan.k
     pix = good_pixels[: completed * plan.k].reshape(completed, plan.k)

@@ -121,9 +121,14 @@ def test_scaling_golden_outputs(tmp_path, capsys):
         ("timing.mqc_frequency=0", "timing.mqc_frequency"),
         ("timing.group_duration=0", "timing.group_duration"),
         ("protocol.sigma0=nan", "protocol.sigma0"),
+        ("protocol.sigma0=inf", "protocol.sigma0"),
+        ("protocol.sigma0=-inf", "protocol.sigma0"),
         ("protocol.sigma0=1e300", "protocol.sigma0"),
         ("beam.energy=inf", "beam.energy"),
         ("image.total_budget=0", "image.total_budget"),
+        ("image.budget=0", "image.budget"),
+        ("protocol.trivial_pixels=0", "protocol.trivial_pixels"),
+        ("scaling.k_list=", "scaling.k_list"),
         ("optics.n=100", "optics.n"),
         ("optics.n=1", "optics.n"),
         ("optics.aperture_radius=0", "optics.aperture_radius"),
@@ -172,6 +177,16 @@ def test_out_path_that_is_a_file_is_a_config_error(tmp_path, capsys):
     assert cli.main(["design", "--out", str(out)]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "--out" in err
+
+
+@pytest.mark.parametrize("override", ["protocol.k=1000000000000000", "protocol.trivial_pixels=1000000000000000"])
+def test_an_allocation_numpy_refuses_is_a_precondition_error(override, tmp_path, capsys):
+    # 10**15 float64 or complex128 entries are 7 or 14 PiB, which no machine maps
+    argv = ["protocol", "--set", override, "--set", "protocol.repetitions=1", "--out", str(tmp_path)]
+    assert cli.main(argv) == cli.EXIT_PRECONDITION
+    err = capsys.readouterr().err
+    assert err.startswith("precondition error: out of memory")
+    assert not (tmp_path / "manifest.txt").exists()
 
 
 def test_ambiguous_k_is_a_precondition_error(tmp_path, capsys):

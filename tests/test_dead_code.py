@@ -1,38 +1,112 @@
-"""Dead-code guard: every module-level function and class in src/fluxtem is reached by the program.
+"""Dead-code guard: every module-level function and class in src/fluxtem is reached from a root.
 
-A definition counts as reached when a `Name` or `Attribute` node in the
-package or in perfbench/ refers to it, when `fluxtem.__all__` exports
-it, or when pyproject.toml names it (an entry point).  Uses from tests/
-do not count: a helper only the tests need belongs in tests/.
+The roots are what runs without being named: the module-level
+statements of src/fluxtem (other than its definitions), the class-body
+statements that are not methods, every dunder method, everything in
+perfbench/, and the names pyproject.toml lists (the entry point).  From
+there reach is transitive: a definition is reached when a `Name` or
+`Attribute` node in a root or in a reached definition names it, and only
+then are the names inside it followed.  Methods are definitions too, so
+a method nothing calls reaches nothing.  Names match by spelling, not by
+scope, which errs towards counting a definition as reached.
+
+Uses from tests/ do not count: a helper only the tests need belongs in
+tests/.  Neither does `__all__`: a string naming a definition reaches
+nothing, so a definition only exported is reported.
 """
 
 import ast
 import re
 from pathlib import Path
 
-import fluxtem
-
 ROOT = Path(__file__).resolve().parent.parent
+
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _names(nodes):
+    """Every name a `Name` or `Attribute` node under `nodes` refers to."""
+    found = set()
+    for top in nodes:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add(node.attr)
+    return found
 
 
 def unreached_definitions(root):
-    """(module, name) of each module-level def or class under root/src/fluxtem that nothing reaches."""
+    """(module, name) of each module-level def or class under root/src/fluxtem that no root reaches."""
     package = sorted((root / "src" / "fluxtem").glob("*.py"))
-    trees = {path: ast.parse(path.read_text(), str(path)) for path in package + sorted((root / "perfbench").glob("*.py"))}
-    reached = set(fluxtem.__all__) | set(re.findall(r"\w+", (root / "pyproject.toml").read_text()))
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in package}
+    roots = [ast.parse(path.read_text(), str(path)) for path in sorted((root / "perfbench").glob("*.py"))]
+    follow = {}  # name -> the nodes whose names are followed once that name is reached
     for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                reached.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                reached.add(node.attr)
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                # a class's own nodes are its header; its methods are definitions of their own
+                follow.setdefault(node.name, []).extend([*node.decorator_list, *node.bases, *node.keywords])
+                for member in node.body:
+                    if isinstance(member, DEFINITIONS) and not re.fullmatch(r"__\w+__", member.name):
+                        follow.setdefault(member.name, []).append(member)
+                    else:
+                        roots.append(member)
+            elif isinstance(node, DEFINITIONS):
+                follow.setdefault(node.name, []).append(node)
+            else:
+                roots.append(node)
+    reached = set()
+    pending = _names(roots) | set(re.findall(r"\w+", (root / "pyproject.toml").read_text()))
+    while pending:
+        name = pending.pop()
+        reached.add(name)
+        pending |= _names(follow.pop(name, [])) - reached
     return [
         (path.stem, node.name)
         for path in package
         for node in trees[path].body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and node.name not in reached
+        if isinstance(node, DEFINITIONS) and node.name not in reached
     ]
 
 
 def test_every_definition_in_src_is_reached():
     assert unreached_definitions(ROOT) == []
+
+
+def test_the_guard_follows_reach_from_the_roots_only(tmp_path):
+    package = tmp_path / "src" / "fluxtem"
+    package.mkdir(parents=True)
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "pyproject.toml").write_text('[project.scripts]\nfluxtem = "fluxtem.main:entry"\n')
+    (package / "__init__.py").write_text('__all__ = ["exported"]\n')
+    (package / "main.py").write_text(
+        "def entry():\n    used()\n\n"
+        "def used():\n    return Holder().method()\n\n"
+        "class Holder:\n"
+        "    size = sized()\n\n"
+        "    def __init__(self):\n        from_dunder()\n\n"
+        "    def method(self):\n        return from_method()\n\n"
+        "    def uncalled(self):\n        return from_uncalled_method()\n\n"
+        "def sized():\n    pass\n\n"
+        "def from_dunder():\n    pass\n\n"
+        "def from_method():\n    pass\n\n"
+        "def from_uncalled_method():\n    pass\n\n"
+        "def benched():\n    pass\n\n"
+        "def exported():\n    pass\n\n"
+        "def a():\n    return b()\n\n"
+        "def b():\n    return a_only_tests_call()\n\n"
+        "def a_only_tests_call():\n    pass\n\n"
+        "TABLE = {'main': used}\n"
+    )
+    (tmp_path / "perfbench" / "run.py").write_text("from fluxtem import main\n\nmain.benched()\n")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_main.py").write_text("from fluxtem.main import a\n\na()\n")
+    # the chain a -> b -> a_only_tests_call is named whole: only tests/ and the chain itself use it
+    assert unreached_definitions(tmp_path) == [
+        ("main", "from_uncalled_method"),
+        ("main", "exported"),
+        ("main", "a"),
+        ("main", "b"),
+        ("main", "a_only_tests_call"),
+    ]

@@ -6,7 +6,7 @@ from scipy import stats
 
 from fluxtem import detector as det_mod
 from fluxtem import estimator
-from fluxtem.errors import AmbiguityError, BudgetError, DivergentDoseError
+from fluxtem.errors import AmbiguityError, BudgetError
 from fluxtem.streams import DOMAIN_IMAGE, derive
 
 REPS = 2000
@@ -57,7 +57,7 @@ def test_batch_kernel_is_reproducible_per_seed():
     other = estimator._estimate_batch("entangled", 0.05, 400, 400, det, derive(6, 3, 4, 400), 4)
     assert np.array_equal(first[0], again[0]) and np.array_equal(first[1], again[1])
     assert not np.array_equal(first[0], other[0])
-    assert estimator._empirical_std(0.05, 4, 400, 400, 5, det, "entangled") == float(first[0].std(ddof=1))
+    assert estimator._empirical_std(0.05, 4, 400, 400, 5, det) == float(first[0].std(ddof=1))
 
 
 @pytest.mark.parametrize("det, budget", [(det_mod.trivial(), 3), (quarter_boundary_detector(), 8)])
@@ -70,37 +70,6 @@ def test_batch_kernel_raises_when_no_group_completes(det, budget):
 def test_electrons_to_target_std_rejects_ambiguous_k():
     with pytest.raises(AmbiguityError):
         estimator.electrons_to_target_std(0.2, 8, 0.05, 10, seed=1, det=det_mod.trivial())
-
-
-@pytest.mark.parametrize("k", [1, 2, 3, 8, 31])
-def test_required_electrons_fall_as_one_over_k(k):
-    assert estimator.required_electrons_conventional(0.05) == 1600
-    assert estimator.required_electrons_entangled(0.05, k) == math.ceil(1600 / k)
-
-
-def test_required_electrons_agree_at_k_1():
-    for delta_phi in (0.05, -0.3, 1.0, 3.0):
-        assert estimator.required_electrons_entangled(delta_phi, 1) == estimator.required_electrons_conventional(delta_phi)
-
-
-def test_required_electrons_diverge_at_zero_phase():
-    with pytest.raises(DivergentDoseError):
-        estimator.required_electrons_conventional(0.0)
-    with pytest.raises(DivergentDoseError):
-        estimator.required_electrons_entangled(0.0, 4)
-
-
-@pytest.mark.parametrize("delta_phi", [math.pi, -math.pi, 4.0])
-def test_required_electrons_reject_a_phase_of_pi_or_more(delta_phi):
-    with pytest.raises(ValueError, match="must lie in"):
-        estimator.required_electrons_conventional(delta_phi)
-    with pytest.raises(ValueError, match="must lie in"):
-        estimator.required_electrons_entangled(delta_phi, 2)
-
-
-def test_required_electrons_reject_k_0():
-    with pytest.raises(ValueError, match="k must be"):
-        estimator.required_electrons_entangled(0.05, 0)
 
 
 @pytest.mark.parametrize("seed", range(1, 21))
@@ -198,9 +167,3 @@ def test_image_scan_total_budget_cap_leaves_unscanned_pairs_nan():
             assert (painted[regions] == scan.estimates[i]).all()
         else:
             assert np.isnan(painted[regions]).all()
-
-
-def test_image_scan_rejects_zero_repetitions():
-    spec = estimator.make_checkerboard(16, 4, 0.05)
-    with pytest.raises(ValueError, match="repetitions"):
-        estimator.image_scan(spec, "entangled", 200, det_mod.trivial(), 9, k=4, total_budget=None, repetitions=0)
