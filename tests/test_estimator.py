@@ -6,7 +6,8 @@ from scipy import stats
 
 from fluxtem import detector as det_mod
 from fluxtem import estimator
-from fluxtem.errors import AmbiguityError, BudgetError
+from fluxtem.config import load_config
+from fluxtem.errors import AmbiguityError, BudgetError, ConfigError
 from fluxtem.streams import DOMAIN_IMAGE, derive
 
 REPS = 2000
@@ -167,3 +168,9 @@ def test_image_scan_total_budget_cap_leaves_unscanned_pairs_nan():
             assert (painted[regions] == scan.estimates[i]).all()
         else:
             assert np.isnan(painted[regions]).all()
+
+
+def test_image_scan_rejects_zero_repetitions():
+    # image_scan trusts its repetitions: image.repetitions = 0 never reaches it
+    with pytest.raises(ConfigError, match="image.repetitions"):
+        load_config(None, ["image.repetitions=0"])

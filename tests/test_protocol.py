@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from fluxtem import detector as det_mod
 from fluxtem import protocol as P
-from fluxtem.errors import InvalidStateError
+from fluxtem.config import load_config
+from fluxtem.errors import ConfigError, InvalidStateError
 from fluxtem.streams import derive
 
 from conftest import assert_states_close, degenerate_two_pixel, two_region, validate_detector
@@ -188,6 +189,12 @@ class TestPrepareSymmetric:
     def test_sigma_quarter_turn(self):
         q = P.prepare_symmetric(math.pi / 2)
         assert q.relative_phase == pytest.approx(math.pi / 2)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sigma_rejected(self, bad):
+        # prepare_symmetric trusts its sigma: protocol.sigma0 never reaches it non-finite
+        with pytest.raises(ConfigError, match="protocol.sigma0"):
+            load_config(None, [f"protocol.sigma0={bad}"])
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +411,11 @@ class TestMeasurement:
         counts = (rng.random(n) < p).sum()
         assert abs(counts / n - p) < 3 * math.sqrt(p * (1 - p) / n)
         assert 0 <= hits <= 200
+
+    def test_unknown_basis_rejected(self):
+        # measurement_probabilities trusts its basis: protocol.basis is one of BASES
+        with pytest.raises(ConfigError, match="protocol.basis"):
+            load_config(None, ["protocol.basis=hadamard"])
 
 
 class TestConventional:
