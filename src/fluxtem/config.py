@@ -149,9 +149,13 @@ def _parse_value(key: str, raw: str, line: int | None = None):
         raise ConfigError(f"bad boolean {raw!r} for key {key!r}", key=key, line=line)
     if kind == INT:
         try:
-            return int(raw, 0)
+            value = int(raw, 0)
         except ValueError:
             raise ConfigError(f"bad integer {raw!r} for key {key!r}", key=key, line=line) from None
+        # numpy sizes, counts and seeds are int64: a larger value fails inside numpy
+        if not -(1 << 63) <= value < 1 << 63:
+            raise ConfigError(f"{key} = {raw} does not fit in a 64-bit integer", key=key, line=line)
+        return value
     if kind == FLOAT:
         return _parse_quantity(raw, dimension, key, line)
     if kind == LIST:

@@ -95,12 +95,14 @@ class DetectorModel:
         """Power-weighted fraction of pixels classed as boundary."""
         return self._boundary_power_fraction
 
-    def beta_law_deviation(self) -> float:
-        """Largest distance of a non-boundary beta_j from 0 (outside the shadow) or pi (inside)."""
+    def beta_law_deviation(self, phase: float) -> float:
+        """Largest angular distance of a non-boundary beta_j from 0 (outside the shadow) or `phase` (inside)."""
+        from .protocol import wrap_angle  # protocol imports this module
+
         ok = ~self.boundary_mask
         beta = self.beta[ok]
         inside = self.region[ok] == INSIDE_SHADOW
-        return max(np.abs(beta[~inside]).max(initial=0.0), np.abs(np.abs(beta[inside]) - np.pi).max(initial=0.0))
+        return max(np.abs(beta[~inside]).max(initial=0.0), np.abs(wrap_angle(beta[inside] - phase)).max(initial=0.0))
 
     def to_csv(self, path) -> None:
         # imported on first use: importing fileio with the detector moves the

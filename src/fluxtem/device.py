@@ -1,9 +1,9 @@
 """Closed-form beam-physics and SQUID-sizing calculators.
 
 These are order-of-magnitude design estimates: the key outputs are the
-magnetic (flux-quantum) beam deflection versus the diffraction-limited
-beam spread, the same-order check via the Lorentz force, the much
-weaker electrostatic (charge-qubit) deflection, and the inductance and
+magnetic (flux-quantum) beam deflection, computed from the Lorentz
+force, versus the diffraction-limited beam spread, the much weaker
+electrostatic (charge-qubit) deflection, and the inductance and
 critical current that put an rf-SQUID into the macroscopic quantum
 coherence regime (L * i_c of order one flux quantum).
 """
@@ -43,13 +43,6 @@ class SquidSpec:
     turns: int
 
 
-@dataclass(frozen=True)
-class DeflectionResult:
-    theta_d: float  # flux-quantum deflection angle [rad]
-    theta_b: float  # diffraction beam spread [rad]
-    ratio: float    # theta_d / theta_b
-
-
 def beam_from_energy(
     kinetic_energy_ev: float,
     waist: float,
@@ -76,24 +69,12 @@ def beam_from_energy(
     )
 
 
-def flux_deflection(beam: BeamSpec) -> DeflectionResult:
-    """Deflection by one flux quantum vs diffraction spread of the beam.
-
-    theta_b = lambda / a = h / (p a) and theta_d = h / (2 p a), so the
-    ratio is the algebraic constant 1/2 for every beam; theta_d is
-    computed as theta_b / 2 to keep that identity exact in floating
-    point.
-    """
-    theta_b = CODATA.h / (beam.momentum * beam.waist)
-    theta_d = 0.5 * theta_b
-    return DeflectionResult(theta_d=theta_d, theta_b=theta_b, ratio=theta_d / theta_b)
-
-
-def lorentz_consistency(beam: BeamSpec, flux_path_length: float) -> float:
-    """Deflection recomputed from the Lorentz force F = e v B = e v phi0 / (a l).
+def lorentz_deflection(beam: BeamSpec, flux_path_length: float) -> float:
+    """Deflection by one flux quantum from the Lorentz force F = e v B = e v phi0 / (a l).
 
     The interaction time l / v cancels l and v exactly, leaving
-    delta_p = e phi0 / a and theta_d = e phi0 / (a p) = h / (2 p a).
+    delta_p = e phi0 / a and theta_d = e phi0 / (a p) = h / (2 p a): half
+    the diffraction spread theta_b = h / (p a) for every beam.
     """
     force = CODATA.e * beam.velocity * CODATA.phi0 / (beam.waist * flux_path_length)
     dt = flux_path_length / beam.velocity
@@ -173,8 +154,8 @@ def design_report(
     (group_duration * mqc_frequency * TIMING_MARGIN <= 1), and the ring
     must fit inside the coherent patch of the wave front.
     """
-    defl = flux_deflection(beam)
-    theta_lorentz = lorentz_consistency(beam, squid.flux_path_length)
+    theta_d = lorentz_deflection(beam, squid.flux_path_length)
+    theta_b = CODATA.h / (beam.momentum * beam.waist)
     theta_charge = charge_deflection(beam)
     warnings: list[str] = []
     if group_duration * mqc_frequency * TIMING_MARGIN > 1.0:
@@ -193,12 +174,11 @@ def design_report(
         ("momentum", beam.momentum, "kg m/s"),
         ("velocity", beam.velocity, "m/s"),
         ("beam_waist", beam.waist, "m"),
-        ("theta_d_flux", defl.theta_d, "rad"),
-        ("theta_b_spread", defl.theta_b, "rad"),
-        ("theta_ratio", defl.ratio, ""),
-        ("theta_d_lorentz", theta_lorentz, "rad"),
+        ("theta_d_flux", theta_d, "rad"),
+        ("theta_b_spread", theta_b, "rad"),
+        ("theta_ratio", theta_d / theta_b, ""),
         ("theta_d_charge", theta_charge, "rad"),
-        ("charge_to_flux_ratio", theta_charge / defl.theta_d, ""),
+        ("charge_to_flux_ratio", theta_charge / theta_d, ""),
         ("wafer_thickness", squid.wafer_thickness, "m"),
         ("inductance", squid.inductance, "H"),
         ("critical_current", squid.critical_current, "A"),

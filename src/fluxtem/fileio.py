@@ -204,12 +204,19 @@ def read_pairs_csv(path, width: int) -> list[tuple[np.ndarray, np.ndarray]]:
     ]
 
 
+def _hash_file(h, path) -> None:
+    """Feed a file's bytes to `h` through one reused 64 KiB buffer, so a large output is never held whole."""
+    buffer = bytearray(1 << 16)
+    view = memoryview(buffer)
+    with open(path, "rb", buffering=0) as fh:
+        while n := fh.readinto(buffer):
+            h.update(view[:n])
+
+
 def sha256_file(path) -> str:
-    """SHA-256 of a file, read in 1 MiB blocks so a large output is never held whole."""
+    """SHA-256 of a file's bytes."""
     h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            h.update(block)
+    _hash_file(h, path)
     return h.hexdigest()
 
 
@@ -234,6 +241,6 @@ def hash_tree(directory) -> str:
     for f in sorted(p for p in directory.rglob("*") if p.is_file()):
         h.update(str(f.relative_to(directory)).encode())
         h.update(b"\0")
-        h.update(f.read_bytes())
+        _hash_file(h, f)
         h.update(b"\0")
     return h.hexdigest()

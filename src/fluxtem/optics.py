@@ -13,7 +13,11 @@ At the ring plane the superconducting body blocks its own annulus, and
 a trapped flux multiplies the inside-ring wave by the Aharonov-Bohm
 phase.  The detector plane is an exact conjugate of the ring plane, so
 the ring's shadow separates inside and outside waves again and each
-pixel carries a compensation angle of 0 or pi.
+pixel carries a compensation angle of 0 or the Aharonov-Bohm phase.
+
+The beam is traced once: `trace_beam` splits the ring-plane wave at
+the ring's inner edge and carries each part to the specimen, and the
+specimen maps and the detector are both read from that pair.
 
 Lengths are in meters with a pixel pitch, but the chain itself is
 scale-free: lens excitations can map the same grids to any physical
@@ -89,8 +93,18 @@ class RingSpec:
 
     @property
     def branch_phase(self) -> float:
-        """Aharonov-Bohm phase of the inside-ring wave in branch 1 [rad]."""
-        return math.pi * self.flux_fraction * self.turns
+        """Aharonov-Bohm phase of the inside-ring wave in branch 1, wrapped to (-pi, pi] [rad]."""
+        return wrap_angle(math.pi * self.flux_fraction * self.turns)
+
+
+def branch_factor(ring: RingSpec) -> complex:
+    """exp(i * branch_phase): the only place the Aharonov-Bohm phase meets a wave.
+
+    Qubit branch 0 is outside + inside and branch 1 is outside +
+    branch_factor * inside.  An even flux wraps to a phase of exactly 0,
+    so its factor is exactly 1.
+    """
+    return complex(np.exp(1j * ring.branch_phase))
 
 
 def _coords(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -160,45 +174,6 @@ def apply_aperture(fieldv: WaveField, radius: float) -> WaveField:
     return WaveField(np.where(keep, fieldv.grid, 0.0), fieldv.pitch)
 
 
-def apply_ab_phase(fieldv: WaveField, ring: RingSpec, qubit_branch: int) -> WaveField:
-    """Imprint the ring on the beam for one qubit branch.
-
-    Both branches lose the ring-body annulus (the superconductor is
-    opaque).  Branch 1 additionally multiplies the inside-ring disc by
-    exp(i * pi * flux_fraction * turns); branch 0 leaves phases alone.
-    Moduli inside and outside are untouched.
-    """
-    inside, body, _ = ring_regions(fieldv.n, ring, fieldv.pitch)
-    grid = fieldv.grid.copy()
-    grid[body] = 0.0
-    if qubit_branch == 1:
-        grid[inside] *= np.exp(1j * ring.branch_phase)
-    return WaveField(grid, fieldv.pitch)
-
-
-def inside_outside_powers(fieldv: WaveField, ring: RingSpec) -> tuple[float, float]:
-    """Beam power carried inside the ring disc and outside the ring body."""
-    inside, _, outside = ring_regions(fieldv.n, ring, fieldv.pitch)
-    p = np.abs(fieldv.grid) ** 2
-    return float(p[inside].sum()), float(p[outside].sum())
-
-
-def balance_ring_split(fieldv: WaveField, ring: RingSpec) -> WaveField:
-    """Rescale the inside-ring wave so inside and outside powers are equal.
-
-    This realizes the idealized equal-weight electron state
-    (|outside> + |inside>)/sqrt(2) that maximizes branch
-    distinguishability; real stencils only approximate it.
-    """
-    p_in, p_out = inside_outside_powers(fieldv, ring)
-    if p_in <= 0.0 or p_out <= 0.0:
-        raise EmptyFieldError("both ring sides need power to balance the split")
-    inside, _, _ = ring_regions(fieldv.n, ring, fieldv.pitch)
-    grid = fieldv.grid.copy()
-    grid[inside] *= math.sqrt(p_out / p_in)
-    return WaveField(grid, fieldv.pitch)
-
-
 def normalized_cross_correlation(x: np.ndarray, y: np.ndarray) -> float:
     """Cosine similarity sum(x y) / sqrt(sum(x^2) sum(y^2)) of two intensity maps."""
     x = np.asarray(x, dtype=float).ravel()
@@ -224,86 +199,80 @@ class OpticsConfig:
 
 @dataclass(frozen=True)
 class Beam:
-    """The stencil-to-ring part of the beam path, traced once for one configuration.
+    """The beam at the specimen plane, traced once for one configuration.
 
-    `mask` is the stencil, `incident` the beam arriving at the ring
-    plane and `branch0` the unit-power ring-plane field of qubit
-    branch 0: the ring body blocked and, with `balance`, the inside and
-    outside powers made equal.
+    `inside` and `outside` carry the unit-power ring-plane wave of qubit
+    branch 0, split at the ring's inner edge, to the specimen; branch 0
+    there is outside + inside and branch 1 is outside +
+    `branch_factor(cfg.ring)` * inside.
     """
 
     cfg: OpticsConfig
-    mask: WaveField
-    incident: WaveField
-    branch0: WaveField
-
-    @property
-    def branch1(self) -> WaveField:
-        """Branch 0 with the Aharonov-Bohm phase on the inside-ring wave."""
-        return apply_ab_phase(self.branch0, self.cfg.ring, 1)
+    inside: WaveField
+    outside: WaveField
 
 
-def trace_beam(cfg: OpticsConfig) -> Beam:
-    """Mask -> transform -> aperture -> transform -> ring, run once."""
+def trace_beam(cfg: OpticsConfig) -> tuple[np.ndarray, np.ndarray, Beam]:
+    """Mask -> transform -> aperture -> transform -> ring -> transform, run once.
+
+    At the ring plane the body is blocked, with `balance` the inside
+    wave is rescaled to the outside power (the equal-weight state
+    (|outside> + |inside>)/sqrt(2) that real stencils only approximate),
+    and the field is normalised to unit power.  Returns the mask
+    intensity, the ring-plane intensity before the ring and the `Beam`.
+    """
     mask = build_mask(cfg.mask, cfg.n, cfg.pitch)
-    incident = propagate(apply_aperture(propagate(mask), cfg.aperture_radius))
-    base = apply_ab_phase(incident, cfg.ring, 0)
+    mask_intensity = np.abs(mask.grid) ** 2
+    grid = propagate(apply_aperture(propagate(mask), cfg.aperture_radius)).grid
+    intensity = np.abs(grid) ** 2
+    inside, body, outside = ring_regions(cfg.n, cfg.ring, cfg.pitch)
+    grid[body] = 0.0
     if cfg.balance:
-        base = balance_ring_split(base, cfg.ring)
-    norm = math.sqrt(base.power)
+        p_in, p_out = float(intensity[inside].sum()), float(intensity[outside].sum())
+        if p_in <= 0.0 or p_out <= 0.0:
+            raise EmptyFieldError("both ring sides need power to balance the split")
+        grid[inside] *= math.sqrt(p_out / p_in)
+    norm = math.sqrt(float(np.sum(np.abs(grid) ** 2)))
     if norm == 0.0:
         raise EmptyFieldError("no beam power survives the ring plane")
-    branch0 = WaveField(base.grid / norm, base.pitch)
-    return Beam(cfg, mask, incident, branch0)
+    grid /= norm
+    inside_wave = propagate(WaveField(np.where(inside, grid, 0.0), cfg.pitch))
+    outside_wave = propagate(WaveField(np.where(inside, 0.0, grid), cfg.pitch))
+    return mask_intensity, intensity, Beam(cfg, inside_wave, outside_wave)
 
 
-def branch_overlap(beam: Beam) -> complex:
-    """Inner product <field0|field1> of the normalized ring-plane branches."""
-    f0, f1 = beam.branch0, beam.branch1
-    n0 = math.sqrt(f0.power)
-    n1 = math.sqrt(f1.power)
-    return complex(np.vdot(f0.grid, f1.grid) / (n0 * n1))
+def specimen_maps(beam: Beam) -> tuple[np.ndarray, np.ndarray, complex]:
+    """Unit-power specimen intensity maps of qubit branches 0 and 1, and <0|1>."""
+    branch0 = beam.outside.grid + beam.inside.grid
+    branch1 = beam.outside.grid + branch_factor(beam.cfg.ring) * beam.inside.grid
+    overlap = complex(np.vdot(branch0, branch1))
+    map0 = np.abs(branch0) ** 2
+    map1 = np.abs(branch1) ** 2
+    p0, p1 = map0.sum(), map1.sum()
+    map0 /= p0
+    map1 /= p1
+    return map0, map1, overlap / math.sqrt(p0 * p1)
 
 
-def specimen_intensity(beam: Beam) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-power beam intensity maps on the specimen for branches 0 and 1."""
-    maps = []
-    for f in (beam.branch0, beam.branch1):
-        m = np.abs(propagate(f).grid) ** 2
-        maps.append(m / m.sum())
-    return maps[0], maps[1]
-
-
-def _reimage_to_detector(fieldv: WaveField, cfg: OpticsConfig) -> WaveField:
-    """Ring plane -> specimen (image) -> detector (diffraction)."""
-    spec_plane = propagate(fieldv)
-    if cfg.detector_aperture_radius is not None:
-        spec_plane = apply_aperture(spec_plane, cfg.detector_aperture_radius)
-    return propagate(spec_plane)
-
-
-def build_detector(cfg: OpticsConfig) -> DetectorModel:
+def build_detector(beam: Beam) -> DetectorModel:
     """Detector amplitudes, compensation angles, and shadow classification.
 
-    The inside-ring and outside-ring components are carried to the
-    detector separately, so each pixel can be classed by which component
-    dominates its power (>= dominance_ratio wins; comparable pixels and
-    pixels whose branch moduli disagree beyond tolerance are boundary).
-    With no detector aperture the re-image is an exact conjugate and
-    every lit pixel is purely inside or outside, giving beta of exactly
-    0 or pi when a single flux quantum is trapped.
+    The inside-ring and outside-ring waves are carried from the specimen
+    to the detector separately, so each pixel can be classed by which
+    wave dominates its power (>= dominance_ratio wins; comparable pixels
+    and pixels whose branch moduli disagree beyond tolerance are
+    boundary).  With no detector aperture the re-image is an exact
+    conjugate and every lit pixel is purely inside or outside, giving
+    beta of 0 or the Aharonov-Bohm phase.
     """
-    base = trace_beam(cfg).branch0
-    inside, _, _ = ring_regions(cfg.n, cfg.ring, cfg.pitch)
-    g_in = WaveField(np.where(inside, base.grid, 0.0), cfg.pitch)
-    g_out = WaveField(np.where(~inside, base.grid, 0.0), cfg.pitch)
+    cfg = beam.cfg
+    radius = cfg.detector_aperture_radius
+    d_in, d_out = (
+        propagate(w if radius is None else apply_aperture(w, radius)).grid.ravel() for w in (beam.inside, beam.outside)
+    )
 
-    d_in = _reimage_to_detector(g_in, cfg).grid.ravel()
-    d_out = _reimage_to_detector(g_out, cfg).grid.ravel()
-
-    phase1 = np.exp(1j * cfg.ring.branch_phase)
     a = d_out + d_in
-    b = d_out + phase1 * d_in
+    b = d_out + branch_factor(cfg.ring) * d_in
     a = a / math.sqrt(float(np.sum(np.abs(a) ** 2)))
     b = b / math.sqrt(float(np.sum(np.abs(b) ** 2)))
 

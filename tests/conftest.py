@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ def small_cfg():
 
 @pytest.fixture(scope="session")
 def small_detector(small_cfg):
-    det = optics.build_detector(small_cfg)
+    det = optics.build_detector(optics.trace_beam(small_cfg)[2])
     validate_detector(det)
     return det
 
@@ -28,7 +30,7 @@ def default_cfg():
 
 @pytest.fixture(scope="session")
 def default_detector(default_cfg):
-    det = optics.build_detector(default_cfg)
+    det = optics.build_detector(optics.trace_beam(default_cfg)[2])
     validate_detector(det)
     return det
 
@@ -41,14 +43,13 @@ def assert_states_close(actual, expected, tol=1e-12):
     assert overlap == pytest.approx(1.0, abs=tol), f"states differ: overlap {overlap}"
 
 
-def validate_detector(det, tolerance=1e-6, check_beta_law=True):
+def validate_detector(det, tolerance=1e-6, phase=math.pi):
     """Check a detector's invariants, raising InvalidStateError on failure.
 
     Each branch carries unit power, and every non-boundary pixel has
-    branch moduli equal within `tolerance` of the largest |a_j|.
-    `check_beta_law` also requires every non-boundary beta_j to sit
-    within 1e-6 of 0 (outside the shadow) or pi (inside), which is only
-    meaningful at integer-flux operating points.
+    branch moduli equal within `tolerance` of the largest |a_j|.  Unless
+    `phase` is None, every non-boundary beta_j must also sit within 1e-6
+    of 0 (outside the shadow) or of the Aharonov-Bohm `phase` (inside).
     """
     for name, p in (("a", det.power_a), ("b", det.power_b)):
         total = p.sum()
@@ -61,10 +62,10 @@ def validate_detector(det, tolerance=1e-6, check_beta_law=True):
         worst = diff.max() / scale
         if worst > tolerance:
             raise InvalidStateError(f"non-boundary pixel moduli differ by {worst:.3e} (tolerance {tolerance:.3e})")
-        if check_beta_law:
-            worst_beta = det.beta_law_deviation()
+        if phase is not None:
+            worst_beta = det.beta_law_deviation(phase)
             if worst_beta > 1e-6:
-                raise InvalidStateError(f"non-boundary beta deviates from {{0, pi}} by {worst_beta:.3e}")
+                raise InvalidStateError(f"non-boundary beta deviates from {{0, {phase!r}}} by {worst_beta:.3e}")
 
 
 def two_region(n_outside, n_inside):

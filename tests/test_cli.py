@@ -3,7 +3,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from fluxtem import cli, estimator, fileio, optics
+from fluxtem import cli, device, estimator, fileio, optics
+from fluxtem import detector as det_mod
+from fluxtem.constants import PhysicalConstants
 
 # SHA-256 of the scaling outputs at the default config and seed 12345
 SCALING_TABLE_SHA256 = "6d01bddd1377ca93f5ddaf28c5efcd27d4d2d09256bda8f18387eb06cd839a80"
@@ -13,8 +15,8 @@ SCALING_PROBES_SHA256 = "809250e5833d236cca643dfb211375521589180b4ad0b524a263217
 # hash_tree of each command's output at a small config and seed 12345
 SMALL_OPTICS = ["optics.n=64", "optics.pitch=4e-7"]
 GOLDEN_TREES = {
-    "design": ([], True, "f9bd85b928ad3ef06579c982ed6a3c8b88d6cd2a1e9109ae03f6b8d84ea5ccf3"),
-    "optics": (SMALL_OPTICS, True, "6c8c6278ce3f697ab12b6f1b0ac10ca3285943df2c3b6a49db5b736762fc4af6"),
+    "design": ([], True, "f9c4ca940231637531100c8854f22ba62126d7cddccda9fa46cbd1563c0571fe"),
+    "optics": (SMALL_OPTICS, True, "51e85ff75a37bd5f63f291434ba6d045f5cc550e78233ca5b6b80faac4e9602a"),
     "protocol": (["protocol.repetitions=200"], True, "57765b02ff92eb4a247585fe648013af6cffa8d29cbeaa8244a5a5dde6dc42d8"),
     "protocol-optics": (
         ["protocol.detector=optics", "protocol.repetitions=200", *SMALL_OPTICS],
@@ -34,7 +36,7 @@ GOLDEN_TREES = {
 # hash_tree of the default config on the optics detector at seed 12345, with --check
 PROTOCOL_OPTICS_TREE = "63ad2378e7b48afe1d13485f6235e44073b94c8211d490fc335bcd2986c4c56d"
 # hash_tree of `optics` at the default config and seed 12345, with --check
-OPTICS_TREE = "6f522b26b2a2c09fd3bccddd55a3f3d1be3dcf20b01ececd8b01e2885d357894"
+OPTICS_TREE = "d51e3450511d0f681d689d4245a4dcb0fcc0397342ad81ddb9b792446a41846e"
 
 
 def _sha256(path):
@@ -69,7 +71,7 @@ def test_default_optics_tree(tmp_path):
 
 
 def test_optics_traces_the_beam_path_once_outside_the_detector(tmp_path, monkeypatch):
-    """Two transforms to the ring plane and two more to the specimen maps, plus build_detector's six."""
+    """Two transforms to the ring plane, one per ring-plane part to the specimen and one per part to the detector."""
     calls = []
     propagate = optics.propagate
 
@@ -82,7 +84,7 @@ def test_optics_traces_the_beam_path_once_outside_the_detector(tmp_path, monkeyp
     for override in SMALL_OPTICS:
         argv += ["--set", override]
     assert cli.main(argv) == cli.EXIT_OK
-    assert len(calls) == 10
+    assert len(calls) == 6
 
 
 def test_scaling_golden_outputs(tmp_path, capsys):
@@ -187,6 +189,25 @@ def test_an_allocation_numpy_refuses_is_a_precondition_error(override, tmp_path,
     assert not (tmp_path / "manifest.txt").exists()
 
 
+@pytest.mark.parametrize(
+    "command, overrides",
+    [
+        ("protocol", ["protocol.k=100000000000000000000", "protocol.repetitions=1"]),
+        ("protocol", ["protocol.trivial_pixels=100000000000000000000"]),
+        ("image", ["image.budget=100000000000000000000"]),
+    ],
+    ids=["protocol.k", "protocol.trivial_pixels", "image.budget"],
+)
+def test_an_integer_outside_int64_is_a_config_error(command, overrides, tmp_path, capsys):
+    argv = [command, "--out", str(tmp_path)]
+    for override in overrides:
+        argv += ["--set", override]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    key = overrides[0].partition("=")[0]
+    assert err.startswith(f"config error: {key} = ") and "64-bit integer" in err and "Traceback" not in err
+
+
 def test_ambiguous_k_is_a_precondition_error(tmp_path, capsys):
     assert cli.main(["scaling", "--set", "scaling.k_list=1,32", "--out", str(tmp_path)]) == cli.EXIT_PRECONDITION
     assert "k = 32" in capsys.readouterr().err
@@ -235,8 +256,8 @@ def test_non_finite_phase_file_is_a_config_error(case, tmp_path, capsys):
         (["timing.group_duration=1e-300", "timing.mqc_frequency=1e-300"], "ZeroDivisionError"),
         # the beam's total energy squared overflows
         (["beam.energy=1e300"], "OverflowError"),
-        # the deflection angles are subnormal, and theta_d_lorentz is 0
-        (["beam.waist=1e300"], "theta_d_flux"),
+        # theta_b is subnormal, and the flux deflection underflows to 0 under the charge-to-flux ratio
+        (["beam.waist=1e300"], "ZeroDivisionError"),
         (["squid.lateral_size=1e-320"], "lateral_size"),
         (["squid.mu_r=1e-300"], "inductance"),
     ],
@@ -267,6 +288,64 @@ def test_optics_geometry_the_grid_cannot_hold_is_a_precondition_error(overrides,
     assert cli.main(argv) == cli.EXIT_PRECONDITION
     err = capsys.readouterr().err
     assert err.startswith(f"precondition error: {message}") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [["ring.flux_fraction=2"], ["ring.flux_fraction=1", "ring.turns=2"], ["ring.flux_fraction=0.4", "ring.turns=5"]],
+    ids=["two flux quanta", "two turns", "five turns"],
+)
+def test_an_even_flux_gives_identical_maps(overrides, tmp_path, capsys):
+    # pi * f * turns lands on 2 pi, which wraps to a phase of exactly 0
+    argv = ["optics", "--check", "--out", str(tmp_path)]
+    for override in SMALL_OPTICS + overrides:
+        argv += ["--set", override]
+    assert cli.main(argv) == cli.EXIT_OK
+    out = capsys.readouterr().out
+    assert "CHECK maps_identical_without_flux: PASS" in out and "CHECK beta_law: PASS" in out
+
+
+@pytest.mark.parametrize("flux_fraction", ["0.25", "0.9", "1.7"])
+def test_the_beta_law_holds_at_any_flux(flux_fraction, tmp_path, capsys):
+    argv = ["optics", "--check", "--set", f"ring.flux_fraction={flux_fraction}", "--out", str(tmp_path)]
+    for override in SMALL_OPTICS:
+        argv += ["--set", override]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert "CHECK beta_law: PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flux_fraction", ["1", "0.9"])
+def test_a_beta_off_the_law_fails_the_beta_law_check(flux_fraction, tmp_path, capsys, monkeypatch):
+    build_detector = optics.build_detector
+
+    def moved(beam):
+        det = build_detector(beam)
+        beta = det.beta.copy()
+        lit = np.flatnonzero((det.region == det_mod.INSIDE_SHADOW) & (det.equal_weight_power > 1e-12))
+        beta[lit[0]] += 1e-3
+        return det_mod.DetectorModel(a=det.a, b=det.b, beta=beta, region=det.region)
+
+    monkeypatch.setattr(optics, "build_detector", moved)
+    argv = ["optics", "--check", "--set", f"ring.flux_fraction={flux_fraction}", "--out", str(tmp_path)]
+    for override in SMALL_OPTICS:
+        argv += ["--set", override]
+    assert cli.main(argv) == cli.EXIT_CHECK_FAILED
+    captured = capsys.readouterr()
+    assert "CHECK beta_law: FAIL" in captured.out
+    assert captured.err.strip().endswith("check failed: beta_law")
+
+
+def test_a_flux_quantum_of_h_over_e_fails_the_deflection_check(tmp_path, capsys, monkeypatch):
+    class WrongQuantum(PhysicalConstants):
+        @property
+        def phi0(self):
+            return self.h / self.e
+
+    monkeypatch.setattr(device, "CODATA", WrongQuantum())
+    assert cli.main(["design", "--check", "--out", str(tmp_path)]) == cli.EXIT_CHECK_FAILED
+    captured = capsys.readouterr()
+    assert "CHECK deflection_ratio_half: FAIL (theta_d/theta_b = 1.0)" in captured.out
+    assert "deflection_ratio_half" in captured.err.strip().splitlines()[-1]
 
 
 def test_design_warnings_are_printed(tmp_path, capsys):

@@ -56,8 +56,22 @@ def test_validate_rejects_off_law_beta():
         region=np.zeros(n, dtype=np.int8),
     )
     with pytest.raises(InvalidStateError):
-        validate_detector(det, check_beta_law=True)
-    validate_detector(det, check_beta_law=False)
+        validate_detector(det)
+    validate_detector(det, phase=None)
+
+
+def test_beta_law_deviation_measures_inside_pixels_against_the_phase():
+    phase = 0.9
+    beta = np.array([0.0, 1e-12, phase, phase - 1e-12])
+    amp = np.full(4, 0.5, dtype=complex)
+    region = np.array([det_mod.OUTSIDE_SHADOW] * 2 + [det_mod.INSIDE_SHADOW] * 2, dtype=np.int8)
+    det = det_mod.DetectorModel(a=amp, b=amp * np.exp(1j * beta), beta=beta, region=region)
+    assert det.beta_law_deviation(phase) == pytest.approx(1e-12, abs=1e-15)
+    assert det.beta_law_deviation(math.pi) == pytest.approx(math.pi - phase + 1e-12)
+    # the distance is taken around the circle: -pi + 1e-9 is 2e-9 from pi - 1e-9
+    wrapped = np.array([0.0, 0.0, -math.pi + 1e-9, -math.pi + 1e-9])
+    det = det_mod.DetectorModel(a=amp, b=amp * np.exp(1j * wrapped), beta=wrapped, region=region)
+    assert det.beta_law_deviation(math.pi - 1e-9) == pytest.approx(2e-9, abs=1e-15)
 
 
 def test_validate_rejects_unnormalized_power():

@@ -9,18 +9,20 @@ from fluxtem.constants import CODATA
 @pytest.mark.parametrize("energy_ev", [80e3, 200e3, 300e3, 1e6])
 @pytest.mark.parametrize("waist", [1e-6, 10e-6, 37e-6])
 def test_flux_deflection_is_half_the_beam_spread(energy_ev, waist):
-    defl = device.flux_deflection(device.beam_from_energy(energy_ev, waist=waist))
-    assert defl.ratio == 0.5
-    assert defl.theta_d == 0.5 * defl.theta_b
+    beam = device.beam_from_energy(energy_ev, waist=waist)
+    theta_b = CODATA.h / (beam.momentum * waist)
+    theta_d = device.lorentz_deflection(beam, flux_path_length=1e-3)
+    assert abs(theta_d / theta_b - 0.5) <= 1e-12
 
 
 @pytest.mark.parametrize("energy_ev", [80e3, 300e3, 1e6])
 @pytest.mark.parametrize("flux_path_length", [1e-4, 1e-3, 2e-3])
 def test_lorentz_force_gives_the_flux_deflection(energy_ev, flux_path_length):
+    # the interaction time l / v cancels l and v: theta_d = e phi0 / (a p) for every flux path
     beam = device.beam_from_energy(energy_ev, waist=10e-6)
-    theta_d = device.flux_deflection(beam).theta_d
-    theta_lorentz = device.lorentz_consistency(beam, flux_path_length)
-    assert abs(theta_lorentz - theta_d) / theta_d <= 1e-12
+    closed_form = CODATA.e * CODATA.phi0 / (beam.waist * beam.momentum)
+    theta_lorentz = device.lorentz_deflection(beam, flux_path_length)
+    assert abs(theta_lorentz - closed_form) / closed_form <= 1e-12
 
 
 @pytest.mark.parametrize("d", [1e-4, 1e-3, 3.3e-3])
@@ -42,7 +44,7 @@ def test_relativistic_wavelength_at_300_kev():
 
 def test_charge_scheme_is_weaker_than_flux_scheme():
     beam = device.beam_from_energy(300e3, waist=10e-6)
-    assert device.charge_deflection(beam) < 0.1 * device.flux_deflection(beam).theta_d
+    assert device.charge_deflection(beam) < 0.1 * device.lorentz_deflection(beam, flux_path_length=1e-3)
 
 
 @pytest.mark.parametrize("energy_ev", [0.0, -1.0])

@@ -3,6 +3,7 @@ import hashlib
 import os
 import struct
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -194,3 +195,21 @@ def test_sha256_file_reads_across_block_boundaries(tmp_path):
     path = tmp_path / "big.bin"
     path.write_bytes(data)
     assert fileio.sha256_file(path) == hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("hasher", ["sha256_file", "hash_tree"])
+def test_file_hashes_hold_one_small_buffer(hasher, tmp_path):
+    data = np.random.default_rng(3).bytes(4 << 20)
+    (tmp_path / "big.bin").write_bytes(data)
+    if hasher == "sha256_file":
+        target, want = tmp_path / "big.bin", hashlib.sha256(data).hexdigest()
+    else:
+        target, want = tmp_path, hashlib.sha256(b"big.bin\0" + data + b"\0").hexdigest()
+    tracemalloc.start()
+    try:
+        digest = getattr(fileio, hasher)(target)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert digest == want
+    assert peak < 128 << 10

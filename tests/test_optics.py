@@ -18,7 +18,18 @@ def _gaussian_field(n, sigma):
 
 @pytest.fixture(scope="module")
 def small_beam(small_cfg):
-    return O.trace_beam(small_cfg)
+    return O.trace_beam(small_cfg)[2]
+
+
+def _branches(beam):
+    """Specimen-plane waves of qubit branches 0 and 1."""
+    inside, outside = beam.inside.grid, beam.outside.grid
+    return outside + inside, outside + O.branch_factor(beam.cfg.ring) * inside
+
+
+def _ring_plane(grid):
+    """The ring-plane wave whose transform is this specimen-plane wave (two transforms are a parity)."""
+    return parity(O.propagate(O.WaveField(grid)).grid)
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +134,7 @@ class TestAperture:
 
         def ring_plane_tv(aperture_radius):
             cfg = replace(small_cfg, aperture_radius=aperture_radius)
-            intensity = np.abs(O.trace_beam(cfg).incident.grid) ** 2
+            intensity = O.trace_beam(cfg)[1]
             tv = np.abs(np.diff(intensity, axis=0)).sum() + np.abs(np.diff(intensity, axis=1)).sum()
             return tv / intensity.sum()
 
@@ -137,61 +148,71 @@ class TestAperture:
 
 class TestAbPhase:
     def test_no_flux_branches_identical(self, small_cfg, small_beam):
-        ring = replace(small_cfg.ring, flux_fraction=0.0)
-        incident = small_beam.incident
-        f0 = O.apply_ab_phase(incident, ring, 0)
-        f1 = O.apply_ab_phase(incident, ring, 1)
-        np.testing.assert_array_equal(f0.grid, f1.grid)
+        # no flux and every even flux wrap to a phase of exactly 0
+        for f, turns in [(0.0, 1), (2.0, 1), (1.0, 2), (0.4, 5)]:
+            ring = replace(small_cfg.ring, flux_fraction=f, turns=turns)
+            assert O.branch_factor(ring) == 1.0
+            map0, map1, _ = O.specimen_maps(O.Beam(replace(small_cfg, ring=ring), small_beam.inside, small_beam.outside))
+            np.testing.assert_array_equal(map0, map1)
 
     def test_single_flux_negates_inside(self, small_cfg, small_beam):
-        incident = small_beam.incident
-        f0 = O.apply_ab_phase(incident, small_cfg.ring, 0)
-        f1 = O.apply_ab_phase(incident, small_cfg.ring, 1)
-        inside, _, _ = O.ring_regions(small_cfg.n, small_cfg.ring, small_cfg.pitch)
-        np.testing.assert_allclose(f1.grid[inside], -f0.grid[inside], atol=1e-15)
-        np.testing.assert_array_equal(f1.grid[~inside], f0.grid[~inside])
+        assert abs(O.branch_factor(small_cfg.ring) + 1.0) < 1e-15
+        _, f1 = _branches(small_beam)
+        inside, outside = small_beam.inside.grid, small_beam.outside.grid
+        np.testing.assert_allclose(f1, outside - inside, atol=1e-15)
+        _, map1, _ = O.specimen_maps(small_beam)
+        expected = np.abs(outside - inside) ** 2
+        np.testing.assert_allclose(map1, expected / expected.sum(), atol=1e-15)
 
-    def test_overlap_equals_power_difference(self, small_cfg, small_beam):
+    def test_overlap_equals_power_difference(self, small_cfg):
         """Oracle: <f0|f1> = P_out - P_in for a single flux quantum."""
-        incident = small_beam.incident
-        f0 = O.apply_ab_phase(incident, small_cfg.ring, 0)
-        f1 = O.apply_ab_phase(incident, small_cfg.ring, 1)
-        p_in, p_out = O.inside_outside_powers(f0, small_cfg.ring)
-        overlap = complex(np.vdot(f0.grid, f1.grid))
+        beam = O.trace_beam(replace(small_cfg, balance=False))[2]
+        p_in, p_out = beam.inside.power, beam.outside.power
+        assert p_in + p_out == pytest.approx(1.0, abs=1e-12)
+        overlap = O.specimen_maps(beam)[2]
         assert overlap.real == pytest.approx(p_out - p_in, rel=1e-12)
-        assert abs(overlap.imag) < 1e-12 * f0.power
+        assert abs(overlap.imag) < 1e-12
 
-    def test_phase_additivity(self, small_cfg, small_beam):
-        incident = small_beam.incident
-        half_double = replace(small_cfg.ring, flux_fraction=0.5, turns=2)
-        full_single = replace(small_cfg.ring, flux_fraction=1.0, turns=1)
-        g1 = O.apply_ab_phase(incident, half_double, 1)
-        g2 = O.apply_ab_phase(incident, full_single, 1)
-        np.testing.assert_allclose(g1.grid, g2.grid, atol=1e-15)
+    def test_phase_additivity(self, small_cfg):
+        def factor(f, turns=1):
+            return O.branch_factor(replace(small_cfg.ring, flux_fraction=f, turns=turns))
+
+        assert factor(0.5, 2) == factor(1.0, 1)
+        assert factor(0.25, 4) == factor(1.0, 1)
+        for f1, f2 in [(0.3, 0.4), (0.9, 0.8), (1.7, -0.2)]:
+            assert abs(factor(f1) * factor(f2) - factor(f1 + f2)) < 1e-14
 
     def test_body_annulus_blocked_for_both_branches(self, small_cfg, small_beam):
-        incident = small_beam.incident
-        _, body, _ = O.ring_regions(small_cfg.n, small_cfg.ring, small_cfg.pitch)
-        for branch in (0, 1):
-            out = O.apply_ab_phase(incident, small_cfg.ring, branch)
-            assert np.all(out.grid[body] == 0.0)
+        inside, body, outside = O.ring_regions(small_cfg.n, small_cfg.ring, small_cfg.pitch)
+        for branch in _branches(small_beam):
+            ring_plane = _ring_plane(branch)
+            assert np.abs(ring_plane[body]).max() < 1e-12 * np.abs(ring_plane).max()
+        # the split is at the inner edge: each part is dark on the other side
+        assert np.abs(_ring_plane(small_beam.inside.grid)[~inside]).max() < 1e-12
+        assert np.abs(_ring_plane(small_beam.outside.grid)[~outside]).max() < 1e-12
 
     def test_phase_only_on_cleared_annulus(self, small_cfg, small_beam):
-        """On a field already zero over the body, the ring op preserves power exactly."""
-        incident = O.apply_ab_phase(small_beam.incident, small_cfg.ring, 0)
-        phased = O.apply_ab_phase(incident, small_cfg.ring, 1)
-        assert phased.power == incident.power
+        """The parts have disjoint support, so the factor leaves each branch's power unchanged."""
+        assert abs(np.vdot(small_beam.inside.grid, small_beam.outside.grid)) < 1e-12
+        for f in (0.25, 0.5, 0.9, 1.0, 1.7):
+            cfg = replace(small_cfg, ring=replace(small_cfg.ring, flux_fraction=f))
+            assert abs(abs(O.branch_factor(cfg.ring)) - 1.0) <= 2 * np.finfo(float).eps
+            f0, f1 = _branches(O.Beam(cfg, small_beam.inside, small_beam.outside))
+            assert np.sum(np.abs(f1) ** 2) == pytest.approx(np.sum(np.abs(f0) ** 2), abs=1e-12)
 
 
 def test_balanced_branches_orthogonal(small_beam):
-    assert abs(O.branch_overlap(small_beam)) < 1e-10
+    assert abs(O.specimen_maps(small_beam)[2]) < 1e-10
 
 
 def test_unbalanced_overlap_matches_power_mismatch(small_cfg):
-    beam = O.trace_beam(replace(small_cfg, balance=False))
-    p_in, p_out = O.inside_outside_powers(beam.branch0, beam.cfg.ring)
-    overlap = O.branch_overlap(beam)
-    assert overlap.real == pytest.approx(p_out - p_in, abs=1e-12)
+    # <0|1> = P_out + exp(i phi) P_in at any flux; a single flux quantum gives P_out - P_in
+    beam = O.trace_beam(replace(small_cfg, balance=False))[2]
+    for f in (0.25, 0.5, 0.9, 1.0):
+        cfg = replace(beam.cfg, ring=replace(beam.cfg.ring, flux_fraction=f))
+        overlap = O.specimen_maps(O.Beam(cfg, beam.inside, beam.outside))[2]
+        expected = beam.outside.power + O.branch_factor(cfg.ring) * beam.inside.power
+        assert abs(overlap - expected) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -201,21 +222,21 @@ def test_unbalanced_overlap_matches_power_mismatch(small_cfg):
 class TestSpecimenIntensity:
     def test_no_flux_maps_identical(self, small_cfg):
         cfg = replace(small_cfg, ring=replace(small_cfg.ring, flux_fraction=0.0))
-        map0, map1 = O.specimen_intensity(O.trace_beam(cfg))
+        map0, map1, _ = O.specimen_maps(O.trace_beam(cfg)[2])
         np.testing.assert_array_equal(map0, map1)
 
     def test_single_flux_maps_distinct(self, small_beam):
-        map0, map1 = O.specimen_intensity(small_beam)
+        map0, map1, _ = O.specimen_maps(small_beam)
         assert O.normalized_cross_correlation(map0, map1) < 0.9
         assert np.unravel_index(map0.argmax(), map0.shape) != np.unravel_index(map1.argmax(), map1.shape)
 
     def test_maps_are_normalized(self, small_beam):
-        map0, map1 = O.specimen_intensity(small_beam)
+        map0, map1, _ = O.specimen_maps(small_beam)
         assert map0.sum() == pytest.approx(1.0)
         assert map1.sum() == pytest.approx(1.0)
 
     def test_mirror_symmetric_mask_gives_mirror_symmetric_maps(self, small_beam):
-        map0, map1 = O.specimen_intensity(small_beam)  # struts at 90/270 degrees
+        map0, map1, _ = O.specimen_maps(small_beam)  # struts at 90/270 degrees
         for m in (map0, map1):
             mirrored = np.roll(m[:, ::-1], 1, axis=1)  # reflection about the center column
             np.testing.assert_allclose(m, mirrored, atol=1e-10 * m.max())
@@ -233,8 +254,22 @@ class TestBuildDetector:
         ok = ~det.boundary_mask
         inside = det.region[ok] == det_mod.INSIDE_SHADOW
         beta = det.beta[ok]
+        assert inside.any() and (~inside).any()
         assert np.abs(beta[~inside]).max() < 1e-6
         assert np.abs(np.abs(beta[inside]) - math.pi).max() < 1e-6
+        assert det.beta_law_deviation(math.pi) < 1e-6
+
+    @pytest.mark.parametrize("f", [0.25, 0.5, 0.9, 1.7])
+    def test_beta_law_at_any_flux(self, small_cfg, f):
+        cfg = replace(small_cfg, ring=replace(small_cfg.ring, flux_fraction=f))
+        det = O.build_detector(O.trace_beam(cfg)[2])
+        phase = cfg.ring.branch_phase
+        assert -math.pi < phase <= math.pi
+        inside = (det.region == det_mod.INSIDE_SHADOW) & ~det.boundary_mask
+        np.testing.assert_allclose(det.beta[inside], phase, atol=1e-9)
+        assert det.beta_law_deviation(phase) < 1e-9
+        assert det.beta_law_deviation(math.pi) > 0.1
+        validate_detector(det, phase=phase)
 
     def test_amplitude_law_on_lit_pixels(self, small_detector):
         det = small_detector
@@ -245,7 +280,7 @@ class TestBuildDetector:
 
     def test_no_flux_detector_trivial(self, small_cfg):
         cfg = replace(small_cfg, ring=replace(small_cfg.ring, flux_fraction=0.0))
-        det = O.build_detector(cfg)
+        det = O.build_detector(O.trace_beam(cfg)[2])
         np.testing.assert_array_equal(det.a, det.b)
         assert np.all(det.beta == 0.0)
         assert int(det.boundary_mask.sum()) == 0
@@ -255,32 +290,28 @@ class TestBuildDetector:
 
     def test_blurred_reimage_reports_boundary_power(self, small_cfg):
         cfg = replace(small_cfg, detector_aperture_radius=24 * small_cfg.pitch, tolerance=0.05)
-        det = O.build_detector(cfg)
+        det = O.build_detector(O.trace_beam(cfg)[2])
         frac = det.boundary_power_fraction()
         assert 0.0 < frac < 0.5
         # region power sums are an independent oracle for the reported fraction
         p = 0.5 * (det.power_a + det.power_b)
         assert frac == pytest.approx(float(p[det.boundary_mask].sum() / p.sum()))
 
-    def test_beta_map_invariant_under_global_phase(self, small_cfg, small_beam, small_detector):
-        # multiply the source by a constant phase through a custom chain
-        det_ref = small_detector
-        base = small_beam.branch0
-        rotated = O.WaveField(base.grid * np.exp(0.77j), base.pitch)
-        inside, _, _ = O.ring_regions(small_cfg.n, small_cfg.ring, small_cfg.pitch)
-        d_in = O.propagate(O.propagate(O.WaveField(np.where(inside, rotated.grid, 0), base.pitch)))
-        d_out = O.propagate(O.propagate(O.WaveField(np.where(~inside, rotated.grid, 0), base.pitch)))
-        a = (d_out.grid + d_in.grid).ravel()
-        b = (d_out.grid + np.exp(1j * small_cfg.ring.branch_phase) * d_in.grid).ravel()
-        beta = np.angle(b) - np.angle(a)
-        beta -= 2 * math.pi * np.round(beta / (2 * math.pi))
-        lit = 0.5 * (det_ref.power_a + det_ref.power_b) > 1e-12
-        np.testing.assert_allclose(
-            np.cos(beta[lit]), np.cos(det_ref.beta[lit]), atol=1e-9
+    def test_beta_map_invariant_under_global_phase(self, small_beam, small_detector):
+        rotation = np.exp(0.77j)
+        rotated = O.Beam(
+            small_beam.cfg,
+            O.WaveField(small_beam.inside.grid * rotation, small_beam.inside.pitch),
+            O.WaveField(small_beam.outside.grid * rotation, small_beam.outside.pitch),
         )
+        det = O.build_detector(rotated)
+        det_ref = small_detector
+        lit = 0.5 * (det_ref.power_a + det_ref.power_b) > 1e-12
+        np.testing.assert_allclose(np.cos(det.beta[lit]), np.cos(det_ref.beta[lit]), atol=1e-9)
+        np.testing.assert_array_equal(det.region, det_ref.region)
 
     def test_validate_passes(self, small_detector):
-        validate_detector(small_detector, check_beta_law=True)
+        validate_detector(small_detector, phase=math.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -294,16 +325,18 @@ def test_four_plane_chain_unitarity(default_cfg):
     apertured = O.apply_aperture(image, default_cfg.aperture_radius)
     ring_plane = O.propagate(apertured)
     assert abs(ring_plane.power - apertured.power) / apertured.power < 1e-10
-    beam = O.trace_beam(default_cfg)
-    np.testing.assert_array_equal(beam.incident.grid, ring_plane.grid)
-    for f in (beam.branch0, beam.branch1):
-        specimen = O.propagate(f)
-        assert abs(specimen.power - f.power) / f.power < 1e-10
-        detector_plane = O.propagate(specimen)
-        assert abs(detector_plane.power - specimen.power) / specimen.power < 1e-10
+    mask_intensity, ring_intensity, beam = O.trace_beam(default_cfg)
+    np.testing.assert_array_equal(mask_intensity, np.abs(mask.grid) ** 2)
+    np.testing.assert_array_equal(ring_intensity, np.abs(ring_plane.grid) ** 2)
+    # the ring-plane field is normalised, and the specimen parts keep its unit power
+    assert beam.inside.power + beam.outside.power == pytest.approx(1.0, abs=1e-10)
+    for f in (beam.inside, beam.outside):
+        detector_plane = O.propagate(f)
+        assert abs(detector_plane.power - f.power) / f.power < 1e-10
 
 
 def test_chain_double_transforms_are_parity(default_cfg):
-    f0 = O.trace_beam(default_cfg).branch0
-    twice = O.propagate(O.propagate(f0))
-    np.testing.assert_allclose(twice.grid, parity(f0.grid), atol=1e-10)
+    beam = O.trace_beam(default_cfg)[2]
+    for f in (beam.inside, beam.outside):
+        twice = O.propagate(O.propagate(f))
+        np.testing.assert_allclose(twice.grid, parity(f.grid), atol=1e-10)
