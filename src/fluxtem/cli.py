@@ -20,7 +20,6 @@ import numpy as np
 from . import detector as det_mod
 from . import device, estimator, fileio, optics, protocol
 from .config import RunConfig, load_config
-from .constants import CODATA
 from .errors import ConfigError, FluxTemError
 from .streams import DOMAIN_PROTOCOL, derive
 
@@ -35,39 +34,11 @@ class CheckFailure(Exception):
     """One or more --check contracts failed."""
 
 
-def optics_config(cfg: RunConfig) -> optics.OpticsConfig:
-    """The beam-path geometry of a run; `config.SCHEMA` holds its only defaults."""
-    mask = optics.MaskSpec(
-        inner_radius=cfg["mask.inner_radius"],
-        outer_radius=cfg["mask.outer_radius"],
-        gap_angles=tuple(cfg["mask.gap_angles"]),
-        gap_width=cfg["mask.gap_width"],
-        disc_radius=cfg["mask.disc_radius"],
-    )
-    ring = optics.RingSpec(
-        ring_inner=cfg["ring.inner"],
-        ring_outer=cfg["ring.outer"],
-        flux_fraction=cfg["ring.flux_fraction"],
-        turns=cfg["ring.turns"],
-    )
-    return optics.OpticsConfig(
-        n=cfg["optics.n"],
-        pitch=cfg["optics.pitch"],
-        mask=mask,
-        ring=ring,
-        aperture_radius=cfg["optics.aperture_radius"],
-        balance=cfg["optics.balance"],
-        detector_aperture_radius=cfg["optics.detector_aperture_radius"],
-        tolerance=cfg["optics.tolerance"],
-        dominance_ratio=cfg["optics.dominance_ratio"],
-    )
-
-
 def _detector(cfg: RunConfig) -> det_mod.DetectorModel:
     if cfg["protocol.detector"] == "trivial":
         return det_mod.trivial(cfg["protocol.trivial_pixels"])
     # only the Beam is kept, so the trace's two intensities are freed before the detector is built
-    return optics.build_detector(optics.trace_beam(optics_config(cfg))[2])
+    return optics.build_detector(optics.trace_beam(cfg)[2])
 
 
 def _finish(out: Path, cfg: RunConfig, command: str, stats: dict, files: list[Path], checks: list[tuple[str, bool, str]], check_mode: bool) -> None:
@@ -89,28 +60,7 @@ def _finish(out: Path, cfg: RunConfig, command: str, stats: dict, files: list[Pa
 
 def cmd_design(cfg: RunConfig, out: Path, check: bool) -> None:
     try:
-        beam = device.beam_from_energy(cfg["beam.energy"], waist=cfg["beam.waist"])
-        if beam.waist <= beam.wavelength:
-            # theta_b = lambda / a is a small-angle law: it needs a >> lambda
-            raise ConfigError(
-                f"beam.waist = {beam.waist!r} m is not larger than the electron wavelength {beam.wavelength!r} m",
-                key="beam.waist",
-            )
-        squid = device.squid_sizing(
-            cfg["squid.d"],
-            permeability=cfg["squid.mu_r"] * CODATA.mu0,
-            log_factor=cfg["squid.log_factor"],
-            flux_path_length=cfg["squid.flux_path_length"],
-            lateral_size=cfg["squid.lateral_size"],
-            turns=cfg["squid.turns"],
-        )
-        report = device.design_report(
-            beam,
-            squid,
-            group_duration=cfg["timing.group_duration"],
-            mqc_frequency=cfg["timing.mqc_frequency"],
-            coherence_width=cfg["timing.coherence_width"],
-        )
+        report = device.design_report(cfg)
     except ArithmeticError as err:
         raise ConfigError(f"the design inputs leave the float range: {type(err).__name__}: {err}") from err
     # every row is a positive physical quantity, so it must be a finite normal float
@@ -143,8 +93,7 @@ def cmd_optics(cfg: RunConfig, out: Path, check: bool) -> None:
         fileio.write_pgm16(out / name, data)
         files.extend([out / name, out / (name + ".txt")])
 
-    ocfg = optics_config(cfg)
-    mask, ring_plane, beam = optics.trace_beam(ocfg)
+    mask, ring_plane, beam = optics.trace_beam(cfg)
     write_pgm("mask.pgm", mask)
     write_pgm("qubit_plane.pgm", ring_plane)
     # written grids are freed, so only the Beam is alive while the detector is built
@@ -173,13 +122,13 @@ def cmd_optics(cfg: RunConfig, out: Path, check: bool) -> None:
 
     checks = []
     if check:
-        phase = ocfg.ring.branch_phase
+        phase = optics.branch_phase(cfg)
         worst = det.beta_law_deviation(phase)
         checks.append(("beta_law", worst < 1e-6, f"max deviation from {{0, {phase:.6f}}} = {worst:.2e}"))
         if abs(abs(phase) - math.pi) < 1e-9:
             peaks = (np.unravel_index(map0.argmax(), map0.shape), np.unravel_index(map1.argmax(), map1.shape))
             checks.append(("branch_maps_distinct", ncc < 0.9 and peaks[0] != peaks[1], f"ncc = {ncc:.3f}"))
-            if ocfg.balance:
+            if cfg["optics.balance"]:
                 checks.append(("branch_orthogonality", overlap < 1e-10, f"|<0|1>| = {overlap:.2e}"))
         elif abs(phase) < 1e-9:
             checks.append(("maps_identical_without_flux", np.array_equal(map0, map1), "map0 == map1"))
@@ -339,7 +288,7 @@ def cmd_scaling(cfg: RunConfig, out: Path, check: bool) -> None:
         ["k", "budget", "std"],
         [(row.k, b, s) for row in result.rows for b, s in row.probes],
     )
-    stats = {"target_std": repr(result.target_std), "repetitions": result.repetitions}
+    stats = {"target_std": repr(cfg["scaling.target_std"]), "repetitions": cfg["scaling.repetitions"]}
     if result.slope is not None:
         stats["slope"] = repr(result.slope)
         stats["intercept"] = repr(result.intercept)

@@ -5,8 +5,10 @@ A config file holds one `section.key = value` assignment per line
 `squid.d = 2mm` or `beam.energy = 300keV`; bare numbers are SI base
 units (radians for angles, eV for energies).  Command-line overrides
 use the same syntax via --set key=value.  `SCHEMA` is each key's only
-description.  The canonical serialization is sorted and repr-formatted,
-so equal configs hash identically.
+description: `optics` and `device` take the `RunConfig` and read their
+keys from it by name, with no copy of the keys in between.  The
+canonical serialization is sorted and repr-formatted, so equal configs
+hash identically.
 """
 
 from __future__ import annotations

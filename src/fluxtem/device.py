@@ -5,15 +5,22 @@ magnetic (flux-quantum) beam deflection, computed from the Lorentz
 force, versus the diffraction-limited beam spread, the much weaker
 electrostatic (charge-qubit) deflection, and the inductance and
 critical current that put an rf-SQUID into the macroscopic quantum
-coherence regime (L * i_c of order one flux quantum).
+coherence regime (L * i_c of order one flux quantum).  `design_report`
+reads its inputs from the run's `RunConfig` by `config.SCHEMA` key
+(`beam.*`, `squid.*`, `timing.*`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .constants import CODATA
+from .errors import ConfigError
+
+if TYPE_CHECKING:
+    from .config import RunConfig
 
 # a k-electron group may last at most 1/TIMING_MARGIN of one qubit period
 TIMING_MARGIN = 10.0
@@ -30,19 +37,6 @@ class BeamSpec:
     waist: float           # [m]
 
 
-@dataclass(frozen=True)
-class SquidSpec:
-    """rf-SQUID sizing: geometry, inductance, and junction critical current."""
-
-    wafer_thickness: float      # d [m]
-    flux_path_length: float     # l, along the optical axis [m]
-    permeability: float         # mu [H/m]
-    inductance: float           # L [H]
-    critical_current: float     # i_c [A]
-    lateral_size: float
-    turns: int
-
-
 def beam_from_energy(
     kinetic_energy_ev: float,
     waist: float,
@@ -52,8 +46,6 @@ def beam_from_energy(
     Uses (pc)^2 = E_total^2 - (m c^2)^2 with E_total = E_kin + m c^2 and
     lambda = h / p, which is exact by construction.
     """
-    if kinetic_energy_ev <= 0.0:
-        raise ValueError(f"kinetic energy must be positive, got {kinetic_energy_ev!r}")
     c = CODATA.c
     e_kin = kinetic_energy_ev * CODATA.e
     e_total = e_kin + CODATA.rest_energy
@@ -90,32 +82,6 @@ def charge_deflection(beam: BeamSpec) -> float:
     return CODATA.e**2 / (CODATA.eps0 * beam.waist * beam.velocity * beam.momentum)
 
 
-def squid_sizing(
-    wafer_thickness: float,
-    permeability: float,
-    log_factor: float,
-    flux_path_length: float,
-    lateral_size: float,
-    turns: int,
-) -> SquidSpec:
-    """Size the hollow-ring SQUID like a shorted coaxial cable.
-
-    L = mu * d up to a geometry-dependent logarithmic factor `log_factor`,
-    and i_c = phi0 / L so that L * i_c equals one flux quantum by
-    construction.
-    """
-    inductance = permeability * wafer_thickness * log_factor
-    return SquidSpec(
-        wafer_thickness=wafer_thickness,
-        flux_path_length=flux_path_length,
-        permeability=permeability,
-        inductance=inductance,
-        critical_current=CODATA.phi0 / inductance,
-        lateral_size=lateral_size,
-        turns=turns,
-    )
-
-
 @dataclass
 class DesignReport:
     """Tabulated design quantities plus timing/coherence feasibility flags."""
@@ -141,20 +107,32 @@ class DesignReport:
         return "\n".join(lines) + "\n"
 
 
-def design_report(
-    beam: BeamSpec,
-    squid: SquidSpec,
-    group_duration: float,
-    mqc_frequency: float,
-    coherence_width: float,
-) -> DesignReport:
+def design_report(cfg: RunConfig) -> DesignReport:
     """Collect every design number and check the operating hierarchy.
 
-    A k-electron group must finish well inside one qubit oscillation
-    (group_duration * mqc_frequency * TIMING_MARGIN <= 1), and the ring
-    must fit inside the coherent patch of the wave front.
+    The hollow-ring SQUID is sized like a shorted coaxial cable:
+    L = mu * d up to a geometry-dependent logarithmic factor
+    squid.log_factor, and i_c = phi0 / L so that L * i_c equals one flux
+    quantum by construction.  A k-electron group must finish well inside
+    one qubit oscillation (group_duration * mqc_frequency * TIMING_MARGIN
+    <= 1), and the ring must fit inside the coherent patch of the wave
+    front.
     """
-    theta_d = lorentz_deflection(beam, squid.flux_path_length)
+    beam = beam_from_energy(cfg["beam.energy"], cfg["beam.waist"])
+    if beam.waist <= beam.wavelength:
+        # theta_b = lambda / a is a small-angle law: it needs a >> lambda
+        raise ConfigError(
+            f"beam.waist = {beam.waist!r} m is not larger than the electron wavelength {beam.wavelength!r} m",
+            key="beam.waist",
+        )
+    wafer_thickness = cfg["squid.d"]
+    inductance = (cfg["squid.mu_r"] * CODATA.mu0) * wafer_thickness * cfg["squid.log_factor"]
+    critical_current = CODATA.phi0 / inductance
+    lateral_size = cfg["squid.lateral_size"]
+    group_duration = cfg["timing.group_duration"]
+    mqc_frequency = cfg["timing.mqc_frequency"]
+    coherence_width = cfg["timing.coherence_width"]
+    theta_d = lorentz_deflection(beam, cfg["squid.flux_path_length"])
     theta_b = CODATA.h / (beam.momentum * beam.waist)
     theta_charge = charge_deflection(beam)
     warnings: list[str] = []
@@ -163,9 +141,9 @@ def design_report(
             f"group duration {group_duration:.3e} s is not << qubit period "
             f"{1.0 / mqc_frequency:.3e} s (margin {TIMING_MARGIN:g}x)"
         )
-    if squid.lateral_size > coherence_width:
+    if lateral_size > coherence_width:
         warnings.append(
-            f"qubit lateral size {squid.lateral_size:.3e} m exceeds beam coherence width "
+            f"qubit lateral size {lateral_size:.3e} m exceeds beam coherence width "
             f"{coherence_width:.3e} m"
         )
     rows = [
@@ -179,13 +157,13 @@ def design_report(
         ("theta_ratio", theta_d / theta_b, ""),
         ("theta_d_charge", theta_charge, "rad"),
         ("charge_to_flux_ratio", theta_charge / theta_d, ""),
-        ("wafer_thickness", squid.wafer_thickness, "m"),
-        ("inductance", squid.inductance, "H"),
-        ("critical_current", squid.critical_current, "A"),
-        ("L_ic_product", squid.inductance * squid.critical_current, "Wb"),
+        ("wafer_thickness", wafer_thickness, "m"),
+        ("inductance", inductance, "H"),
+        ("critical_current", critical_current, "A"),
+        ("L_ic_product", inductance * critical_current, "Wb"),
         ("flux_quantum", CODATA.phi0, "Wb"),
-        ("lateral_size", squid.lateral_size, "m"),
-        ("turns", float(squid.turns), ""),
+        ("lateral_size", lateral_size, "m"),
+        ("turns", float(cfg["squid.turns"]), ""),
         ("group_duration", group_duration, "s"),
         ("mqc_frequency", mqc_frequency, "Hz"),
         ("timing_headroom", 1.0 / (group_duration * mqc_frequency), "x"),

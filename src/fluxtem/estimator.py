@@ -45,7 +45,6 @@ class EstimationResult:
     trials: int
     electrons_used: int
     boundary_discards: int
-    k: int = 1
 
 
 def _invert_conventional(p_hat: float) -> float:
@@ -111,7 +110,6 @@ def estimate_phase(
         trials=batch.groups,
         electrons_used=batch.electrons_used,
         boundary_discards=batch.boundary_discards,
-        k=k,
     )
 
 
@@ -129,9 +127,6 @@ class ScalingRow:
 
 @dataclass
 class DoseScalingResult:
-    delta_phi: float
-    target_std: float
-    repetitions: int
     rows: list[ScalingRow]
     slope: float | None
     slope_stderr: float | None
@@ -241,15 +236,7 @@ def dose_scaling_experiment(
         else:
             coeffs = np.polyfit(x, y, 1)
             slope, intercept = float(coeffs[0]), float(coeffs[1])
-    return DoseScalingResult(
-        delta_phi=delta_phi,
-        target_std=target_std,
-        repetitions=repetitions,
-        rows=rows,
-        slope=slope,
-        slope_stderr=slope_stderr,
-        intercept=intercept,
-    )
+    return DoseScalingResult(rows=rows, slope=slope, slope_stderr=slope_stderr, intercept=intercept)
 
 
 # ---------------------------------------------------------------------------

@@ -19,21 +19,27 @@ The beam is traced once: `trace_beam` splits the ring-plane wave at
 the ring's inner edge and carries each part to the specimen, and the
 specimen maps and the detector are both read from that pair.
 
-Lengths are in meters with a pixel pitch, but the chain itself is
-scale-free: lens excitations can map the same grids to any physical
-size, so the pitch is metadata only.
+Every function reads its geometry from the run's `RunConfig` by
+`config.SCHEMA` key (`optics.*`, `mask.*`, `ring.*`), so SCHEMA stays
+the only description of each parameter.  Lengths are in meters with a
+pixel pitch, but the chain itself is scale-free: lens excitations can
+map the same grids to any physical size, so the pitch is metadata only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .detector import BOUNDARY, INSIDE_SHADOW, OUTSIDE_SHADOW, DetectorModel
 from .errors import EmptyFieldError, GeometryError
 from .protocol import wrap_angle
+
+if TYPE_CHECKING:
+    from .config import RunConfig
 
 # Pixels whose total detected power falls below this fraction of the
 # brightest pixel are dark shadow; they are unreachable in sampling and
@@ -57,54 +63,24 @@ class WaveField:
         return float(np.sum(np.abs(self.grid) ** 2))
 
 
-@dataclass(frozen=True)
-class MaskSpec:
-    """Binary stencil: open central disc plus an open annulus with strut gaps.
+def branch_phase(cfg: RunConfig) -> float:
+    """Aharonov-Bohm phase of the inside-ring wave in branch 1, wrapped to (-pi, pi] [rad].
 
-    The gap wedges model the silicon beams that hold the ring body; each
-    is centered on an entry of `gap_angles` with full width `gap_width`.
-    A zero radius leaves that part closed.
+    ring.flux_fraction f is the flux difference between the qubit states
+    in units of the flux quantum; a wave threading the loop picks up the
+    phase pi * f * ring.turns relative to the outside wave.
     """
-
-    inner_radius: float
-    outer_radius: float
-    gap_angles: tuple[float, ...]
-    gap_width: float
-    disc_radius: float
+    return wrap_angle(math.pi * cfg["ring.flux_fraction"] * cfg["ring.turns"])
 
 
-@dataclass(frozen=True)
-class RingSpec:
-    """SQUID ring footprint and trapped-flux state.
-
-    flux_fraction f is the flux difference between the qubit states in
-    units of the flux quantum; a wave threading the loop picks up the
-    phase pi * f * turns relative to the outside wave.
-    """
-
-    ring_inner: float
-    ring_outer: float
-    flux_fraction: float
-    turns: int
-
-    def __post_init__(self):
-        if not 0.0 < self.ring_inner < self.ring_outer:
-            raise GeometryError("need 0 < ring_inner < ring_outer")
-
-    @property
-    def branch_phase(self) -> float:
-        """Aharonov-Bohm phase of the inside-ring wave in branch 1, wrapped to (-pi, pi] [rad]."""
-        return wrap_angle(math.pi * self.flux_fraction * self.turns)
-
-
-def branch_factor(ring: RingSpec) -> complex:
+def branch_factor(cfg: RunConfig) -> complex:
     """exp(i * branch_phase): the only place the Aharonov-Bohm phase meets a wave.
 
     Qubit branch 0 is outside + inside and branch 1 is outside +
     branch_factor * inside.  An even flux wraps to a phase of exactly 0,
     so its factor is exactly 1.
     """
-    return complex(np.exp(1j * ring.branch_phase))
+    return complex(np.exp(1j * branch_phase(cfg)))
 
 
 def _coords(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -119,11 +95,12 @@ def _radius_grid(n: int) -> np.ndarray:
     return np.hypot(dy, dx)
 
 
-def ring_regions(n: int, ring: RingSpec, pitch: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def ring_regions(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Boolean grids (inside, body, outside) partitioning every pixel."""
+    n, pitch = cfg["optics.n"], cfg["optics.pitch"]
     r = _radius_grid(n)
-    ri = ring.ring_inner / pitch
-    ro = ring.ring_outer / pitch
+    ri = cfg["ring.inner"] / pitch
+    ro = cfg["ring.outer"] / pitch
     if ro >= n / 2:
         raise GeometryError("ring does not fit in the grid")
     inside = r < ri
@@ -132,23 +109,29 @@ def ring_regions(n: int, ring: RingSpec, pitch: float) -> tuple[np.ndarray, np.n
     return inside, body, outside
 
 
-def build_mask(spec: MaskSpec, n: int, pitch: float) -> WaveField:
-    """Rasterize the stencil as a binary-amplitude field at a diffraction plane."""
+def build_mask(cfg: RunConfig) -> WaveField:
+    """Rasterize the stencil as a binary-amplitude field at a diffraction plane.
+
+    The stencil is an open central disc plus an open annulus; a zero
+    radius leaves that part closed.  The annulus is cut by gap wedges,
+    which model the silicon beams that hold the ring body; each is
+    centered on an entry of mask.gap_angles with full width mask.gap_width.
+    """
+    n, pitch = cfg["optics.n"], cfg["optics.pitch"]
     r = _radius_grid(n)
-    ri = spec.inner_radius / pitch
-    ro = spec.outer_radius / pitch
-    rd = spec.disc_radius / pitch
+    ri = cfg["mask.inner_radius"] / pitch
+    ro = cfg["mask.outer_radius"] / pitch
+    rd = cfg["mask.disc_radius"] / pitch
     if max(ro, rd) >= n / 2:
         raise GeometryError("mask geometry exceeds the grid")
     open_px = (r <= rd) if rd > 0.0 else np.zeros((n, n), dtype=bool)
     if ro > 0.0:
         annulus = (r >= ri) & (r <= ro)
-        if spec.gap_angles:
-            dy, dx = _coords(n)
-            theta = np.arctan2(dy, dx)
-            for center in spec.gap_angles:
-                delta = wrap_angle(theta - center)
-                annulus &= np.abs(delta) > 0.5 * spec.gap_width
+        dy, dx = _coords(n)
+        theta = np.arctan2(dy, dx)
+        for center in cfg["mask.gap_angles"]:
+            delta = wrap_angle(theta - center)
+            annulus &= np.abs(delta) > 0.5 * cfg["mask.gap_width"]
         open_px = open_px | annulus
     return WaveField(open_px.astype(complex), pitch)
 
@@ -183,51 +166,38 @@ def normalized_cross_correlation(x: np.ndarray, y: np.ndarray) -> float:
 
 
 @dataclass(frozen=True)
-class OpticsConfig:
-    """Full beam-path configuration from stencil to detector (`cli.optics_config` fills it)."""
-
-    n: int
-    pitch: float
-    mask: MaskSpec
-    ring: RingSpec
-    aperture_radius: float
-    balance: bool
-    detector_aperture_radius: float | None
-    tolerance: float
-    dominance_ratio: float
-
-
-@dataclass(frozen=True)
 class Beam:
     """The beam at the specimen plane, traced once for one configuration.
 
     `inside` and `outside` carry the unit-power ring-plane wave of qubit
     branch 0, split at the ring's inner edge, to the specimen; branch 0
     there is outside + inside and branch 1 is outside +
-    `branch_factor(cfg.ring)` * inside.
+    `branch_factor(cfg)` * inside.
     """
 
-    cfg: OpticsConfig
+    cfg: RunConfig
     inside: WaveField
     outside: WaveField
 
 
-def trace_beam(cfg: OpticsConfig) -> tuple[np.ndarray, np.ndarray, Beam]:
+def trace_beam(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray, Beam]:
     """Mask -> transform -> aperture -> transform -> ring -> transform, run once.
 
-    At the ring plane the body is blocked, with `balance` the inside
+    At the ring plane the body is blocked, with optics.balance the inside
     wave is rescaled to the outside power (the equal-weight state
     (|outside> + |inside>)/sqrt(2) that real stencils only approximate),
     and the field is normalised to unit power.  Returns the mask
     intensity, the ring-plane intensity before the ring and the `Beam`.
     """
-    mask = build_mask(cfg.mask, cfg.n, cfg.pitch)
+    if not 0.0 < cfg["ring.inner"] < cfg["ring.outer"]:
+        raise GeometryError("need 0 < ring_inner < ring_outer")
+    mask = build_mask(cfg)
     mask_intensity = np.abs(mask.grid) ** 2
-    grid = propagate(apply_aperture(propagate(mask), cfg.aperture_radius)).grid
+    grid = propagate(apply_aperture(propagate(mask), cfg["optics.aperture_radius"])).grid
     intensity = np.abs(grid) ** 2
-    inside, body, outside = ring_regions(cfg.n, cfg.ring, cfg.pitch)
+    inside, body, outside = ring_regions(cfg)
     grid[body] = 0.0
-    if cfg.balance:
+    if cfg["optics.balance"]:
         p_in, p_out = float(intensity[inside].sum()), float(intensity[outside].sum())
         if p_in <= 0.0 or p_out <= 0.0:
             raise EmptyFieldError("both ring sides need power to balance the split")
@@ -236,15 +206,16 @@ def trace_beam(cfg: OpticsConfig) -> tuple[np.ndarray, np.ndarray, Beam]:
     if norm == 0.0:
         raise EmptyFieldError("no beam power survives the ring plane")
     grid /= norm
-    inside_wave = propagate(WaveField(np.where(inside, grid, 0.0), cfg.pitch))
-    outside_wave = propagate(WaveField(np.where(inside, 0.0, grid), cfg.pitch))
+    pitch = cfg["optics.pitch"]
+    inside_wave = propagate(WaveField(np.where(inside, grid, 0.0), pitch))
+    outside_wave = propagate(WaveField(np.where(inside, 0.0, grid), pitch))
     return mask_intensity, intensity, Beam(cfg, inside_wave, outside_wave)
 
 
 def specimen_maps(beam: Beam) -> tuple[np.ndarray, np.ndarray, complex]:
     """Unit-power specimen intensity maps of qubit branches 0 and 1, and <0|1>."""
     branch0 = beam.outside.grid + beam.inside.grid
-    branch1 = beam.outside.grid + branch_factor(beam.cfg.ring) * beam.inside.grid
+    branch1 = beam.outside.grid + branch_factor(beam.cfg) * beam.inside.grid
     overlap = complex(np.vdot(branch0, branch1))
     map0 = np.abs(branch0) ** 2
     map1 = np.abs(branch1) ** 2
@@ -259,20 +230,20 @@ def build_detector(beam: Beam) -> DetectorModel:
 
     The inside-ring and outside-ring waves are carried from the specimen
     to the detector separately, so each pixel can be classed by which
-    wave dominates its power (>= dominance_ratio wins; comparable pixels
-    and pixels whose branch moduli disagree beyond tolerance are
-    boundary).  With no detector aperture the re-image is an exact
+    wave dominates its power (>= optics.dominance_ratio wins; comparable
+    pixels and pixels whose branch moduli disagree beyond
+    optics.tolerance are boundary).  With no detector aperture the re-image is an exact
     conjugate and every lit pixel is purely inside or outside, giving
     beta of 0 or the Aharonov-Bohm phase.
     """
     cfg = beam.cfg
-    radius = cfg.detector_aperture_radius
+    radius = cfg["optics.detector_aperture_radius"]
     d_in, d_out = (
         propagate(w if radius is None else apply_aperture(w, radius)).grid.ravel() for w in (beam.inside, beam.outside)
     )
 
     a = d_out + d_in
-    b = d_out + branch_factor(cfg.ring) * d_in
+    b = d_out + branch_factor(cfg) * d_in
     a = a / math.sqrt(float(np.sum(np.abs(a) ** 2)))
     b = b / math.sqrt(float(np.sum(np.abs(b) ** 2)))
 
@@ -282,8 +253,9 @@ def build_detector(beam: Beam) -> DetectorModel:
     dark = total <= DARK_POWER_FLOOR * total.max()
 
     region = np.full(a.size, BOUNDARY, dtype=np.int8)
-    region[p_in >= cfg.dominance_ratio * p_out] = INSIDE_SHADOW
-    region[p_out >= cfg.dominance_ratio * p_in] = OUTSIDE_SHADOW
+    dominance = cfg["optics.dominance_ratio"]
+    region[p_in >= dominance * p_out] = INSIDE_SHADOW
+    region[p_out >= dominance * p_in] = OUTSIDE_SHADOW
     region[dark] = OUTSIDE_SHADOW
 
     beta = wrap_angle(np.angle(b) - np.angle(a))
@@ -291,7 +263,7 @@ def build_detector(beam: Beam) -> DetectorModel:
 
     # moduli drifting beyond tolerance are boundary
     scale = np.abs(a).max()
-    drift = (np.abs(np.abs(a) - np.abs(b)) > cfg.tolerance * scale) & ~dark
+    drift = (np.abs(np.abs(a) - np.abs(b)) > cfg["optics.tolerance"] * scale) & ~dark
     region[drift] = BOUNDARY
 
     return DetectorModel(a=a, b=b, beta=beta, region=region)

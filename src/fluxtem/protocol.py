@@ -268,7 +268,6 @@ class GroupBatchResult:
 
     outcomes: np.ndarray
     phases: np.ndarray
-    sum_beta: np.ndarray
     groups: int
     electrons_used: int
     boundary_discards: int
@@ -307,7 +306,6 @@ def simulate_groups(
     return GroupBatchResult(
         outcomes=outcomes,
         phases=phases,
-        sum_beta=sum_beta,
         groups=completed,
         electrons_used=used,
         boundary_discards=discards,

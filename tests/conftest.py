@@ -5,15 +5,16 @@ import pytest
 
 from fluxtem import detector as det_mod
 from fluxtem import optics
-from fluxtem.cli import optics_config
 from fluxtem.config import load_config
 from fluxtem.errors import InvalidStateError
+
+# quarter-scale beam path (64 x 64) with the same pixel geometry as default
+SMALL_OPTICS = ["optics.n=64", "optics.pitch=4e-7"]
 
 
 @pytest.fixture(scope="session")
 def small_cfg():
-    """Quarter-scale beam path (64 x 64) with the same pixel geometry as default."""
-    return optics_config(load_config(None, ["optics.n=64", "optics.pitch=4e-7"]))
+    return load_config(None, SMALL_OPTICS)
 
 
 @pytest.fixture(scope="session")
@@ -25,7 +26,7 @@ def small_detector(small_cfg):
 
 @pytest.fixture(scope="session")
 def default_cfg():
-    return optics_config(load_config())
+    return load_config()
 
 
 @pytest.fixture(scope="session")

@@ -5,7 +5,9 @@ import pytest
 
 from fluxtem import cli, device, estimator, fileio, optics
 from fluxtem import detector as det_mod
-from fluxtem.constants import PhysicalConstants
+from fluxtem.constants import CODATA, PhysicalConstants
+
+from conftest import SMALL_OPTICS
 
 # SHA-256 of the scaling outputs at the default config and seed 12345
 SCALING_TABLE_SHA256 = "6d01bddd1377ca93f5ddaf28c5efcd27d4d2d09256bda8f18387eb06cd839a80"
@@ -13,7 +15,6 @@ SCALING_PROBES_SHA256 = "809250e5833d236cca643dfb211375521589180b4ad0b524a263217
 
 
 # hash_tree of each command's output at a small config and seed 12345
-SMALL_OPTICS = ["optics.n=64", "optics.pitch=4e-7"]
 GOLDEN_TREES = {
     "design": ([], True, "f9c4ca940231637531100c8854f22ba62126d7cddccda9fa46cbd1563c0571fe"),
     "optics": (SMALL_OPTICS, True, "51e85ff75a37bd5f63f291434ba6d045f5cc550e78233ca5b6b80faac4e9602a"),
@@ -346,6 +347,26 @@ def test_a_flux_quantum_of_h_over_e_fails_the_deflection_check(tmp_path, capsys,
     captured = capsys.readouterr()
     assert "CHECK deflection_ratio_half: FAIL (theta_d/theta_b = 1.0)" in captured.out
     assert "deflection_ratio_half" in captured.err.strip().splitlines()[-1]
+
+
+def test_a_doubled_vacuum_permeability_fails_the_critical_current_check(tmp_path, capsys, monkeypatch):
+    # L = mu_r mu0 d log_factor doubles, so i_c = phi0 / L halves from 1.65 to 0.82 uA
+    monkeypatch.setattr(device, "CODATA", PhysicalConstants(mu0=2.0 * CODATA.mu0))
+    assert cli.main(["design", "--check", "--out", str(tmp_path)]) == cli.EXIT_CHECK_FAILED
+    captured = capsys.readouterr()
+    assert "CHECK critical_current_order: FAIL (i_c = 8.228e-07 A)" in captured.out
+    assert captured.err.strip().endswith("check failed: critical_current_order")
+
+
+def test_a_charge_deflection_without_its_velocity_fails_the_charge_check(tmp_path, capsys, monkeypatch):
+    def no_velocity(beam):
+        return CODATA.e**2 / (CODATA.eps0 * beam.waist * beam.momentum)
+
+    monkeypatch.setattr(device, "charge_deflection", no_velocity)
+    assert cli.main(["design", "--check", "--out", str(tmp_path)]) == cli.EXIT_CHECK_FAILED
+    captured = capsys.readouterr()
+    assert "CHECK charge_scheme_weaker: FAIL" in captured.out
+    assert captured.err.strip().endswith("check failed: charge_scheme_weaker")
 
 
 def test_design_warnings_are_printed(tmp_path, capsys):

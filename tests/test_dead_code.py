@@ -1,4 +1,5 @@
-"""Dead-code guard: every module-level function and class in src/fluxtem is reached from a root.
+"""Dead-code guards: every module-level function and class in src/fluxtem is reached from a root,
+and every name src/fluxtem imports is used.
 
 The roots are what runs without being named: the module-level
 statements of src/fluxtem (other than its definitions), the class-body
@@ -13,6 +14,9 @@ scope, which errs towards counting a definition as reached.
 Uses from tests/ do not count: a helper only the tests need belongs in
 tests/.  Neither does `__all__`: a string naming a definition reaches
 nothing, so a definition only exported is reported.
+
+An imported name is used when a `Name` or `Attribute` node of its own
+module names it; `from __future__` imports are directives, not names.
 """
 
 import ast
@@ -70,6 +74,24 @@ def unreached_definitions(root):
     ]
 
 
+def unused_imports(root):
+    """(module, name) of each name a module under root/src/fluxtem imports and never refers to."""
+    found = []
+    for path in sorted((root / "src" / "fluxtem").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        used = _names([tree])
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    # `import a.b` binds `a`; `from m import *` binds nothing to check
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name != "*" and name not in used:
+                        found.append((path.stem, name))
+    return found
+
+
 def test_every_definition_in_src_is_reached():
     assert unreached_definitions(ROOT) == []
 
@@ -109,4 +131,32 @@ def test_the_guard_follows_reach_from_the_roots_only(tmp_path):
         ("main", "a"),
         ("main", "b"),
         ("main", "a_only_tests_call"),
+    ]
+
+
+def test_every_import_in_src_is_used():
+    assert unused_imports(ROOT) == []
+
+
+def test_the_import_guard_names_each_unused_import(tmp_path):
+    package = tmp_path / "src" / "fluxtem"
+    package.mkdir(parents=True)
+    (package / "main.py").write_text(
+        "from __future__ import annotations\n\n"
+        "import math\n"
+        "import os.path\n"
+        "import numpy as np\n"
+        "from typing import TYPE_CHECKING\n\n"
+        "from .constants import CODATA, PhysicalConstants\n\n"
+        "if TYPE_CHECKING:\n    from .config import RunConfig, load_config\n\n"
+        "def area(cfg: RunConfig):\n"
+        "    from .errors import ConfigError\n"
+        "    return np.pi * os.path.sep\n"
+    )
+    assert unused_imports(tmp_path) == [
+        ("main", "math"),
+        ("main", "CODATA"),
+        ("main", "PhysicalConstants"),
+        ("main", "load_config"),
+        ("main", "ConfigError"),
     ]

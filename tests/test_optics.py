@@ -1,19 +1,33 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from fluxtem import detector as det_mod
 from fluxtem import optics as O
+from fluxtem.config import load_config
 from fluxtem.errors import EmptyFieldError, GeometryError
 
-from conftest import parity, validate_detector
+from conftest import SMALL_OPTICS, parity, validate_detector
 
 
 def _gaussian_field(n, sigma):
     dy, dx = np.meshgrid(np.arange(n) - n // 2, np.arange(n) - n // 2, indexing="ij")
     return O.WaveField(np.exp(-(dx**2 + dy**2) / (2 * sigma**2)).astype(complex))
+
+
+def _small(*overrides):
+    """The small beam path with `key=value` overrides, each float written as its repr."""
+    return load_config(None, [*SMALL_OPTICS, *overrides])
+
+
+def _flux(f, turns=1):
+    return _small(f"ring.flux_fraction={f!r}", f"ring.turns={turns}")
+
+
+def _mask(*overrides):
+    """The stencil on a unit-pitch grid."""
+    return O.build_mask(load_config(None, ["optics.pitch=1.0", *overrides]))
 
 
 @pytest.fixture(scope="module")
@@ -24,7 +38,7 @@ def small_beam(small_cfg):
 def _branches(beam):
     """Specimen-plane waves of qubit branches 0 and 1."""
     inside, outside = beam.inside.grid, beam.outside.grid
-    return outside + inside, outside + O.branch_factor(beam.cfg.ring) * inside
+    return outside + inside, outside + O.branch_factor(beam.cfg) * inside
 
 
 def _ring_plane(grid):
@@ -38,13 +52,16 @@ def _ring_plane(grid):
 
 class TestBuildMask:
     def test_annulus_area_matches_closed_form(self):
-        n, pitch = 256, 1.0
         inner, outer = 40.0, 60.0
         width = math.radians(10.0)
-        spec = O.MaskSpec(
-            inner_radius=inner, outer_radius=outer, gap_angles=(0.3, 2.5), gap_width=width, disc_radius=0.0
+        field = _mask(
+            "optics.n=256",
+            f"mask.inner_radius={inner!r}",
+            f"mask.outer_radius={outer!r}",
+            "mask.gap_angles=0.3,2.5",
+            f"mask.gap_width={width!r}",
+            "mask.disc_radius=0.0",
         )
-        field = O.build_mask(spec, n, pitch)
         count = int(np.count_nonzero(field.grid))
         annulus_area = math.pi * (outer**2 - inner**2)
         expected = annulus_area * (1.0 - 2 * width / (2 * math.pi))
@@ -53,23 +70,28 @@ class TestBuildMask:
         assert abs(count - expected) <= edge_budget
 
     def test_disc_plus_annulus(self):
-        n = 128
-        spec = O.MaskSpec(inner_radius=30.0, outer_radius=40.0, gap_angles=(), gap_width=0.0, disc_radius=10.0)
-        field = O.build_mask(spec, n, 1.0)
+        # a zero-width gap cuts only pixels exactly on its angle, and none lies at 0.3 rad
+        field = _mask(
+            "optics.n=128",
+            "mask.inner_radius=30.0",
+            "mask.outer_radius=40.0",
+            "mask.gap_angles=0.3",
+            "mask.gap_width=0.0",
+            "mask.disc_radius=10.0",
+        )
         count = int(np.count_nonzero(field.grid))
         expected = math.pi * (10.0**2 + 40.0**2 - 30.0**2)
         assert abs(count - expected) <= 2 * math.pi * (10 + 30 + 40)
 
     def test_zero_transmission_blocks_downstream(self):
-        spec = O.MaskSpec(inner_radius=0.0, outer_radius=0.0, gap_angles=(), gap_width=0.0, disc_radius=0.0)
-        field = O.build_mask(spec, 32, 1.0)
+        field = _mask("optics.n=32", "mask.inner_radius=0.0", "mask.outer_radius=0.0", "mask.disc_radius=0.0")
         assert field.power == 0.0
         with pytest.raises(EmptyFieldError):
             O.propagate(field)
 
     def test_oversized_geometry_rejected(self):
         with pytest.raises(GeometryError):
-            O.build_mask(O.MaskSpec(inner_radius=0.0, outer_radius=40.0, gap_angles=(), gap_width=0.0, disc_radius=0.0), 64, 1.0)
+            _mask("optics.n=64", "mask.inner_radius=0.0", "mask.outer_radius=40.0", "mask.disc_radius=0.0")
 
 
 # ---------------------------------------------------------------------------
@@ -133,13 +155,12 @@ class TestAperture:
         """Total variation of the ring-plane intensity drops when the aperture acts."""
 
         def ring_plane_tv(aperture_radius):
-            cfg = replace(small_cfg, aperture_radius=aperture_radius)
-            intensity = O.trace_beam(cfg)[1]
+            intensity = O.trace_beam(_small(f"optics.aperture_radius={aperture_radius!r}"))[1]
             tv = np.abs(np.diff(intensity, axis=0)).sum() + np.abs(np.diff(intensity, axis=1)).sum()
             return tv / intensity.sum()
 
-        open_radius = small_cfg.n * small_cfg.pitch  # passes everything
-        assert ring_plane_tv(small_cfg.aperture_radius) < ring_plane_tv(open_radius)
+        open_radius = small_cfg["optics.n"] * small_cfg["optics.pitch"]  # passes everything
+        assert ring_plane_tv(small_cfg["optics.aperture_radius"]) < ring_plane_tv(open_radius)
 
 
 # ---------------------------------------------------------------------------
@@ -150,13 +171,13 @@ class TestAbPhase:
     def test_no_flux_branches_identical(self, small_cfg, small_beam):
         # no flux and every even flux wrap to a phase of exactly 0
         for f, turns in [(0.0, 1), (2.0, 1), (1.0, 2), (0.4, 5)]:
-            ring = replace(small_cfg.ring, flux_fraction=f, turns=turns)
-            assert O.branch_factor(ring) == 1.0
-            map0, map1, _ = O.specimen_maps(O.Beam(replace(small_cfg, ring=ring), small_beam.inside, small_beam.outside))
+            cfg = _flux(f, turns)
+            assert O.branch_factor(cfg) == 1.0
+            map0, map1, _ = O.specimen_maps(O.Beam(cfg, small_beam.inside, small_beam.outside))
             np.testing.assert_array_equal(map0, map1)
 
     def test_single_flux_negates_inside(self, small_cfg, small_beam):
-        assert abs(O.branch_factor(small_cfg.ring) + 1.0) < 1e-15
+        assert abs(O.branch_factor(small_cfg) + 1.0) < 1e-15
         _, f1 = _branches(small_beam)
         inside, outside = small_beam.inside.grid, small_beam.outside.grid
         np.testing.assert_allclose(f1, outside - inside, atol=1e-15)
@@ -164,18 +185,18 @@ class TestAbPhase:
         expected = np.abs(outside - inside) ** 2
         np.testing.assert_allclose(map1, expected / expected.sum(), atol=1e-15)
 
-    def test_overlap_equals_power_difference(self, small_cfg):
+    def test_overlap_equals_power_difference(self):
         """Oracle: <f0|f1> = P_out - P_in for a single flux quantum."""
-        beam = O.trace_beam(replace(small_cfg, balance=False))[2]
+        beam = O.trace_beam(_small("optics.balance=False"))[2]
         p_in, p_out = beam.inside.power, beam.outside.power
         assert p_in + p_out == pytest.approx(1.0, abs=1e-12)
         overlap = O.specimen_maps(beam)[2]
         assert overlap.real == pytest.approx(p_out - p_in, rel=1e-12)
         assert abs(overlap.imag) < 1e-12
 
-    def test_phase_additivity(self, small_cfg):
+    def test_phase_additivity(self):
         def factor(f, turns=1):
-            return O.branch_factor(replace(small_cfg.ring, flux_fraction=f, turns=turns))
+            return O.branch_factor(_flux(f, turns))
 
         assert factor(0.5, 2) == factor(1.0, 1)
         assert factor(0.25, 4) == factor(1.0, 1)
@@ -183,7 +204,7 @@ class TestAbPhase:
             assert abs(factor(f1) * factor(f2) - factor(f1 + f2)) < 1e-14
 
     def test_body_annulus_blocked_for_both_branches(self, small_cfg, small_beam):
-        inside, body, outside = O.ring_regions(small_cfg.n, small_cfg.ring, small_cfg.pitch)
+        inside, body, outside = O.ring_regions(small_cfg)
         for branch in _branches(small_beam):
             ring_plane = _ring_plane(branch)
             assert np.abs(ring_plane[body]).max() < 1e-12 * np.abs(ring_plane).max()
@@ -191,12 +212,12 @@ class TestAbPhase:
         assert np.abs(_ring_plane(small_beam.inside.grid)[~inside]).max() < 1e-12
         assert np.abs(_ring_plane(small_beam.outside.grid)[~outside]).max() < 1e-12
 
-    def test_phase_only_on_cleared_annulus(self, small_cfg, small_beam):
+    def test_phase_only_on_cleared_annulus(self, small_beam):
         """The parts have disjoint support, so the factor leaves each branch's power unchanged."""
         assert abs(np.vdot(small_beam.inside.grid, small_beam.outside.grid)) < 1e-12
         for f in (0.25, 0.5, 0.9, 1.0, 1.7):
-            cfg = replace(small_cfg, ring=replace(small_cfg.ring, flux_fraction=f))
-            assert abs(abs(O.branch_factor(cfg.ring)) - 1.0) <= 2 * np.finfo(float).eps
+            cfg = _flux(f)
+            assert abs(abs(O.branch_factor(cfg)) - 1.0) <= 2 * np.finfo(float).eps
             f0, f1 = _branches(O.Beam(cfg, small_beam.inside, small_beam.outside))
             assert np.sum(np.abs(f1) ** 2) == pytest.approx(np.sum(np.abs(f0) ** 2), abs=1e-12)
 
@@ -205,13 +226,13 @@ def test_balanced_branches_orthogonal(small_beam):
     assert abs(O.specimen_maps(small_beam)[2]) < 1e-10
 
 
-def test_unbalanced_overlap_matches_power_mismatch(small_cfg):
+def test_unbalanced_overlap_matches_power_mismatch():
     # <0|1> = P_out + exp(i phi) P_in at any flux; a single flux quantum gives P_out - P_in
-    beam = O.trace_beam(replace(small_cfg, balance=False))[2]
+    beam = O.trace_beam(_small("optics.balance=False"))[2]
     for f in (0.25, 0.5, 0.9, 1.0):
-        cfg = replace(beam.cfg, ring=replace(beam.cfg.ring, flux_fraction=f))
+        cfg = _small("optics.balance=False", f"ring.flux_fraction={f!r}")
         overlap = O.specimen_maps(O.Beam(cfg, beam.inside, beam.outside))[2]
-        expected = beam.outside.power + O.branch_factor(cfg.ring) * beam.inside.power
+        expected = beam.outside.power + O.branch_factor(cfg) * beam.inside.power
         assert abs(overlap - expected) < 1e-12
 
 
@@ -220,9 +241,8 @@ def test_unbalanced_overlap_matches_power_mismatch(small_cfg):
 
 
 class TestSpecimenIntensity:
-    def test_no_flux_maps_identical(self, small_cfg):
-        cfg = replace(small_cfg, ring=replace(small_cfg.ring, flux_fraction=0.0))
-        map0, map1, _ = O.specimen_maps(O.trace_beam(cfg)[2])
+    def test_no_flux_maps_identical(self):
+        map0, map1, _ = O.specimen_maps(O.trace_beam(_flux(0.0))[2])
         np.testing.assert_array_equal(map0, map1)
 
     def test_single_flux_maps_distinct(self, small_beam):
@@ -260,10 +280,10 @@ class TestBuildDetector:
         assert det.beta_law_deviation(math.pi) < 1e-6
 
     @pytest.mark.parametrize("f", [0.25, 0.5, 0.9, 1.7])
-    def test_beta_law_at_any_flux(self, small_cfg, f):
-        cfg = replace(small_cfg, ring=replace(small_cfg.ring, flux_fraction=f))
+    def test_beta_law_at_any_flux(self, f):
+        cfg = _flux(f)
         det = O.build_detector(O.trace_beam(cfg)[2])
-        phase = cfg.ring.branch_phase
+        phase = O.branch_phase(cfg)
         assert -math.pi < phase <= math.pi
         inside = (det.region == det_mod.INSIDE_SHADOW) & ~det.boundary_mask
         np.testing.assert_allclose(det.beta[inside], phase, atol=1e-9)
@@ -278,9 +298,8 @@ class TestBuildDetector:
         residual = np.abs(det.a[lit] - det.b[lit] * np.exp(-1j * det.beta[lit]))
         assert (residual / np.abs(det.a[lit])).max() < 1e-6
 
-    def test_no_flux_detector_trivial(self, small_cfg):
-        cfg = replace(small_cfg, ring=replace(small_cfg.ring, flux_fraction=0.0))
-        det = O.build_detector(O.trace_beam(cfg)[2])
+    def test_no_flux_detector_trivial(self):
+        det = O.build_detector(O.trace_beam(_flux(0.0))[2])
         np.testing.assert_array_equal(det.a, det.b)
         assert np.all(det.beta == 0.0)
         assert int(det.boundary_mask.sum()) == 0
@@ -289,7 +308,7 @@ class TestBuildDetector:
         assert small_detector.boundary_power_fraction() == 0.0
 
     def test_blurred_reimage_reports_boundary_power(self, small_cfg):
-        cfg = replace(small_cfg, detector_aperture_radius=24 * small_cfg.pitch, tolerance=0.05)
+        cfg = _small(f"optics.detector_aperture_radius={24 * small_cfg['optics.pitch']!r}", "optics.tolerance=0.05")
         det = O.build_detector(O.trace_beam(cfg)[2])
         frac = det.boundary_power_fraction()
         assert 0.0 < frac < 0.5
@@ -319,10 +338,10 @@ class TestBuildDetector:
 
 
 def test_four_plane_chain_unitarity(default_cfg):
-    mask = O.build_mask(default_cfg.mask, default_cfg.n, default_cfg.pitch)
+    mask = O.build_mask(default_cfg)
     image = O.propagate(mask)
     assert abs(image.power - mask.power) / mask.power < 1e-10
-    apertured = O.apply_aperture(image, default_cfg.aperture_radius)
+    apertured = O.apply_aperture(image, default_cfg["optics.aperture_radius"])
     ring_plane = O.propagate(apertured)
     assert abs(ring_plane.power - apertured.power) / apertured.power < 1e-10
     mask_intensity, ring_intensity, beam = O.trace_beam(default_cfg)

@@ -526,8 +526,9 @@ class TestSimulateGroups:
         for _ in range(n):
             res = P.run_group(plan, det, rng)
             seq_counts[int(round(res.sum_beta / math.pi))] += 1
-        batch = P.simulate_groups(plan, det, n, derive(9, 3))
-        batch_counts = np.bincount(np.round(batch.sum_beta / math.pi).astype(int), minlength=plan.k + 1)
+        # simulate_groups draws its groups' pixels first, so the same stream gives its sum_beta
+        pixels = P.draw_good_pixels(det, n * plan.k, derive(9, 3))[0].reshape(n, plan.k)
+        batch_counts = np.bincount(np.round(det.beta[pixels].sum(axis=1) / math.pi).astype(int), minlength=plan.k + 1)
         expected = n * np.array([math.comb(3, m) * 0.25**m * 0.75 ** (3 - m) for m in range(4)])
         for counts in (seq_counts, batch_counts):
             chi2 = float(np.sum((counts - expected) ** 2 / expected))
@@ -554,7 +555,7 @@ class TestSimulateGroups:
         b1 = P.simulate_groups(plan, det, 100, derive(11, 1))
         b2 = P.simulate_groups(plan, det, 100, derive(11, 1))
         np.testing.assert_array_equal(b1.outcomes, b2.outcomes)
-        np.testing.assert_array_equal(b1.sum_beta, b2.sum_beta)
+        np.testing.assert_array_equal(b1.phases, b2.phases)
 
 
 # ---------------------------------------------------------------------------
