@@ -16,7 +16,7 @@ Modules:
   fileio     - deterministic CSV, PGM and manifest output
   streams    - seeded random streams derived from (seed, path)
   constants  - pinned CODATA constants
-  errors     - exception types
+  errors     - the two error types, one per exit code
   cli        - deterministic experiment runner (also `python -m fluxtem`)
 """
 

@@ -20,7 +20,7 @@ import numpy as np
 from . import detector as det_mod
 from . import device, estimator, fileio, optics, protocol
 from .config import RunConfig, load_config
-from .errors import ConfigError, FluxTemError
+from .errors import ConfigError, PreconditionError
 from .streams import DOMAIN_PROTOCOL, derive
 
 EXIT_OK = 0
@@ -29,6 +29,10 @@ EXIT_CONFIG = 2
 EXIT_PRECONDITION = 3
 EXIT_CHECK_FAILED = 4
 
+# each boundary draw is a discarded electron, so the boundary power fraction is the
+# dose overhead the detector adds; optics warns, and --check fails, above 5%
+BOUNDARY_POWER_LIMIT = 0.05
+
 
 class CheckFailure(Exception):
     """One or more --check contracts failed."""
@@ -36,7 +40,7 @@ class CheckFailure(Exception):
 
 def _detector(cfg: RunConfig) -> det_mod.DetectorModel:
     if cfg["protocol.detector"] == "trivial":
-        return det_mod.trivial(cfg["protocol.trivial_pixels"])
+        return det_mod.trivial()
     # only the Beam is kept, so the trace's two intensities are freed before the detector is built
     return optics.build_detector(optics.trace_beam(cfg)[2])
 
@@ -114,10 +118,9 @@ def cmd_optics(cfg: RunConfig, out: Path, check: bool) -> None:
         "branch_overlap": repr(overlap),
         "ncc_specimen_maps": repr(ncc),
     }
-    if boundary_frac > cfg["optics.boundary_power_warn"]:
+    if boundary_frac > BOUNDARY_POWER_LIMIT:
         stats["warning.detector_quality"] = (
-            f"boundary pixels carry {boundary_frac:.3%} of detected power "
-            f"(threshold {cfg['optics.boundary_power_warn']:.3%})"
+            f"boundary pixels carry {boundary_frac:.3%} of detected power (threshold {BOUNDARY_POWER_LIMIT:.3%})"
         )
 
     checks = []
@@ -132,9 +135,7 @@ def cmd_optics(cfg: RunConfig, out: Path, check: bool) -> None:
                 checks.append(("branch_orthogonality", overlap < 1e-10, f"|<0|1>| = {overlap:.2e}"))
         elif abs(phase) < 1e-9:
             checks.append(("maps_identical_without_flux", np.array_equal(map0, map1), "map0 == map1"))
-        checks.append(
-            ("boundary_power", boundary_frac <= cfg["optics.boundary_power_warn"], f"{boundary_frac:.3e}")
-        )
+        checks.append(("boundary_power", boundary_frac <= BOUNDARY_POWER_LIMIT, f"{boundary_frac:.3e}"))
     _finish(out, cfg, "optics", stats, files, checks, check)
 
 
@@ -191,11 +192,11 @@ def _load_specimen(cfg: RunConfig) -> estimator.SpecimenMap:
             return estimator.make_checkerboard(cfg["image.shape"], cfg["image.tile"], cfg["image.delta_phi"])
         except ValueError as err:
             shape, tile = cfg["image.shape"], cfg["image.tile"]
-            raise ConfigError(f"image.shape = {shape} with image.tile = {tile}: {err}", key="image.shape") from err
+            raise ConfigError(f"image.shape = {shape} with image.tile = {tile}: {err}") from err
     phase_file = cfg["image.phase_file"]
     pairs_file = cfg["image.pairs_file"]
     if phase_file is None or pairs_file is None:
-        raise ConfigError("specimen 'files' needs image.phase_file and image.pairs_file", key="image.specimen")
+        raise ConfigError("specimen 'files' needs image.phase_file and image.pairs_file")
     try:
         if phase_file.endswith(".pgm"):
             phase = fileio.read_scaled_pgm(phase_file)
@@ -204,11 +205,11 @@ def _load_specimen(cfg: RunConfig) -> estimator.SpecimenMap:
         if not np.isfinite(phase).all():
             raise ValueError("the phase map holds a non-finite value")
     except (OSError, ValueError, KeyError) as err:
-        raise ConfigError(f"cannot load image.phase_file {phase_file!r}: {err}", key="image.phase_file") from err
+        raise ConfigError(f"cannot load image.phase_file {phase_file!r}: {err}") from err
     try:
         return estimator.SpecimenMap(phase=phase, pairs=fileio.read_pairs_csv(pairs_file, phase.shape[1]))
     except (OSError, ValueError) as err:
-        raise ConfigError(f"cannot load image.pairs_file {pairs_file!r}: {err}", key="image.pairs_file") from err
+        raise ConfigError(f"cannot load image.pairs_file {pairs_file!r}: {err}") from err
 
 
 def cmd_image(cfg: RunConfig, out: Path, check: bool) -> None:
@@ -343,7 +344,7 @@ def main(argv: list[str] | None = None) -> int:
     except CheckFailure as err:
         print(f"check failed: {err}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    except FluxTemError as err:
+    except PreconditionError as err:
         print(f"precondition error: {err}", file=sys.stderr)
         return EXIT_PRECONDITION
     except MemoryError as err:

@@ -72,7 +72,6 @@ SCHEMA: dict[str, tuple[str, str, object, tuple | None]] = {
     "squid.log_factor": (FLOAT, NONE, 1.0, _POSITIVE),
     "squid.lateral_size": (FLOAT, LENGTH, 10e-6, _POSITIVE),
     "squid.flux_path_length": (FLOAT, LENGTH, 1e-3, _POSITIVE),
-    "squid.turns": (INT, NONE, 1, _at_least(1)),
     "timing.group_duration": (FLOAT, TIME, 10e-9, _POSITIVE),
     "timing.mqc_frequency": (FLOAT, FREQ, 1e6, _POSITIVE),
     "timing.coherence_width": (FLOAT, LENGTH, 10e-6, _POSITIVE),
@@ -84,8 +83,6 @@ SCHEMA: dict[str, tuple[str, str, object, tuple | None]] = {
     "optics.tolerance": (FLOAT, NONE, 1e-6, _NON_NEGATIVE),
     # below 1 a pixel passes both shadow tests and is classed outside
     "optics.dominance_ratio": (FLOAT, NONE, 10.0, _at_least(1)),
-    # a threshold on a power fraction
-    "optics.boundary_power_warn": (FLOAT, NONE, 0.05, ((lambda v: 0.0 <= v <= 1.0), "in [0, 1]")),
     "mask.disc_radius": (FLOAT, LENGTH, 1.8e-6, _NON_NEGATIVE),
     "mask.inner_radius": (FLOAT, LENGTH, 2.8e-6, _NON_NEGATIVE),
     "mask.outer_radius": (FLOAT, LENGTH, 3.5e-6, _NON_NEGATIVE),
@@ -101,7 +98,6 @@ SCHEMA: dict[str, tuple[str, str, object, tuple | None]] = {
     "protocol.sigma0": (FLOAT, ANGLE, 0.0, _WRAPPED_ANGLE),
     "protocol.repetitions": (INT, NONE, 2000, _at_least(1)),
     "protocol.detector": (STR, NONE, "trivial", _one_of("trivial", "optics")),
-    "protocol.trivial_pixels": (INT, NONE, 64, _at_least(1)),
     "protocol.basis": (STR, NONE, "quadrature", _one_of(*BASES)),
     "image.specimen": (STR, NONE, "checkerboard", _one_of("checkerboard", "files")),
     "image.phase_file": (STR, NONE, None, None),
@@ -131,9 +127,9 @@ def _parse_quantity(token: str, dimension: str, key: str, line: int | None) -> f
     try:
         value = float(number) * scale
     except ValueError:
-        raise ConfigError(f"bad value {token!r} for key {key!r}", key=key, line=line) from None
+        raise ConfigError(f"bad value {token!r} for key {key!r}", line=line) from None
     if not math.isfinite(value):
-        raise ConfigError(f"{key} must be a finite number, got {token!r}", key=key, line=line)
+        raise ConfigError(f"{key} must be a finite number, got {token!r}", line=line)
     return value
 
 
@@ -148,22 +144,22 @@ def _parse_value(key: str, raw: str, line: int | None = None):
             return True
         if low in ("false", "0", "no", "off"):
             return False
-        raise ConfigError(f"bad boolean {raw!r} for key {key!r}", key=key, line=line)
+        raise ConfigError(f"bad boolean {raw!r} for key {key!r}", line=line)
     if kind == INT:
         try:
             value = int(raw, 0)
         except ValueError:
-            raise ConfigError(f"bad integer {raw!r} for key {key!r}", key=key, line=line) from None
+            raise ConfigError(f"bad integer {raw!r} for key {key!r}", line=line) from None
         # numpy sizes, counts and seeds are int64: a larger value fails inside numpy
         if not -(1 << 63) <= value < 1 << 63:
-            raise ConfigError(f"{key} = {raw} does not fit in a 64-bit integer", key=key, line=line)
+            raise ConfigError(f"{key} = {raw} does not fit in a 64-bit integer", line=line)
         return value
     if kind == FLOAT:
         return _parse_quantity(raw, dimension, key, line)
     if kind == LIST:
         items = [part for part in raw.split(",") if part.strip()]
         if not items:
-            raise ConfigError(f"empty list for key {key!r}", key=key, line=line)
+            raise ConfigError(f"empty list for key {key!r}", line=line)
         return tuple(_parse_quantity(part, dimension, key, line) for part in items)
     return raw  # STR
 
@@ -175,7 +171,7 @@ def _check_limit(key: str, value, line: int | None) -> None:
     test, wanted = limit
     for v in value if isinstance(value, tuple) else (value,):
         if not test(v):
-            raise ConfigError(f"{key} must be {wanted}, got {v!r}", key=key, line=line)
+            raise ConfigError(f"{key} must be {wanted}, got {v!r}", line=line)
 
 
 class RunConfig:
@@ -189,7 +185,7 @@ class RunConfig:
 
     def set_raw(self, key: str, raw: str, line: int | None = None) -> None:
         if key not in SCHEMA:
-            raise ConfigError(f"unknown key {key!r}", key=key, line=line)
+            raise ConfigError(f"unknown key {key!r}", line=line)
         value = _parse_value(key, raw, line)
         _check_limit(key, value, line)
         self._values[key] = value
@@ -240,11 +236,8 @@ def load_config(path=None, overrides: list[str] | None = None) -> RunConfig:
         cfg.apply_overrides(overrides)
     total, budget = cfg["image.total_budget"], cfg["image.budget"]
     if total is not None and total < budget:
-        raise ConfigError(
-            f"image.total_budget = {total} is below image.budget = {budget}, so no pair can be scanned",
-            key="image.total_budget",
-        )
+        raise ConfigError(f"image.total_budget = {total} is below image.budget = {budget}, so no pair can be scanned")
     k_list = cfg["scaling.k_list"]
     if len(set(k_list)) < len(k_list):
-        raise ConfigError(f"scaling.k_list entries must be distinct, got {k_list!r}", key="scaling.k_list")
+        raise ConfigError(f"scaling.k_list entries must be distinct, got {k_list!r}")
     return cfg

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidStateError
+from .errors import PreconditionError
 
 OUTSIDE_SHADOW = 0
 INSIDE_SHADOW = 1
@@ -53,9 +53,9 @@ class DetectorModel:
         object.__setattr__(self, "region", region)
         n = self.a.size
         if not (self.b.size == self.beta.size == self.region.size == n):
-            raise InvalidStateError("detector arrays must have equal length")
+            raise PreconditionError("detector arrays must have equal length")
         if n == 0:
-            raise InvalidStateError("detector needs at least one pixel")
+            raise PreconditionError("detector needs at least one pixel")
 
     @property
     def n_pixels(self) -> int:

@@ -7,7 +7,7 @@ electrostatic (charge-qubit) deflection, and the inductance and
 critical current that put an rf-SQUID into the macroscopic quantum
 coherence regime (L * i_c of order one flux quantum).  `design_report`
 reads its inputs from the run's `RunConfig` by `config.SCHEMA` key
-(`beam.*`, `squid.*`, `timing.*`).
+(`beam.*`, `squid.*`, `timing.*` and `ring.turns`).
 """
 
 from __future__ import annotations
@@ -122,8 +122,7 @@ def design_report(cfg: RunConfig) -> DesignReport:
     if beam.waist <= beam.wavelength:
         # theta_b = lambda / a is a small-angle law: it needs a >> lambda
         raise ConfigError(
-            f"beam.waist = {beam.waist!r} m is not larger than the electron wavelength {beam.wavelength!r} m",
-            key="beam.waist",
+            f"beam.waist = {beam.waist!r} m is not larger than the electron wavelength {beam.wavelength!r} m"
         )
     wafer_thickness = cfg["squid.d"]
     inductance = (cfg["squid.mu_r"] * CODATA.mu0) * wafer_thickness * cfg["squid.log_factor"]
@@ -163,7 +162,7 @@ def design_report(cfg: RunConfig) -> DesignReport:
         ("L_ic_product", inductance * critical_current, "Wb"),
         ("flux_quantum", CODATA.phi0, "Wb"),
         ("lateral_size", lateral_size, "m"),
-        ("turns", float(cfg["squid.turns"]), ""),
+        ("turns", float(cfg["ring.turns"]), ""),
         ("group_duration", group_duration, "s"),
         ("mqc_frequency", mqc_frequency, "Hz"),
         ("timing_headroom", 1.0 / (group_duration * mqc_frequency), "x"),

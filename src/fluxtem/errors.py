@@ -1,37 +1,19 @@
-"""Exception types shared across the simulator."""
+"""The two error types the CLI reports, one per exit code.
+
+`ConfigError` (exit 2) is a run config the simulator cannot use: a bad
+file, key or value.  `PreconditionError` (exit 3) is a valid config that
+leads to a state the simulation cannot continue from, such as a ring
+the grid cannot hold or a budget that completes no group.
+"""
 
 
-class FluxTemError(Exception):
-    """Base class for all simulator-specific errors."""
-
-
-class InvalidStateError(FluxTemError, ValueError):
-    """A quantum state failed a normalization or structure check."""
-
-
-class EmptyFieldError(FluxTemError, ValueError):
-    """A wave field carries no power, so propagation is meaningless."""
-
-
-class GeometryError(FluxTemError, ValueError):
-    """Mask or ring geometry does not fit the simulation grid."""
-
-
-class AmbiguityError(FluxTemError, ValueError):
-    """Accumulated phase leaves the invertible branch of the estimator."""
-
-
-class BudgetError(FluxTemError, ValueError):
-    """Electron budget is too small for the requested experiment."""
-
-
-class ConfigError(FluxTemError, ValueError):
+class ConfigError(ValueError):
     """Bad configuration file, key, or value."""
 
-    def __init__(self, message: str, *, key: str | None = None, line: int | None = None):
-        self.key = key
+    def __init__(self, message: str, *, line: int | None = None):
         self.line = line
-        prefix = ""
-        if line is not None:
-            prefix = f"line {line}: "
-        super().__init__(prefix + message)
+        super().__init__(message if line is None else f"line {line}: {message}")
+
+
+class PreconditionError(ValueError):
+    """A valid config reached a state the simulation cannot continue from."""

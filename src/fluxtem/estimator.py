@@ -11,8 +11,8 @@ scaling.  `fluxtem scaling` measures it without assuming it.
 
 The functions take the values `config.SCHEMA` has already checked, so
 they repeat none of its limits; what they still raise is what a valid
-config can reach: an ambiguous k * dphi (`AmbiguityError`) and a budget
-that completes no group or no target spread (`BudgetError`).
+config can reach, as a `PreconditionError`: an ambiguous k * dphi and a
+budget that completes no group or no target spread.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 from . import detector as det_mod
 from . import protocol
 from .detector import DetectorModel
-from .errors import AmbiguityError, BudgetError
+from .errors import PreconditionError
 from .protocol import GroupPlan
 from .streams import DOMAIN_IMAGE, DOMAIN_SCALING, derive
 
@@ -92,16 +92,16 @@ def estimate_phase(
         )
 
     if abs(k * true_delta_phi) >= 0.5 * math.pi:
-        raise AmbiguityError(
+        raise PreconditionError(
             f"|k * delta_phi| = {abs(k * true_delta_phi):.4f} >= pi/2; the quadrature inversion is ambiguous"
         )
     if electron_budget < k:
-        raise BudgetError(f"budget {electron_budget} is smaller than one group of {k}")
+        raise PreconditionError(f"budget {electron_budget} is smaller than one group of {k}")
 
     plan = GroupPlan(k=k, delta_phi=true_delta_phi)
     batch = protocol.simulate_groups(plan, det, electron_budget // k, rng, budget=electron_budget)
     if batch.groups == 0:
-        raise BudgetError("no group completed within the electron budget")
+        raise PreconditionError("no group completed within the electron budget")
     p_hat = float(batch.outcomes.mean())
     estimate = _invert_quadrature(p_hat, k)
     return EstimationResult(
@@ -154,7 +154,7 @@ def _estimate_batch(mode, delta_phi, budget, repetitions, det, rng, k):
     if q < 1.0:
         groups = np.minimum(groups, rng.binomial(budget, q, size=repetitions) // k)
     if not groups.all():
-        raise BudgetError("no group completed within the electron budget")
+        raise PreconditionError("no group completed within the electron budget")
     hits = rng.binomial(groups, protocol.readout_probability(k * delta_phi))
     return np.arcsin(np.clip(2.0 * hits / groups - 1.0, -1.0, 1.0)) / k, groups
 
@@ -182,7 +182,7 @@ def electrons_to_target_std(
     repetitions from one stream, derive(seed, DOMAIN_SCALING, k, budget).
     """
     if abs(k * delta_phi) >= 0.5 * math.pi:
-        raise AmbiguityError(f"k = {k} puts |k * delta_phi| >= pi/2; the quadrature inversion is ambiguous")
+        raise PreconditionError(f"k = {k} puts |k * delta_phi| >= pi/2; the quadrature inversion is ambiguous")
     probes: list[tuple[int, float]] = []
 
     budget = max(4 * k, 16)
@@ -190,7 +190,7 @@ def electrons_to_target_std(
     probes.append((budget, std))
     while std > target_std:
         if budget > 10**9:
-            raise BudgetError("target spread unreachable below 1e9 electrons")
+            raise PreconditionError("target spread unreachable below 1e9 electrons")
         budget *= 2
         std = _empirical_std(delta_phi, k, budget, repetitions, seed, det)
         probes.append((budget, std))

@@ -21,9 +21,10 @@ specimen maps and the detector are both read from that pair.
 
 Every function reads its geometry from the run's `RunConfig` by
 `config.SCHEMA` key (`optics.*`, `mask.*`, `ring.*`), so SCHEMA stays
-the only description of each parameter.  Lengths are in meters with a
-pixel pitch, but the chain itself is scale-free: lens excitations can
-map the same grids to any physical size, so the pitch is metadata only.
+the only description of each parameter.  Lengths are in meters, and
+every radius is divided by `optics.pitch` before it meets a grid, so
+only the ratios of lengths to the pitch enter the chain: lens
+excitations can map the same grids to any physical size.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .detector import BOUNDARY, INSIDE_SHADOW, OUTSIDE_SHADOW, DetectorModel
-from .errors import EmptyFieldError, GeometryError
+from .errors import PreconditionError
 from .protocol import wrap_angle
 
 if TYPE_CHECKING:
@@ -102,7 +103,7 @@ def ring_regions(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ri = cfg["ring.inner"] / pitch
     ro = cfg["ring.outer"] / pitch
     if ro >= n / 2:
-        raise GeometryError("ring does not fit in the grid")
+        raise PreconditionError("ring does not fit in the grid")
     inside = r < ri
     body = (r >= ri) & (r <= ro)
     outside = r > ro
@@ -115,7 +116,8 @@ def build_mask(cfg: RunConfig) -> WaveField:
     The stencil is an open central disc plus an open annulus; a zero
     radius leaves that part closed.  The annulus is cut by gap wedges,
     which model the silicon beams that hold the ring body; each is
-    centered on an entry of mask.gap_angles with full width mask.gap_width.
+    centered on an entry of mask.gap_angles with full width mask.gap_width;
+    a zero width cuts nothing.
     """
     n, pitch = cfg["optics.n"], cfg["optics.pitch"]
     r = _radius_grid(n)
@@ -123,7 +125,7 @@ def build_mask(cfg: RunConfig) -> WaveField:
     ro = cfg["mask.outer_radius"] / pitch
     rd = cfg["mask.disc_radius"] / pitch
     if max(ro, rd) >= n / 2:
-        raise GeometryError("mask geometry exceeds the grid")
+        raise PreconditionError("mask geometry exceeds the grid")
     open_px = (r <= rd) if rd > 0.0 else np.zeros((n, n), dtype=bool)
     if ro > 0.0:
         annulus = (r >= ri) & (r <= ro)
@@ -131,7 +133,7 @@ def build_mask(cfg: RunConfig) -> WaveField:
         theta = np.arctan2(dy, dx)
         for center in cfg["mask.gap_angles"]:
             delta = wrap_angle(theta - center)
-            annulus &= np.abs(delta) > 0.5 * cfg["mask.gap_width"]
+            annulus &= np.abs(delta) >= 0.5 * cfg["mask.gap_width"]
         open_px = open_px | annulus
     return WaveField(open_px.astype(complex), pitch)
 
@@ -144,7 +146,7 @@ def propagate(fieldv: WaveField) -> WaveField:
     center (parity).
     """
     if fieldv.power == 0.0:
-        raise EmptyFieldError("cannot propagate a field with zero power")
+        raise PreconditionError("cannot propagate a field with zero power")
     shifted = np.fft.ifftshift(fieldv.grid)
     out = np.fft.fftshift(np.fft.fft2(shifted, norm="ortho"))
     return WaveField(out, fieldv.pitch)
@@ -190,7 +192,7 @@ def trace_beam(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray, Beam]:
     intensity, the ring-plane intensity before the ring and the `Beam`.
     """
     if not 0.0 < cfg["ring.inner"] < cfg["ring.outer"]:
-        raise GeometryError("need 0 < ring_inner < ring_outer")
+        raise PreconditionError("need 0 < ring_inner < ring_outer")
     mask = build_mask(cfg)
     mask_intensity = np.abs(mask.grid) ** 2
     grid = propagate(apply_aperture(propagate(mask), cfg["optics.aperture_radius"])).grid
@@ -200,11 +202,11 @@ def trace_beam(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray, Beam]:
     if cfg["optics.balance"]:
         p_in, p_out = float(intensity[inside].sum()), float(intensity[outside].sum())
         if p_in <= 0.0 or p_out <= 0.0:
-            raise EmptyFieldError("both ring sides need power to balance the split")
+            raise PreconditionError("both ring sides need power to balance the split")
         grid[inside] *= math.sqrt(p_out / p_in)
     norm = math.sqrt(float(np.sum(np.abs(grid) ** 2)))
     if norm == 0.0:
-        raise EmptyFieldError("no beam power survives the ring plane")
+        raise PreconditionError("no beam power survives the ring plane")
     grid /= norm
     pitch = cfg["optics.pitch"]
     inside_wave = propagate(WaveField(np.where(inside, grid, 0.0), pitch))

@@ -27,7 +27,7 @@ from typing import Literal
 import numpy as np
 
 from .detector import DetectorModel
-from .errors import InvalidStateError
+from .errors import PreconditionError
 
 TWO_PI = 2.0 * math.pi
 
@@ -71,7 +71,7 @@ class QubitState:
     def require_normalized(self, tol: float = NORM_TOL) -> None:
         norm_sq = self.norm_sq()
         if not math.isfinite(norm_sq) or abs(norm_sq - 1.0) > tol:
-            raise InvalidStateError(f"qubit norm^2 = {norm_sq!r} is not 1 within {tol}")
+            raise PreconditionError(f"qubit norm^2 = {norm_sq!r} is not 1 within {tol}")
 
     @property
     def relative_phase(self) -> float:
@@ -121,7 +121,7 @@ def run_group(plan: GroupPlan, det: DetectorModel, rng: np.random.Generator) -> 
     order, so a group with d discards consumes the stream's first k + d draws.
     """
     if det.boundary_power_fraction() >= 1.0:
-        raise InvalidStateError("detector has no non-boundary power; discarding boundary draws cannot terminate")
+        raise PreconditionError("detector has no non-boundary power; discarding boundary draws cannot terminate")
     qubit = prepare_symmetric(plan.sigma0)
     # the rotation stays a numpy array product: numpy's complex multiply
     # rounds differently from Python's, and the output hashes pin numpy's
@@ -140,7 +140,7 @@ def run_group(plan: GroupPlan, det: DetectorModel, rng: np.random.Generator) -> 
         w0, w1 = abs(c0) ** 2, abs(c1) ** 2
         norm_sq = w0 + w1
         if not math.isfinite(norm_sq) or abs(norm_sq - 1.0) > NORM_TOL:
-            raise InvalidStateError(f"qubit norm^2 = {norm_sq!r} is not 1 within {NORM_TOL}")
+            raise PreconditionError(f"qubit norm^2 = {norm_sq!r} is not 1 within {NORM_TOL}")
         if abs(w0 - w1) <= 1e-12:
             cum = det.equal_weight_cumulative
         else:
@@ -155,11 +155,11 @@ def run_group(plan: GroupPlan, det: DetectorModel, rng: np.random.Generator) -> 
             discards += 1
             records.append((pixel, beta, 1))
             if discards > MAX_DISCARDS:
-                raise InvalidStateError(f"exceeded {MAX_DISCARDS} boundary discards in one group")
+                raise PreconditionError(f"exceeded {MAX_DISCARDS} boundary discards in one group")
         amp0, amp1 = a_at(pixel) * c0, b_at(pixel) * c1
         norm = math.hypot(abs(amp0), abs(amp1))
         if norm == 0.0:
-            raise InvalidStateError(f"pixel {pixel} has zero detection amplitude")
+            raise PreconditionError(f"pixel {pixel} has zero detection amplitude")
         # np.complex128 / float as numpy computes it, dividing by norm + 0j;
         # Python's complex division rounds differently
         inv = 1.0 / norm
@@ -238,7 +238,7 @@ def draw_good_pixels(
     as many draws as a sequential collapse loop would.
     """
     if det.boundary_power_fraction() >= 1.0:
-        raise InvalidStateError("detector has no non-boundary power")
+        raise PreconditionError("detector has no non-boundary power")
     cum = det.equal_weight_cumulative
     boundary = det.boundary_mask
     good_pixels = np.empty(need, dtype=np.int64)

@@ -6,7 +6,7 @@ import pytest
 from fluxtem import detector as det_mod
 from fluxtem import optics
 from fluxtem.config import load_config
-from fluxtem.errors import InvalidStateError
+from fluxtem.errors import PreconditionError
 
 # quarter-scale beam path (64 x 64) with the same pixel geometry as default
 SMALL_OPTICS = ["optics.n=64", "optics.pitch=4e-7"]
@@ -45,7 +45,7 @@ def assert_states_close(actual, expected, tol=1e-12):
 
 
 def validate_detector(det, tolerance=1e-6, phase=math.pi):
-    """Check a detector's invariants, raising InvalidStateError on failure.
+    """Check a detector's invariants, raising PreconditionError on failure.
 
     Each branch carries unit power, and every non-boundary pixel has
     branch moduli equal within `tolerance` of the largest |a_j|.  Unless
@@ -55,18 +55,18 @@ def validate_detector(det, tolerance=1e-6, phase=math.pi):
     for name, p in (("a", det.power_a), ("b", det.power_b)):
         total = p.sum()
         if abs(total - 1.0) > 1e-10:
-            raise InvalidStateError(f"detector {name} power {total!r} is not 1 within 1e-10")
+            raise PreconditionError(f"detector {name} power {total!r} is not 1 within 1e-10")
     ok = ~det.boundary_mask
     if ok.any():
         scale = np.abs(det.a).max()
         diff = np.abs(np.abs(det.a[ok]) - np.abs(det.b[ok]))
         worst = diff.max() / scale
         if worst > tolerance:
-            raise InvalidStateError(f"non-boundary pixel moduli differ by {worst:.3e} (tolerance {tolerance:.3e})")
+            raise PreconditionError(f"non-boundary pixel moduli differ by {worst:.3e} (tolerance {tolerance:.3e})")
         if phase is not None:
             worst_beta = det.beta_law_deviation(phase)
             if worst_beta > 1e-6:
-                raise InvalidStateError(f"non-boundary beta deviates from {{0, {phase!r}}} by {worst_beta:.3e}")
+                raise PreconditionError(f"non-boundary beta deviates from {{0, {phase!r}}} by {worst_beta:.3e}")
 
 
 def two_region(n_outside, n_inside):

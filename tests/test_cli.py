@@ -16,28 +16,28 @@ SCALING_PROBES_SHA256 = "809250e5833d236cca643dfb211375521589180b4ad0b524a263217
 
 # hash_tree of each command's output at a small config and seed 12345
 GOLDEN_TREES = {
-    "design": ([], True, "f9c4ca940231637531100c8854f22ba62126d7cddccda9fa46cbd1563c0571fe"),
-    "optics": (SMALL_OPTICS, True, "51e85ff75a37bd5f63f291434ba6d045f5cc550e78233ca5b6b80faac4e9602a"),
-    "protocol": (["protocol.repetitions=200"], True, "57765b02ff92eb4a247585fe648013af6cffa8d29cbeaa8244a5a5dde6dc42d8"),
+    "design": ([], True, "76ed193f57e0625a0858150ea66a16fbb14cca1a19566f91acf0e17c5519761d"),
+    "optics": (SMALL_OPTICS, True, "aadecce5d1b126b9af23b5ddeba067dcf12d12cca247486372c788d08b5c1b18"),
+    "protocol": (["protocol.repetitions=200"], True, "f6f2e09854e141fb445af262ddc8ea3efbf43a0ff927a0fc15b5afe269df4bc7"),
     "protocol-optics": (
         ["protocol.detector=optics", "protocol.repetitions=200", *SMALL_OPTICS],
         True,
-        "c9e7ab62f9e77652a9f5aa8321a62a86faf8303534efb417742c7d359804a8ca",
+        "b7e119164fab938ac375743e93d24503ab72b7bf20c84ebef297439f91b2c06e",
     ),
     # image's rmse_ratio check does not hold at this size, so it runs without --check
-    "image": (["image.shape=16", "image.repetitions=2"], False, "dae589f1515acd0ea8e83ad886f2793706d60b95ad3e743ec0e926ef08e57c8e"),
+    "image": (["image.shape=16", "image.repetitions=2"], False, "0ba69c5c2bac5482d522bbdcab9fe3b161730259e2e59480931955a75f278ece"),
     "image-optics": (
         ["image.shape=16", "image.repetitions=2", "protocol.detector=optics", *SMALL_OPTICS],
         False,
-        "f34f79fe8c20a49dc1dba5c2e6c2bc7f955685e009ca1fb84dc6597db4ca8fd2",
+        "1ec1b769b614f427a51f34213df738a65c95ba366b21b6ddcbca61c30763124a",
     ),
 }
 
 
 # hash_tree of the default config on the optics detector at seed 12345, with --check
-PROTOCOL_OPTICS_TREE = "63ad2378e7b48afe1d13485f6235e44073b94c8211d490fc335bcd2986c4c56d"
+PROTOCOL_OPTICS_TREE = "44099f5ab3f42a5fbc4755731d4c63a0781046e2214cf2a98b4ec2f2ab2b36e3"
 # hash_tree of `optics` at the default config and seed 12345, with --check
-OPTICS_TREE = "d51e3450511d0f681d689d4245a4dcb0fcc0397342ad81ddb9b792446a41846e"
+OPTICS_TREE = "97a081e39c54304a186f6f03ac828cecce548926bb972a48ee73b6fe6d91d310"
 
 
 def _sha256(path):
@@ -128,7 +128,6 @@ def test_scaling_golden_outputs(tmp_path, capsys):
         ("beam.energy=inf", "beam.energy"),
         ("image.total_budget=0", "image.total_budget"),
         ("image.budget=0", "image.budget"),
-        ("protocol.trivial_pixels=0", "protocol.trivial_pixels"),
         ("scaling.k_list=", "scaling.k_list"),
         ("optics.n=100", "optics.n"),
         ("optics.n=1", "optics.n"),
@@ -142,10 +141,8 @@ def test_scaling_golden_outputs(tmp_path, capsys):
         ("mask.gap_width=-1deg", "mask.gap_width"),
         ("ring.inner=0", "ring.inner"),
         ("ring.outer=-2um", "ring.outer"),
-        ("squid.turns=0", "squid.turns"),
         ("squid.lateral_size=-1", "squid.lateral_size"),
         ("timing.coherence_width=0", "timing.coherence_width"),
-        ("optics.boundary_power_warn=-1", "optics.boundary_power_warn"),
         ("mask.gap_angles=1e300", "mask.gap_angles"),
         ("mask.gap_angles=90deg,-7", "mask.gap_angles"),
         # below image.budget (4000) no pair can be scanned
@@ -158,6 +155,12 @@ def test_bad_scaling_input_is_a_config_error(override, key, tmp_path, capsys):
     assert cli.main(["design", "--set", override, "--out", str(tmp_path)]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error:") and key in err
+
+
+@pytest.mark.parametrize("key", ["squid.turns", "protocol.trivial_pixels", "optics.boundary_power_warn"])
+def test_a_deleted_key_is_an_unknown_key(key, tmp_path, capsys):
+    assert cli.main(["design", "--set", f"{key}=1", "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: unknown key '{key}'\n"
 
 
 @pytest.mark.parametrize("case", ["missing", "directory", "not utf-8"])
@@ -180,7 +183,7 @@ def test_out_path_that_is_a_file_is_a_config_error(tmp_path, capsys):
     assert err.startswith("config error:") and "--out" in err
 
 
-@pytest.mark.parametrize("override", ["protocol.k=1000000000000000", "protocol.trivial_pixels=1000000000000000"])
+@pytest.mark.parametrize("override", ["protocol.k=1000000000000000"])
 def test_an_allocation_numpy_refuses_is_a_precondition_error(override, tmp_path, capsys):
     # 10**15 float64 or complex128 entries are 7 or 14 PiB, which no machine maps
     argv = ["protocol", "--set", override, "--set", "protocol.repetitions=1", "--out", str(tmp_path)]
@@ -194,10 +197,9 @@ def test_an_allocation_numpy_refuses_is_a_precondition_error(override, tmp_path,
     "command, overrides",
     [
         ("protocol", ["protocol.k=100000000000000000000", "protocol.repetitions=1"]),
-        ("protocol", ["protocol.trivial_pixels=100000000000000000000"]),
         ("image", ["image.budget=100000000000000000000"]),
     ],
-    ids=["protocol.k", "protocol.trivial_pixels", "image.budget"],
+    ids=["protocol.k", "image.budget"],
 )
 def test_an_integer_outside_int64_is_a_config_error(command, overrides, tmp_path, capsys):
     argv = [command, "--out", str(tmp_path)]

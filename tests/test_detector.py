@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fluxtem import detector as det_mod
-from fluxtem.errors import InvalidStateError
+from fluxtem.errors import PreconditionError
 from fluxtem.fileio import CSV_BLOCK_ROWS
 
 from conftest import degenerate_two_pixel, two_region, validate_detector
@@ -42,7 +42,7 @@ def test_validate_rejects_unequal_moduli():
     a = np.array([1.0, 0.0], dtype=complex)
     b = np.array([0.8, 0.6], dtype=complex)
     det = det_mod.DetectorModel(a=a, b=b, beta=np.zeros(2), region=np.zeros(2, dtype=np.int8))
-    with pytest.raises(InvalidStateError):
+    with pytest.raises(PreconditionError):
         validate_detector(det)
 
 
@@ -55,7 +55,7 @@ def test_validate_rejects_off_law_beta():
         beta=np.full(n, 0.3),
         region=np.zeros(n, dtype=np.int8),
     )
-    with pytest.raises(InvalidStateError):
+    with pytest.raises(PreconditionError):
         validate_detector(det)
     validate_detector(det, phase=None)
 
@@ -79,7 +79,7 @@ def test_validate_rejects_unnormalized_power():
     det = det_mod.DetectorModel(
         a=amp, b=amp, beta=np.zeros(2), region=np.zeros(2, dtype=np.int8)
     )
-    with pytest.raises(InvalidStateError):
+    with pytest.raises(PreconditionError):
         validate_detector(det)
 
 
@@ -161,7 +161,7 @@ def test_equal_weight_cumulative_normalized():
 
 
 def test_mismatched_arrays_rejected():
-    with pytest.raises(InvalidStateError):
+    with pytest.raises(PreconditionError, match="equal length"):
         det_mod.DetectorModel(
             a=np.ones(3, dtype=complex),
             b=np.ones(2, dtype=complex),

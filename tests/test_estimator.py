@@ -7,7 +7,7 @@ from scipy import stats
 from fluxtem import detector as det_mod
 from fluxtem import estimator
 from fluxtem.config import load_config
-from fluxtem.errors import AmbiguityError, BudgetError, ConfigError
+from fluxtem.errors import ConfigError, PreconditionError
 from fluxtem.streams import DOMAIN_IMAGE, derive
 
 REPS = 2000
@@ -64,12 +64,12 @@ def test_batch_kernel_is_reproducible_per_seed():
 @pytest.mark.parametrize("det, budget", [(det_mod.trivial(), 3), (quarter_boundary_detector(), 8)])
 def test_batch_kernel_raises_when_no_group_completes(det, budget):
     # trivial: budget < k; boundary: Binomial(8, 3/4) < 8 at most repetitions
-    with pytest.raises(BudgetError):
+    with pytest.raises(PreconditionError, match="no group completed"):
         estimator._estimate_batch("entangled", 0.05, budget, 400, det, derive(1), 8)
 
 
 def test_electrons_to_target_std_rejects_ambiguous_k():
-    with pytest.raises(AmbiguityError):
+    with pytest.raises(PreconditionError, match="ambiguous"):
         estimator.electrons_to_target_std(0.2, 8, 0.05, 10, seed=1, det=det_mod.trivial())
 
 

@@ -6,7 +6,7 @@ import pytest
 from fluxtem import detector as det_mod
 from fluxtem import optics as O
 from fluxtem.config import load_config
-from fluxtem.errors import EmptyFieldError, GeometryError
+from fluxtem.errors import PreconditionError
 
 from conftest import SMALL_OPTICS, parity, validate_detector
 
@@ -69,8 +69,15 @@ class TestBuildMask:
         edge_budget = 2 * math.pi * (inner + outer) + 4 * (outer - inner)
         assert abs(count - expected) <= edge_budget
 
+    @pytest.mark.parametrize("width, opened", [("0", 2413), ("10deg", 2341)])
+    def test_gap_width_sets_the_open_pixel_count(self, width, opened):
+        # at the default gaps (90 and 270 deg) 16 annulus pixels lie exactly on a gap angle,
+        # and a zero width keeps them: it opens the whole disc and annulus
+        mask = O.build_mask(load_config(None, [f"mask.gap_width={width}"]))
+        assert int(np.count_nonzero(mask.grid)) == opened
+
     def test_disc_plus_annulus(self):
-        # a zero-width gap cuts only pixels exactly on its angle, and none lies at 0.3 rad
+        # a zero-width gap cuts nothing
         field = _mask(
             "optics.n=128",
             "mask.inner_radius=30.0",
@@ -86,11 +93,11 @@ class TestBuildMask:
     def test_zero_transmission_blocks_downstream(self):
         field = _mask("optics.n=32", "mask.inner_radius=0.0", "mask.outer_radius=0.0", "mask.disc_radius=0.0")
         assert field.power == 0.0
-        with pytest.raises(EmptyFieldError):
+        with pytest.raises(PreconditionError, match="zero power"):
             O.propagate(field)
 
     def test_oversized_geometry_rejected(self):
-        with pytest.raises(GeometryError):
+        with pytest.raises(PreconditionError, match="mask geometry exceeds the grid"):
             _mask("optics.n=64", "mask.inner_radius=0.0", "mask.outer_radius=40.0", "mask.disc_radius=0.0")
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from fluxtem import detector as det_mod
 from fluxtem import protocol as P
 from fluxtem.config import load_config
-from fluxtem.errors import ConfigError, InvalidStateError
+from fluxtem.errors import ConfigError, PreconditionError
 from fluxtem.streams import derive
 
 from conftest import assert_states_close, degenerate_two_pixel, two_region, validate_detector
@@ -30,7 +30,7 @@ INV_SQRT2 = 1.0 / math.sqrt(2.0)
 def _ref_entangle(amp0, amp1):
     """Joint table after the electron copies the qubit branch: c[q][q] = amp_q."""
     if abs(abs(amp0) ** 2 + abs(amp1) ** 2 - 1.0) > P.NORM_TOL:
-        raise InvalidStateError("qubit is not normalized")
+        raise PreconditionError("qubit is not normalized")
     c = np.zeros((2, 2), dtype=complex)
     c[0, 0], c[1, 1] = amp0, amp1
     return c
@@ -219,10 +219,10 @@ class TestEntangle:
         assert P.wrap_angle(cmath.phase(c[1, 1]) - cmath.phase(c[0, 0])) == pytest.approx(math.pi / 3)
 
     def test_unnormalized_rejected(self, monkeypatch):
-        with pytest.raises(InvalidStateError):
+        with pytest.raises(PreconditionError):
             _ref_entangle(1.0, 1.0)
         monkeypatch.setattr(P, "prepare_symmetric", lambda sigma: P.QubitState(1.0, 1.0))
-        with pytest.raises(InvalidStateError, match="norm"):
+        with pytest.raises(PreconditionError, match="norm"):
             P.run_group(P.GroupPlan(k=1, delta_phi=0.0), det_mod.trivial(4), derive(3, 5))
 
 
@@ -274,7 +274,7 @@ class TestCollapse:
 
     def test_discard_policy_rejects_all_boundary_detector(self):
         det = degenerate_two_pixel()
-        with pytest.raises(InvalidStateError):
+        with pytest.raises(PreconditionError, match="no non-boundary power"):
             P.run_group(P.GroupPlan(k=1, delta_phi=0.0), det, derive(3, 3))
 
     def test_max_discards_guard_stops_a_stuck_group(self, monkeypatch):
@@ -289,7 +289,7 @@ class TestCollapse:
         plan = P.GroupPlan(k=2, delta_phi=0.0)
         assert P.run_group(plan, det, derive(3, 11)).boundary_discards > 10
         monkeypatch.setattr(P, "MAX_DISCARDS", 10)
-        with pytest.raises(InvalidStateError, match="exceeded 10 boundary discards"):
+        with pytest.raises(PreconditionError, match="exceeded 10 boundary discards"):
             P.run_group(plan, det, derive(3, 11))
 
     def test_detection_distribution_is_born_rule(self):
