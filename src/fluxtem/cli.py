@@ -146,32 +146,58 @@ def cmd_protocol(cfg: RunConfig, out: Path, check: bool) -> None:
     reps = cfg["protocol.repetitions"]
     seed = cfg["seed"]
 
-    outcome_rows = []
-    audit_max = 0.0
-    outcomes = np.empty(reps, dtype=np.uint8)
+    # warmed here, so the forked parts inherit them instead of each computing them
+    boundary = det.boundary_power_fraction()
+    det.equal_weight_cumulative
+    # a group discards k q / (1 - q) draws on average; stop a stuck one before it draws
+    discards = plan.k * boundary / (1.0 - boundary) if boundary < 1.0 else math.inf
+    if discards > protocol.MAX_DISCARDS:
+        raise PreconditionError(
+            f"boundary pixels carry {boundary:.6%} of the detected power, so a group of k = {plan.k} expects "
+            f"{discards:.3g} discards (limit {protocol.MAX_DISCARDS}); raise optics.tolerance"
+        )
 
-    def record_rows():
-        # the trials run as records.csv is written, so only a block of its rows is ever held
-        nonlocal audit_max
-        for trial in range(reps):
-            rng = derive(seed, DOMAIN_PROTOCOL, trial)
-            result = protocol.run_group(plan, det, rng)
-            audit_max = max(audit_max, protocol.phase_audit(result, plan))
-            qubit = protocol.compensate(result.qubit, result.sum_beta)
-            outcome = protocol.measure_qubit(qubit, basis, rng)
-            outcomes[trial] = outcome
-            outcome_rows.append((trial, result.sum_beta, result.boundary_discards, qubit.relative_phase, outcome))
-            for step, rec in enumerate(result.records):
-                yield (trial, step, *rec)
+    def run_trials(lo, hi, writers):
+        write_records, write_outcomes = writers
+        outcome_rows = []
+        audit_max = 0.0
+        ones = 0
+
+        def record_rows():
+            # the trials run as records.csv is written, so only a block of its rows is ever held
+            nonlocal audit_max, ones
+            for trial in range(lo, hi):
+                rng = derive(seed, DOMAIN_PROTOCOL, trial)
+                result = protocol.run_group(plan, det, rng)
+                audit_max = max(audit_max, protocol.phase_audit(result, plan))
+                qubit = protocol.compensate(result.qubit, result.sum_beta)
+                outcome = protocol.measure_qubit(qubit, basis, rng)
+                ones += outcome
+                outcome_rows.append((trial, result.sum_beta, result.boundary_discards, qubit.relative_phase, outcome))
+                for step, rec in enumerate(result.records):
+                    yield (trial, step, *rec)
+
+        write_records(record_rows())
+        write_outcomes(outcome_rows)
+        return ones, audit_max
 
     records_path = out / "records.csv"
-    fileio.write_csv(records_path, ["trial", "step", "pixel", "beta_j", "boundary_flag"], record_rows())
     outcomes_path = out / "outcomes.csv"
-    fileio.write_csv(outcomes_path, ["trial", "sum_beta", "boundary_discards", "phase_after_compensation", "outcome"], outcome_rows)
+    parts = fileio.write_csv_parts(
+        [
+            (records_path, ["trial", "step", "pixel", "beta_j", "boundary_flag"]),
+            (outcomes_path, ["trial", "sum_beta", "boundary_discards", "phase_after_compensation", "outcome"]),
+        ],
+        reps,
+        run_trials,
+    )
+    # a max does not depend on the order of its parts
+    audit_max = max(part_max for _, part_max in parts)
 
     residual = plan.sigma0 + plan.k * plan.delta_phi
     _, p1 = protocol.measurement_probabilities(protocol.prepare_symmetric(residual), basis)
-    rate = float(outcomes.mean())
+    # the correctly rounded mean of 0/1 outcomes: the bits of float(np.mean) of their uint8 array
+    rate = sum(ones for ones, _ in parts) / reps
     sigma = math.sqrt(max(p1 * (1.0 - p1), 1e-12) / reps)
     stats = {
         "audit_max_deviation": repr(audit_max),

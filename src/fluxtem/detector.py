@@ -119,7 +119,11 @@ class DetectorModel:
                 regions = map(REGION_NAMES.__getitem__, self.region[part].tolist())
                 yield from zip(range(start, hi), *(c[part].tolist() for c in columns), regions)
 
-        fileio.write_csv_parts(path, _CSV_HEADER, self.n_pixels, rows)
+        def write_pixels(lo, hi, writers):
+            (write,) = writers
+            write(rows(lo, hi))
+
+        fileio.write_csv_parts([(path, _CSV_HEADER)], self.n_pixels, write_pixels)
 
 
 def trivial(n_pixels: int = 64) -> DetectorModel:

@@ -14,7 +14,8 @@ the cycle k times without resetting the qubit accumulates
 exactly; the known sum(beta_j) is then cancelled classically and the
 qubit is read out.  Everything here is a pure function of its inputs
 plus an explicit random generator, so independent trials parallelize
-trivially (see `streams`).
+trivially (see `streams`): the CLI runs them on every CPU through
+`fileio.write_csv_parts`.
 """
 
 from __future__ import annotations

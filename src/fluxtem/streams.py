@@ -3,7 +3,9 @@
 A master seed plus an integer path (domain, repetition, ...) maps to an
 independent counter-based generator.  Streams depend only on the pair
 (seed, path), never on creation order, so repetitions may run in any
-order or in parallel and still reproduce bit-identical results.
+order or in parallel and still reproduce bit-identical results; the
+`protocol` command splits its trials across CPUs with
+`fileio.write_csv_parts`.
 """
 
 from __future__ import annotations

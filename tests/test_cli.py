@@ -1,11 +1,18 @@
 import hashlib
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from fluxtem import cli, device, estimator, fileio, optics
+from fluxtem import cli, device, estimator, fileio, optics, protocol
 from fluxtem import detector as det_mod
 from fluxtem.constants import CODATA, PhysicalConstants
+from fluxtem.errors import PreconditionError
+from fluxtem.streams import DOMAIN_PROTOCOL
 
 from conftest import SMALL_OPTICS
 
@@ -69,6 +76,112 @@ def test_default_protocol_optics_tree(tmp_path):
 def test_default_optics_tree(tmp_path):
     assert cli.main(["optics", "--seed", "12345", "--check", "--out", str(tmp_path)]) == cli.EXIT_OK
     assert fileio.hash_tree(tmp_path) == OPTICS_TREE
+
+
+def _no_fork():
+    raise AssertionError("forked a child for fewer trials than two blocks or on one CPU")
+
+
+def _protocol_tree(out, overrides, cpus, monkeypatch):
+    """hash_tree of a `protocol --check` run as if the process may run on `cpus` CPUs."""
+    argv = ["protocol", "--seed", "12345", "--check", "--out", str(out)]
+    for override in overrides:
+        argv += ["--set", override]
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        assert cli.main(argv) == cli.EXIT_OK
+    return fileio.hash_tree(out)
+
+
+@pytest.mark.parametrize("reps", [1, 63, 64, 127, 128, 129, 200])
+@pytest.mark.parametrize("detector", ["trivial", "optics"])
+def test_protocol_writes_the_same_bytes_on_any_cpu_count(detector, reps, tmp_path, monkeypatch):
+    overrides = [f"protocol.repetitions={reps}"]
+    if detector == "optics":
+        overrides += ["protocol.detector=optics", *SMALL_OPTICS]
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "fork", _no_fork)
+        want = _protocol_tree(tmp_path / "1", overrides, 1, monkeypatch)
+        if reps < 2 * fileio.CSV_BLOCK_ROWS:  # fewer trials than two blocks run in one part
+            assert _protocol_tree(tmp_path / "3-unforked", overrides, 3, monkeypatch) == want
+    fork = os.fork
+    for cpus in (2, 3):
+        forks = []
+        monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
+        assert _protocol_tree(tmp_path / str(cpus), overrides, cpus, monkeypatch) == want, f"{cpus} CPUs"
+        assert len(forks) == max(1, min(cpus, reps // fileio.CSV_BLOCK_ROWS)) - 1
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_the_audit_max_is_taken_over_every_part(cpus, tmp_path, monkeypatch):
+    # each trial's audit reads its trial number, so the largest is the last trial's, in the last part
+    trials = []
+    derive = cli.derive
+    monkeypatch.setattr(cli, "derive", lambda seed, *path: trials.append(path[-1]) or derive(seed, *path))
+    monkeypatch.setattr(protocol, "phase_audit", lambda result, plan: trials[-1] * 1e-12)
+    _protocol_tree(tmp_path, ["protocol.repetitions=200"], cpus, monkeypatch)
+    assert f"audit_max_deviation = {199 * 1e-12!r}\n" in (tmp_path / "manifest.txt").read_text()
+
+
+def test_a_precondition_error_in_a_forked_part_exits_3_as_a_sequential_run_does(tmp_path, monkeypatch, capfd):
+    # 200 trials on two CPUs: trials 100..199 run in a forked child
+    run_group = protocol.run_group
+
+    def stuck_at_trial_150(plan, det, rng):
+        if rng.bit_generator.seed_seq.spawn_key == (DOMAIN_PROTOCOL, 150):
+            raise PreconditionError(f"exceeded {protocol.MAX_DISCARDS} boundary discards in one group")
+        return run_group(plan, det, rng)
+
+    monkeypatch.setattr(protocol, "run_group", stuck_at_trial_150)
+    temp_dir = tmp_path / "tmp"
+    temp_dir.mkdir()
+    monkeypatch.setenv("TMPDIR", str(temp_dir))
+    monkeypatch.setattr(tempfile, "tempdir", None)
+    errs = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        out = tmp_path / f"out{cpus}"
+        assert cli.main(["protocol", "--set", "protocol.repetitions=200", "--out", str(out)]) == cli.EXIT_PRECONDITION
+        errs[cpus] = capfd.readouterr().err
+        assert not (out / "manifest.txt").exists()
+    assert errs[2] == errs[1] == "precondition error: exceeded 100000 boundary discards in one group\n"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert list(temp_dir.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "overrides, code",
+    [
+        (["optics.detector_aperture_radius=5um"], cli.EXIT_PRECONDITION),
+        # a looser tolerance leaves 0.25% of the power on boundary pixels: a group expects 0.012 discards
+        (["optics.detector_aperture_radius=5um", "optics.tolerance=1e-2"], cli.EXIT_OK),
+    ],
+    ids=["stuck", "middle-regime"],
+)
+def test_a_stuck_detector_exits_3_before_any_draw(overrides, code, tmp_path, monkeypatch, capsys):
+    # at 5 um and the default tolerance a group expects 3.6e6 discards, far past the 100,000 limit
+    argv = ["protocol", "--set", "protocol.detector=optics", "--set", "protocol.repetitions=1", "--out", str(tmp_path)]
+    for override in overrides:
+        argv += ["--set", override]
+    draws = []
+    derive = cli.derive
+    monkeypatch.setattr(cli, "derive", lambda *path: draws.append(path) or derive(*path))
+    monkeypatch.setattr(os, "fork", _no_fork)
+    assert cli.main(argv) == code
+    err = capsys.readouterr().err
+    if code == cli.EXIT_PRECONDITION:
+        assert err.startswith("precondition error: boundary pixels carry 99.99986") and "optics.tolerance" in err
+        assert draws == [] and not (tmp_path / "manifest.txt").exists()
+    else:
+        assert err == "" and len(draws) == 1
+
+
+@given(arrays(np.uint8, st.integers(1, 10_000), elements=st.integers(0, 1)))
+def test_outcome_rate_as_a_count_has_the_bits_of_the_uint8_mean(outcomes):
+    # cmd_protocol's outcome_rate is the count of outcome 1 over the trials, summed over the parts;
+    # it must have the bits of the mean of the 0/1 uint8 array
+    assert repr(int(outcomes.sum()) / outcomes.size) == repr(float(outcomes.mean()))
 
 
 def test_optics_traces_the_beam_path_once_outside_the_detector(tmp_path, monkeypatch):

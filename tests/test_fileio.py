@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import os
+import signal
 import struct
 import tempfile
 import tracemalloc
@@ -114,21 +115,48 @@ def test_write_csv_rejects_a_ragged_row(tmp_path, rows):
         fileio.write_csv(tmp_path / "t.csv", ["i", "x"], rows)
 
 
-def _rows_with_a_long_one(bad):
-    def rows_between(lo, hi):
-        for i in range(lo, hi):
-            yield (i, float(i), "x") if i == bad else (i, float(i))
+def _long_row(i):
+    return (i, float(i), "x")
 
-    return rows_between
+
+def _killed(i):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+class _UnloadableError(Exception):
+    """Pickles, but cannot be unpickled: its constructor wants two arguments and gets one."""
+
+    def __init__(self, item, why):
+        super().__init__(f"item {item}: {why}")
+
+
+def _raise_unloadable(i):
+    raise _UnloadableError(i, "bad item")
+
+
+def _part_failing_at(bad, fault):
+    """A one-table part that writes (i, float(i)) for each item, except `fault(i)` at the items in `bad`."""
+
+    def run_part(lo, hi, writers):
+        (write,) = writers
+        write(fault(i) if i in bad else (i, float(i)) for i in range(lo, hi))
+        return lo
+
+    return run_part
 
 
 @pytest.mark.parametrize(
-    "bad, error, message",
-    [(10, ValueError, None), (150, RuntimeError, "rows 128..191 failed")],
-    ids=["in-the-first-part", "in-a-child-part"],
+    "bad, fault, error, message",
+    [
+        ({10}, _long_row, ValueError, None),
+        ({150}, _long_row, ValueError, None),
+        ({100, 150}, _raise_unloadable, RuntimeError, "items 64..127 failed without a report"),
+        ({150}, _killed, RuntimeError, r"items 128..191 failed without a report \(child exit status -9\)"),
+    ],
+    ids=["in-the-first-part", "in-a-child-part", "in-a-child-with-an-error-pickle-cannot-carry", "in-a-killed-child"],
 )
-def test_write_csv_parts_reaps_every_child_and_leaves_nothing_behind(tmp_path, monkeypatch, capfd, bad, error, message):
-    # 192 rows on three CPUs: rows 64..127 and 128..191 go to two children
+def test_write_csv_parts_reaps_every_child_and_leaves_nothing_behind(tmp_path, monkeypatch, capfd, bad, fault, error, message):
+    # 192 items on three CPUs: items 64..127 and 128..191 go to two children
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     temp_dir = tmp_path / "tmp"
     temp_dir.mkdir()
@@ -136,14 +164,51 @@ def test_write_csv_parts_reaps_every_child_and_leaves_nothing_behind(tmp_path, m
     monkeypatch.setattr(tempfile, "tempdir", None)
     with open(tmp_path / "log.txt", "w") as log:
         log.write("written before the call\n")  # left in the buffer, unflushed
-        with pytest.raises(error, match=message):
-            fileio.write_csv_parts(tmp_path / "t.csv", ["i", "x"], 192, _rows_with_a_long_one(bad))
+        with pytest.raises(error, match=message) as raised:
+            fileio.write_csv_parts([(tmp_path / "t.csv", ["i", "x"])], 192, _part_failing_at(bad, fault))
     assert (tmp_path / "log.txt").read_text() == "written before the call\n"
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert list(temp_dir.iterdir()) == []
-    if error is RuntimeError:
-        assert "ValueError: " in capfd.readouterr().err  # the child's traceback
+    err = capfd.readouterr().err
+    if fault is _raise_unloadable:
+        assert "_UnloadableError: item 100: bad item" in err  # the child's own traceback
+    else:
+        assert "Traceback" not in err  # a reported error is raised here, not printed by the child
+    if error is ValueError:  # the error one sequential run raises
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        with pytest.raises(ValueError) as sequential:
+            fileio.write_csv_parts([(tmp_path / "t.csv", ["i", "x"])], 192, _part_failing_at(bad, fault))
+        assert str(raised.value) == str(sequential.value)
+
+
+def test_write_csv_parts_raises_the_lowest_failing_parts_error(tmp_path, monkeypatch):
+    def fault(i):
+        raise LookupError(f"item {i}")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    with pytest.raises(LookupError, match="^item 100$"):
+        fileio.write_csv_parts([(tmp_path / "t.csv", ["i", "x"])], 192, _part_failing_at({100, 150}, fault))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_write_csv_parts_writes_several_tables_and_returns_each_parts_value(tmp_path, monkeypatch, cpus):
+    def run_part(lo, hi, writers):
+        squares, cubes = writers
+        squares((i, i * i) for i in range(lo, hi))
+        cubes([(i, float(i) ** 3, "x") for i in range(lo, hi) if i % 3 == 0])
+        return lo, hi
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    tables = [(tmp_path / "squares.csv", ["i", "square"]), (tmp_path / "cubes.csv", ["i", "cube", "tag"])]
+    values = fileio.write_csv_parts(tables, 200, run_part)
+    assert values == [(200 * i // cpus, 200 * (i + 1) // cpus) for i in range(cpus)]
+    fileio.write_csv(tmp_path / "ref_squares.csv", ["i", "square"], ((i, i * i) for i in range(200)))
+    fileio.write_csv(tmp_path / "ref_cubes.csv", ["i", "cube", "tag"], [(i, float(i) ** 3, "x") for i in range(0, 200, 3)])
+    for name in ("squares.csv", "cubes.csv"):
+        assert (tmp_path / name).read_bytes() == (tmp_path / f"ref_{name}").read_bytes()
 
 
 def _pairs_file(tmp_path, lines):
