@@ -47,17 +47,11 @@ class EstimationResult:
     boundary_discards: int
 
 
-def _invert_conventional(p_hat: float) -> float:
-    return 2.0 * math.asin(min(1.0, math.sqrt(max(0.0, p_hat))))
-
-
-def _invert_quadrature(p_hat: float, k: int) -> float:
-    return math.asin(min(1.0, max(-1.0, 2.0 * p_hat - 1.0))) / k
-
-
-def _quadrature_std_error(k: int, groups: int) -> float:
-    """Cramer-Rao bound 1 / (k sqrt(G)) of the quadrature estimate from G groups."""
-    return 1.0 / (k * math.sqrt(groups))
+def _require_unambiguous(k: int, delta_phi: float) -> None:
+    if abs(k * delta_phi) >= 0.5 * math.pi:
+        raise PreconditionError(
+            f"k = {k} puts |k * delta_phi| = {abs(k * delta_phi):.4f} >= pi/2; the quadrature inversion is ambiguous"
+        )
 
 
 def estimate_phase(
@@ -71,45 +65,35 @@ def estimate_phase(
 ) -> EstimationResult:
     """Estimate the specimen phase difference from a fixed electron budget.
 
-    conventional: unentangled electrons measured in the symmetric /
-    antisymmetric basis, P(anti) = sin^2(dphi/2), inverted by maximum
-    likelihood (the arcsine inversion; sign is not resolved).
-
-    entangled: k-electron groups run through the qubit protocol and read
-    out in the sign-sensitive quadrature basis, P(+) = (1 + sin(k dphi))/2.
-    Requires |k * dphi| < pi/2 so the inversion is unambiguous.  Boundary
-    discards consume budget but carry no information.
+    conventional (the k = 1 case): unentangled electrons read out in the
+    symmetric / antisymmetric basis; sign is not resolved.  entangled:
+    k-electron groups run through the qubit protocol and read out in the
+    sign-sensitive quadrature basis, which needs |k * dphi| < pi/2.
+    Boundary discards consume budget but carry no information.  Both
+    invert their count with `protocol.readout_phase`; std_error is the
+    Cramer-Rao bound 1 / (k sqrt(trials)).
     """
     if mode == "conventional":
-        outcomes = protocol.conventional_trials(true_delta_phi, electron_budget, rng)
-        p_hat = float(outcomes.mean())
-        return EstimationResult(
-            estimate=_invert_conventional(p_hat),
-            std_error=1.0 / math.sqrt(electron_budget),
-            trials=electron_budget,
-            electrons_used=electron_budget,
-            boundary_discards=0,
-        )
-
-    if abs(k * true_delta_phi) >= 0.5 * math.pi:
-        raise PreconditionError(
-            f"|k * delta_phi| = {abs(k * true_delta_phi):.4f} >= pi/2; the quadrature inversion is ambiguous"
-        )
-    if electron_budget < k:
-        raise PreconditionError(f"budget {electron_budget} is smaller than one group of {k}")
-
-    plan = GroupPlan(k=k, delta_phi=true_delta_phi)
-    batch = protocol.simulate_groups(plan, det, electron_budget // k, rng, budget=electron_budget)
-    if batch.groups == 0:
-        raise PreconditionError("no group completed within the electron budget")
-    p_hat = float(batch.outcomes.mean())
-    estimate = _invert_quadrature(p_hat, k)
+        basis, k, discards = "symmetric_antisymmetric", 1, 0
+        hits = int(protocol.conventional_trials(true_delta_phi, electron_budget, rng).sum())
+        trials = used = electron_budget
+    else:
+        _require_unambiguous(k, true_delta_phi)
+        if electron_budget < k:
+            raise PreconditionError(f"budget {electron_budget} is smaller than one group of {k}")
+        basis = "quadrature"
+        plan = GroupPlan(k=k, delta_phi=true_delta_phi)
+        batch = protocol.simulate_groups(plan, det, electron_budget // k, rng, budget=electron_budget)
+        if batch.groups == 0:
+            raise PreconditionError("no group completed within the electron budget")
+        hits = int(batch.outcomes.sum())
+        trials, used, discards = batch.groups, batch.electrons_used, batch.boundary_discards
     return EstimationResult(
-        estimate=estimate,
-        std_error=_quadrature_std_error(k, batch.groups),
-        trials=batch.groups,
-        electrons_used=batch.electrons_used,
-        boundary_discards=batch.boundary_discards,
+        estimate=float(protocol.readout_phase(hits, trials, basis, k)),
+        std_error=1.0 / (k * math.sqrt(trials)),
+        trials=trials,
+        electrons_used=used,
+        boundary_discards=discards,
     )
 
 
@@ -147,16 +131,17 @@ def _estimate_batch(mode, delta_phi, budget, repetitions, det, rng, k):
     Binomial(groups, (1 + sin k dphi) / 2).
     """
     if mode == "conventional":
-        hits = rng.binomial(budget, protocol.conventional_probability(delta_phi), size=repetitions)
-        return 2.0 * np.arcsin(np.sqrt(hits / budget)), np.full(repetitions, budget)
+        basis = "symmetric_antisymmetric"
+        hits = rng.binomial(budget, protocol.readout_probability(delta_phi, basis), size=repetitions)
+        return protocol.readout_phase(hits, budget, basis, 1), np.full(repetitions, budget)
     q = 1.0 - det.boundary_power_fraction()
     groups = np.full(repetitions, budget // k)
     if q < 1.0:
         groups = np.minimum(groups, rng.binomial(budget, q, size=repetitions) // k)
     if not groups.all():
         raise PreconditionError("no group completed within the electron budget")
-    hits = rng.binomial(groups, protocol.readout_probability(k * delta_phi))
-    return np.arcsin(np.clip(2.0 * hits / groups - 1.0, -1.0, 1.0)) / k, groups
+    hits = rng.binomial(groups, protocol.readout_probability(k * delta_phi, "quadrature"))
+    return protocol.readout_phase(hits, groups, "quadrature", k), groups
 
 
 def _empirical_std(delta_phi, k, budget, repetitions, seed, det):
@@ -181,8 +166,7 @@ def electrons_to_target_std(
     1/sqrt(k N) law it is used to test.  Each probed budget draws all its
     repetitions from one stream, derive(seed, DOMAIN_SCALING, k, budget).
     """
-    if abs(k * delta_phi) >= 0.5 * math.pi:
-        raise PreconditionError(f"k = {k} puts |k * delta_phi| >= pi/2; the quadrature inversion is ambiguous")
+    _require_unambiguous(k, delta_phi)
     probes: list[tuple[int, float]] = []
 
     budget = max(4 * k, 16)

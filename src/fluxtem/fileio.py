@@ -37,8 +37,8 @@ PGM_MAXVAL = 65535
 CSV_BLOCK_ROWS = 64
 
 
-def write_pgm16(path, array: np.ndarray) -> None:
-    """Write a float array as big-endian 16-bit P5 PGM with a scaling sidecar.
+def write_pgm16(path, array: np.ndarray) -> tuple[Path, Path]:
+    """Write a float array as big-endian 16-bit P5 PGM with a scaling sidecar; return both paths.
 
     Values are mapped linearly from [min, max] to [0, 65535]; the sidecar
     `<path>.txt` records min and max so the image is invertible.
@@ -56,7 +56,9 @@ def write_pgm16(path, array: np.ndarray) -> None:
     u16 = np.round(scaled).astype(">u2")
     header = f"P5\n{data.shape[1]} {data.shape[0]}\n{PGM_MAXVAL}\n".encode("ascii")
     path.write_bytes(header + u16.tobytes())
-    Path(str(path) + ".txt").write_text(f"min = {lo!r}\nmax = {hi!r}\n")
+    sidecar = Path(str(path) + ".txt")
+    sidecar.write_text(f"min = {lo!r}\nmax = {hi!r}\n")
+    return path, sidecar
 
 
 def read_pgm16(path) -> np.ndarray:

@@ -23,7 +23,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
@@ -31,8 +30,6 @@ from .detector import DetectorModel
 from .errors import PreconditionError
 
 TWO_PI = 2.0 * math.pi
-
-Basis = Literal["symmetric_antisymmetric", "quadrature"]
 
 BASES = ("symmetric_antisymmetric", "quadrature")
 
@@ -186,18 +183,37 @@ def phase_audit(result: GroupResult, plan: GroupPlan) -> float:
     return abs(wrap_angle(result.qubit.relative_phase - predicted))
 
 
-def readout_probability(phase):
-    """P(plus) = (1 + sin phase)/2 in the quadrature basis, for an equal-modulus qubit (scalar or array)."""
-    return 0.5 * (1.0 + np.sin(phase))
+def readout_probability(phase, basis: str):
+    """P(outcome 1) of an equal-modulus qubit of relative phase `phase` (scalar or array).
+
+    (1 + sin phase)/2 in the quadrature basis and sin^2(phase/2) in the
+    symmetric/antisymmetric basis: `measurement_probabilities` in closed
+    form for the states `prepare_symmetric` makes.
+    """
+    if basis == "quadrature":
+        return 0.5 * (1.0 + np.sin(phase))
+    # np.square, not ** 2: a numpy scalar's ** 2 calls pow, which rounds unlike an array's x * x
+    return np.square(np.sin(0.5 * phase))
 
 
-def measurement_probabilities(qubit: QubitState, basis: Basis) -> tuple[float, float]:
+def readout_phase(hits, trials, basis: str, k: int):
+    """Maximum-likelihood phase from `hits` outcomes 1 in `trials` readouts of k-electron groups.
+
+    The inverse of `readout_probability` inside |k phase| <= pi/2 (quadrature) or 0 <= k phase <= pi
+    (symmetric/antisymmetric, sign unresolved); one numpy expression, so a scalar count and an array
+    of counts get the same bits.
+    """
+    if basis == "quadrature":
+        return np.arcsin(np.clip(2.0 * hits / trials - 1.0, -1.0, 1.0)) / k
+    return 2.0 * np.arcsin(np.sqrt(hits / trials)) / k
+
+
+def measurement_probabilities(qubit: QubitState, basis: str) -> tuple[float, float]:
     """Outcome probabilities (P(0), P(1)) for the requested readout basis.
 
     Outcome 1 means `antisymmetric` in the symmetric_antisymmetric basis
-    and `plus` in the quadrature basis {(|0> +- i|1>)/sqrt(2)}.  For the
-    canonical equal-modulus states these evaluate to sin^2(sigma/2) and
-    (1 + sin sigma)/2.
+    and `plus` in the quadrature basis {(|0> +- i|1>)/sqrt(2)};
+    `readout_probability` is its closed form for equal moduli.
     """
     qubit.require_normalized()
     rho01 = qubit.amp0 * qubit.amp1.conjugate()
@@ -209,20 +225,15 @@ def measurement_probabilities(qubit: QubitState, basis: Basis) -> tuple[float, f
     return 1.0 - p1, p1
 
 
-def measure_qubit(qubit: QubitState, basis: Basis, rng: np.random.Generator) -> int:
+def measure_qubit(qubit: QubitState, basis: str, rng: np.random.Generator) -> int:
     """Sample one readout outcome bit (see `measurement_probabilities`)."""
     _, p1 = measurement_probabilities(qubit, basis)
     return int(rng.random() < p1)
 
 
-def conventional_probability(delta_phi: float) -> float:
-    """P(antisymmetric) = sin^2(delta_phi / 2) for an unentangled electron."""
-    return math.sin(0.5 * delta_phi) ** 2
-
-
 def conventional_trials(delta_phi: float, n: int, rng: np.random.Generator) -> np.ndarray:
     """Outcomes of `n` unentangled electrons read out in the symmetric/antisymmetric basis (uint8)."""
-    return (rng.random(n) < conventional_probability(delta_phi)).astype(np.uint8)
+    return (rng.random(n) < readout_probability(delta_phi, "symmetric_antisymmetric")).astype(np.uint8)
 
 
 def draw_good_pixels(
@@ -302,7 +313,7 @@ def simulate_groups(
     # compensation subtracts the recorded kicks after detection added them;
     # the phases keep the rounding of that add-then-subtract
     phases = plan.sigma0 + sum_beta + plan.k * plan.delta_phi - sum_beta
-    p1 = readout_probability(phases)
+    p1 = readout_probability(phases, "quadrature")
     outcomes = (rng.random(completed) < p1).astype(np.uint8)
     return GroupBatchResult(
         outcomes=outcomes,

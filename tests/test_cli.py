@@ -484,6 +484,40 @@ def test_a_charge_deflection_without_its_velocity_fails_the_charge_check(tmp_pat
     assert captured.err.strip().endswith("check failed: charge_scheme_weaker")
 
 
+def _protocol_check(detector, tmp_path):
+    argv = ["protocol", "--check", "--set", "protocol.repetitions=200", "--set", f"protocol.detector={detector}"]
+    for override in SMALL_OPTICS:
+        argv += ["--set", override]
+    return cli.main(argv + ["--out", str(tmp_path)])
+
+
+def test_a_skipped_compensation_fails_the_outcome_check_on_the_optics_detector(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(protocol, "compensate", lambda qubit, sum_beta: qubit)
+    assert _protocol_check("optics", tmp_path / "optics") == cli.EXIT_CHECK_FAILED
+    captured = capsys.readouterr()
+    assert "CHECK phase_bookkeeping: PASS" in captured.out
+    assert "CHECK outcome_statistics: FAIL (6.11 binomial sigma)" in captured.out
+    assert captured.err.strip().endswith("check failed: outcome_statistics")
+    # every beta_j of the trivial detector is 0, so there the verdict cannot see the mutation
+    assert _protocol_check("trivial", tmp_path / "trivial") == cli.EXIT_OK
+    assert "CHECK outcome_statistics: PASS (2.10 binomial sigma)" in capsys.readouterr().out
+
+
+def test_a_detection_that_ignores_b_fails_the_bookkeeping_check(tmp_path, capsys, monkeypatch):
+    build_detector = optics.build_detector
+
+    def b_is_a(beam):
+        det = build_detector(beam)
+        return det_mod.DetectorModel(a=det.a, b=det.a, beta=det.beta, region=det.region)
+
+    monkeypatch.setattr(optics, "build_detector", b_is_a)
+    assert _protocol_check("optics", tmp_path) == cli.EXIT_CHECK_FAILED
+    captured = capsys.readouterr()
+    assert "CHECK phase_bookkeeping: FAIL (max deviation 3.14e+00)" in captured.out
+    assert "CHECK outcome_statistics: FAIL" in captured.out
+    assert captured.err.strip().endswith("check failed: phase_bookkeeping, outcome_statistics")
+
+
 def test_design_warnings_are_printed(tmp_path, capsys):
     assert cli.main(["design", "--set", "timing.group_duration=1", "--out", str(tmp_path)]) == cli.EXIT_OK
     assert capsys.readouterr().err.startswith("warning: group duration")

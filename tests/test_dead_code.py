@@ -1,5 +1,5 @@
 """Dead-code guards: every module-level function and class in src/fluxtem is reached from a root,
-and every name src/fluxtem imports is used.
+every module-level assigned name is read, and every name src/fluxtem imports is used.
 
 The roots are what runs without being named: the module-level
 statements of src/fluxtem (other than its definitions), the class-body
@@ -14,6 +14,10 @@ scope, which errs towards counting a definition as reached.
 Uses from tests/ do not count: a helper only the tests need belongs in
 tests/.  Neither does `__all__`: a string naming a definition reaches
 nothing, so a definition only exported is reported.
+
+A module-level assignment is read when a `Name` or `Attribute` node that
+loads a value in src/ or perfbench/ spells its name; tests/ do not count
+here either.
 
 An imported name is used when a `Name` or `Attribute` node of its own
 module names it; `from __future__` imports are directives, not names.
@@ -74,6 +78,31 @@ def unreached_definitions(root):
     ]
 
 
+def unread_assignments(root):
+    """(module, name) of each name a module-level statement under root/src/fluxtem assigns and nothing reads."""
+    package = sorted((root / "src" / "fluxtem").glob("*.py"))
+    sources = package + sorted((root / "perfbench").glob("*.py"))
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in sources}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+                read.add(node.id if isinstance(node, ast.Name) else node.attr)
+    found = []
+    for path in package:
+        for node in trees[path].body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            # `a, b = ...` assigns each name of the tuple
+            names = [name.id for target in targets for name in ast.walk(target) if isinstance(name, ast.Name)]
+            found += [(path.stem, name) for name in names if name not in read]
+    return found
+
+
 def unused_imports(root):
     """(module, name) of each name a module under root/src/fluxtem imports and never refers to."""
     found = []
@@ -131,6 +160,40 @@ def test_the_guard_follows_reach_from_the_roots_only(tmp_path):
         ("main", "a"),
         ("main", "b"),
         ("main", "a_only_tests_call"),
+    ]
+
+
+def test_every_module_level_assignment_in_src_is_read():
+    assert unread_assignments(ROOT) == []
+
+
+def test_the_assignment_guard_names_each_unread_name(tmp_path):
+    package = tmp_path / "src" / "fluxtem"
+    package.mkdir(parents=True)
+    (tmp_path / "perfbench").mkdir()
+    (package / "main.py").write_text(
+        "from . import other\n\n"
+        "READ = 1\n"
+        "UNREAD = 2\n"
+        "FIRST, SECOND = 3, 4\n"
+        "typed: int = 5\n"
+        "BENCHED = 6\n"
+        "ONLY_TESTS_READ = 7\n"
+        "ATTRIBUTE_READ = 8\n"
+        "STORED_ONLY = 9\n\n"
+        "def f(holder):\n"
+        "    holder.STORED_ONLY = READ + FIRST\n"
+        "    return other.ATTRIBUTE_READ\n"
+    )
+    (tmp_path / "perfbench" / "run.py").write_text("from fluxtem import main\n\nprint(main.BENCHED)\n")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_main.py").write_text("from fluxtem import main\n\nassert main.ONLY_TESTS_READ\n")
+    assert unread_assignments(tmp_path) == [
+        ("main", "UNREAD"),
+        ("main", "SECOND"),
+        ("main", "typed"),
+        ("main", "ONLY_TESTS_READ"),
+        ("main", "STORED_ONLY"),
     ]
 
 

@@ -42,13 +42,39 @@ def test_batch_kernel_matches_per_repetition_oracle(mode, delta_phi, det, budget
     want, want_trials = oracle(mode, delta_phi, budget, det, k, seed=11)
     got, got_trials = estimator._estimate_batch(mode, delta_phi, budget, REPS, det, derive(12), k)
     assert got.shape == got_trials.shape == (REPS,)
-    # the estimates are discrete; rounding merges ties that differ in the last bit between the two paths
-    assert stats.ks_2samp(np.round(got, 9), np.round(want, 9)).pvalue > 1e-3
+    assert stats.ks_2samp(got, want).pvalue > 1e-3
     if np.ptp(want_trials) == 0:
         assert np.array_equal(got_trials, want_trials)
     else:
         assert set(got_trials) <= set(range(budget // k + 1))
         assert stats.ks_2samp(got_trials, want_trials).pvalue > 1e-3
+
+
+class EveryCount:
+    """A generator stand-in whose binomial draws are 0, 1, 2, ...: one repetition per possible count."""
+
+    def binomial(self, n, p, size=None):
+        return np.arange(np.size(n) if size is None else size)
+
+
+@pytest.mark.parametrize("mode, budget, k", [("conventional", 4000, 1), ("entangled", 6400, 8)])
+def test_batch_kernel_and_estimate_phase_agree_bit_for_bit_at_every_count(mode, budget, k, monkeypatch):
+    trials = budget // k
+    batch, batch_trials = estimator._estimate_batch(mode, 0.1, budget, trials + 1, det_mod.trivial(), EveryCount(), k)
+    assert batch_trials.tolist() == [trials] * (trials + 1)
+
+    def outcomes(hits):
+        return np.repeat(np.array([1, 0], dtype=np.uint8), [hits, trials - hits])
+
+    hits = iter(range(trials + 1))
+    monkeypatch.setattr(estimator.protocol, "conventional_trials", lambda dphi, n, rng: outcomes(next(hits)))
+    monkeypatch.setattr(
+        estimator.protocol,
+        "simulate_groups",
+        lambda plan, det, n, rng, budget: estimator.protocol.GroupBatchResult(outcomes(next(hits)), None, trials, budget, 0),
+    )
+    single = [estimator.estimate_phase(mode, 0.1, budget, det_mod.trivial(), None, k=k).estimate for _ in range(trials + 1)]
+    assert single == batch.tolist()
 
 
 def test_batch_kernel_is_reproducible_per_seed():

@@ -17,7 +17,9 @@ from fluxtem import detector, fileio
 def test_pgm_round_trip_within_one_quantisation_step(tmp_path):
     data = np.random.default_rng(4).normal(size=(12, 20)) * 0.3 - 0.1
     path = tmp_path / "map.pgm"
-    fileio.write_pgm16(path, data)
+    # the two files written, which the manifest lists
+    assert fileio.write_pgm16(path, data) == (path, tmp_path / "map.pgm.txt")
+    assert sorted(tmp_path.iterdir()) == [path, tmp_path / "map.pgm.txt"]
     back = fileio.read_scaled_pgm(path)
     assert back.shape == data.shape
     step = (data.max() - data.min()) / fileio.PGM_MAXVAL

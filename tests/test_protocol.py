@@ -629,12 +629,31 @@ def test_wrap_angle_array_path_matches_scalar_path():
 
 
 def test_readout_probability_matches_state_vector_law():
-    phases = np.linspace(-math.pi, math.pi, 17)
-    got = P.readout_probability(phases)
-    want = [P.measurement_probabilities(P.prepare_symmetric(s), "quadrature")[1] for s in phases]
-    np.testing.assert_allclose(got, want, atol=1e-15)
-    assert P.readout_probability(float(phases[3])) == got[3]
+    # dense enough that a scalar ** 2 (pow) would round differently from the array's square somewhere
+    phases = np.linspace(-math.pi, math.pi, 4001)
+    for basis in P.BASES:
+        got = P.readout_probability(phases, basis)
+        want = [P.measurement_probabilities(P.prepare_symmetric(s), basis)[1] for s in phases]
+        np.testing.assert_allclose(got, want, atol=1e-15)
+        # the scalar path has the array path's bits
+        assert [P.readout_probability(s, basis) for s in phases.tolist()] == got.tolist()
 
 
 def test_readout_probability_closed_forms():
-    assert P.readout_probability(0.3) == 0.5 * (1.0 + math.sin(0.3))
+    assert P.readout_probability(0.3, "quadrature") == 0.5 * (1.0 + math.sin(0.3))
+    assert P.readout_probability(0.3, "symmetric_antisymmetric") == math.sin(0.15) * math.sin(0.15)
+
+
+@pytest.mark.parametrize("k", [1, 3, 8])
+@pytest.mark.parametrize(
+    "basis, window",
+    # arcsin loses digits where its slope diverges, so the grids stop short of the window's edges
+    [("quadrature", (-0.95 * math.pi / 2, 0.95 * math.pi / 2)), ("symmetric_antisymmetric", (0.0, 0.95 * math.pi))],
+)
+def test_readout_phase_inverts_the_law_at_the_expected_count(basis, window, k):
+    phases = np.linspace(*window, 101) / k
+    trials = np.array([1, 7, 400, 10**6])[:, None]
+    hits = trials * P.readout_probability(k * phases, basis)
+    got = P.readout_phase(hits, trials, basis, k)
+    np.testing.assert_allclose(got, np.broadcast_to(phases, got.shape), rtol=0, atol=1e-12)
+    assert [P.readout_phase(h, 400, basis, k) for h in hits[2].tolist()] == got[2].tolist()
