@@ -3,20 +3,22 @@
 The command line, `fluxtem <command>` or `python -m fluxtem <command>`, is
 the package's only interface, so this file re-exports nothing.
 
-Modules:
-  protocol   - two-amplitude measurement cycle and phase accumulation
-  optics     - Fourier-optics beam path from stencil mask to detector,
-               read from the run config by SCHEMA key
-  detector   - per-pixel branch amplitudes, compensation angles, regions
-  estimator  - Monte Carlo phase estimation, dose scaling, imaging
-  device     - beam deflection and SQUID sizing calculators; the design
-               report reads the run config by SCHEMA key
+The ten modules, in layer order: each imports only modules listed above
+it, and tests/test_layers.py holds that order.
+  errors     - the two error types, one per exit code
+  streams    - seeded random streams derived from (seed, path)
+  fileio     - deterministic CSV, PGM and manifest output
   config     - key = value run configuration with units and limits; SCHEMA
                is each run parameter's only description
-  fileio     - deterministic CSV, PGM and manifest output
-  streams    - seeded random streams derived from (seed, path)
-  constants  - pinned CODATA constants
-  errors     - the two error types, one per exit code
+  detector   - per-pixel branch amplitudes, compensation angles, regions,
+               and the one angle wrap to (-pi, pi]
+  device     - pinned CODATA constants, beam deflection and SQUID sizing
+               calculators; the design report reads the run config by
+               SCHEMA key
+  optics     - Fourier-optics beam path from stencil mask to detector,
+               read from the run config by SCHEMA key
+  protocol   - two-amplitude measurement cycle and phase accumulation
+  estimator  - Monte Carlo phase estimation, dose scaling, imaging
   cli        - deterministic experiment runner (also `python -m fluxtem`)
 """
 

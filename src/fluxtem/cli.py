@@ -201,7 +201,7 @@ def cmd_protocol(cfg: RunConfig, out: Path, check: bool) -> None:
     if check:
         checks.append(("phase_bookkeeping", audit_max < 1e-9, f"max deviation {audit_max:.2e}"))
         # on the trivial detector every beta_j is 0, so this verdict does not test compensation there
-        pull = abs(rate - p1) / sigma if sigma > 0 else 0.0
+        pull = abs(rate - p1) / sigma
         checks.append(("outcome_statistics", pull <= 3.5, f"{pull:.2f} binomial sigma"))
     _finish(out, cfg, "protocol", stats, [outcomes_path, records_path], checks, check)
 

@@ -5,8 +5,9 @@ A config file holds one `section.key = value` assignment per line
 `squid.d = 2mm` or `beam.energy = 300keV`; bare numbers are SI base
 units (radians for angles, eV for energies).  Command-line overrides
 use the same syntax via --set key=value.  `SCHEMA` is each key's only
-description: `optics` and `device` take the `RunConfig` and read their
-keys from it by name, with no copy of the keys in between.  The
+description, its allowed values included (it lists the two readout bases
+of `protocol.basis`): `optics` and `device` take the `RunConfig` and read
+their keys from it by name, with no copy of the keys in between.  The
 canonical serialization is sorted and repr-formatted, so equal configs
 hash identically.
 """
@@ -18,7 +19,6 @@ import math
 from pathlib import Path
 
 from .errors import ConfigError
-from .protocol import BASES
 
 # value kinds
 INT, FLOAT, BOOL, STR, LIST = (
@@ -98,7 +98,7 @@ SCHEMA: dict[str, tuple[str, str, object, tuple | None]] = {
     "protocol.sigma0": (FLOAT, ANGLE, 0.0, _WRAPPED_ANGLE),
     "protocol.repetitions": (INT, NONE, 2000, _at_least(1)),
     "protocol.detector": (STR, NONE, "trivial", _one_of("trivial", "optics")),
-    "protocol.basis": (STR, NONE, "quadrature", _one_of(*BASES)),
+    "protocol.basis": (STR, NONE, "quadrature", _one_of("symmetric_antisymmetric", "quadrature")),
     "image.specimen": (STR, NONE, "checkerboard", _one_of("checkerboard", "files")),
     "image.phase_file": (STR, NONE, None, None),
     "image.pairs_file": (STR, NONE, None, None),

@@ -7,16 +7,23 @@ patterns, so |a_j| = |b_j| holds and each pixel reduces to a known
 compensation angle beta_j = arg(b_j) - arg(a_j).  Pixels where the
 moduli differ beyond tolerance are classed as boundary pixels; the
 protocol discards an electron drawn there and draws again.
+
+The package reduces every angle to (-pi, pi] with this module's
+`wrap_angle`: beta_j here, the mask wedges and the Aharonov-Bohm phase in
+`optics`, and the qubit phase in `protocol`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import PreconditionError
+
+TWO_PI = 2.0 * math.pi
 
 OUTSIDE_SHADOW = 0
 INSIDE_SHADOW = 1
@@ -25,6 +32,20 @@ BOUNDARY = 2
 REGION_NAMES = {OUTSIDE_SHADOW: "outside_shadow", INSIDE_SHADOW: "inside_shadow", BOUNDARY: "boundary"}
 
 _CSV_HEADER = ["pixel", "re_a", "im_a", "re_b", "im_b", "beta", "region"]
+
+
+def wrap_angle(x):
+    """Reduce an angle (scalar or array) to the representative in (-pi, pi]."""
+    if type(x) is float and math.isfinite(x):
+        # the numpy path's bits in scalar arithmetic: round() is half-to-even
+        # like np.round, and copysign keeps np.round's -0.0 for q in (-0.5, 0]
+        q = x / TWO_PI
+        r = x - TWO_PI * math.copysign(round(q), q)
+        return r + TWO_PI if r <= -math.pi else r
+    x = np.asarray(x, dtype=float)
+    r = np.asarray(x - TWO_PI * np.round(x / TWO_PI))
+    r[r <= -math.pi] += TWO_PI
+    return float(r) if r.ndim == 0 else r
 
 
 @dataclass(frozen=True)
@@ -97,8 +118,6 @@ class DetectorModel:
 
     def beta_law_deviation(self, phase: float) -> float:
         """Largest angular distance of a non-boundary beta_j from 0 (outside the shadow) or `phase` (inside)."""
-        from .protocol import wrap_angle  # protocol imports this module
-
         ok = ~self.boundary_mask
         beta = self.beta[ok]
         inside = self.region[ok] == INSIDE_SHADOW

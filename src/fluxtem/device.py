@@ -7,7 +7,8 @@ electrostatic (charge-qubit) deflection, and the inductance and
 critical current that put an rf-SQUID into the macroscopic quantum
 coherence regime (L * i_c of order one flux quantum).  `design_report`
 reads its inputs from the run's `RunConfig` by `config.SCHEMA` key
-(`beam.*`, `squid.*`, `timing.*` and `ring.turns`).
+(`beam.*`, `squid.*`, `timing.*` and `ring.turns`).  The physical
+constants they use are pinned here as `CODATA` (CODATA 2018, SI units).
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .constants import CODATA
 from .errors import ConfigError
 
 if TYPE_CHECKING:
@@ -24,6 +24,36 @@ if TYPE_CHECKING:
 
 # a k-electron group may last at most 1/TIMING_MARGIN of one qubit period
 TIMING_MARGIN = 10.0
+
+
+@dataclass(frozen=True)
+class PhysicalConstants:
+    """Fundamental constants used by the beam and SQUID calculators.
+
+    h, e and c are exact by the 2019 SI definition; the rest are CODATA
+    2018 recommended values.  The flux quantum is always derived as h/2e
+    so it can never drift out of step with h and e.
+    """
+
+    h: float = 6.62607015e-34        # Planck constant [J s]
+    e: float = 1.602176634e-19       # elementary charge [C]
+    c: float = 299792458.0           # speed of light [m/s]
+    m_e: float = 9.1093837015e-31    # electron rest mass [kg]
+    eps0: float = 8.8541878128e-12   # vacuum permittivity [F/m]
+    mu0: float = 1.25663706212e-6    # vacuum permeability [H/m]
+
+    @property
+    def phi0(self) -> float:
+        """Magnetic flux quantum h / 2e [Wb]."""
+        return self.h / (2.0 * self.e)
+
+    @property
+    def rest_energy(self) -> float:
+        """Electron rest energy m_e c^2 [J]."""
+        return self.m_e * self.c**2
+
+
+CODATA = PhysicalConstants()
 
 
 @dataclass(frozen=True)

@@ -35,9 +35,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .detector import BOUNDARY, INSIDE_SHADOW, OUTSIDE_SHADOW, DetectorModel
+from .detector import BOUNDARY, INSIDE_SHADOW, OUTSIDE_SHADOW, DetectorModel, wrap_angle
 from .errors import PreconditionError
-from .protocol import wrap_angle
 
 if TYPE_CHECKING:
     from .config import RunConfig

@@ -26,31 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detector import DetectorModel
+from .detector import DetectorModel, wrap_angle
 from .errors import PreconditionError
-
-TWO_PI = 2.0 * math.pi
-
-BASES = ("symmetric_antisymmetric", "quadrature")
 
 NORM_TOL = 1e-12
 
 # A group that draws more boundary pixels than this is treated as stuck.
 MAX_DISCARDS = 100_000
-
-
-def wrap_angle(x):
-    """Reduce an angle (scalar or array) to the representative in (-pi, pi]."""
-    if type(x) is float and math.isfinite(x):
-        # the numpy path's bits in scalar arithmetic: round() is half-to-even
-        # like np.round, and copysign keeps np.round's -0.0 for q in (-0.5, 0]
-        q = x / TWO_PI
-        r = x - TWO_PI * math.copysign(round(q), q)
-        return r + TWO_PI if r <= -math.pi else r
-    x = np.asarray(x, dtype=float)
-    r = np.asarray(x - TWO_PI * np.round(x / TWO_PI))
-    r[r <= -math.pi] += TWO_PI
-    return float(r) if r.ndim == 0 else r
 
 
 @dataclass(frozen=True)
@@ -66,10 +48,10 @@ class QubitState:
     def norm_sq(self) -> float:
         return abs(self.amp0) ** 2 + abs(self.amp1) ** 2
 
-    def require_normalized(self, tol: float = NORM_TOL) -> None:
+    def require_normalized(self) -> None:
         norm_sq = self.norm_sq()
-        if not math.isfinite(norm_sq) or abs(norm_sq - 1.0) > tol:
-            raise PreconditionError(f"qubit norm^2 = {norm_sq!r} is not 1 within {tol}")
+        if not math.isfinite(norm_sq) or abs(norm_sq - 1.0) > NORM_TOL:
+            raise PreconditionError(f"qubit norm^2 = {norm_sq!r} is not 1 within {NORM_TOL}")
 
     @property
     def relative_phase(self) -> float:
@@ -240,9 +222,9 @@ def draw_good_pixels(
     det: DetectorModel,
     need: int,
     rng: np.random.Generator,
-    budget: int | None = None,
+    budget: int,
 ) -> tuple[np.ndarray, int, int]:
-    """Draw detector pixels until `need` non-boundary hits (or budget runs out).
+    """Draw detector pixels until `need` non-boundary hits or `budget` draws.
 
     Samples the equal-branch-weight Born distribution; boundary hits are
     discarded and resampled.  Returns (good pixel indices in draw order,
@@ -256,9 +238,8 @@ def draw_good_pixels(
     good_pixels = np.empty(need, dtype=np.int64)
     got = 0
     used = 0
-    while got < need and (budget is None or used < budget):
-        chunk = need - got if budget is None else min(need - got, budget - used)
-        draws = np.searchsorted(cum, rng.random(chunk), side="right")
+    while got < need and used < budget:
+        draws = np.searchsorted(cum, rng.random(min(need - got, budget - used)), side="right")
         good = ~boundary[draws]
         n_good = int(good.sum())
         if n_good > need - got:
@@ -276,10 +257,9 @@ def draw_good_pixels(
 
 @dataclass
 class GroupBatchResult:
-    """Vectorized multi-group run: outcomes, per-group phases and dose accounting."""
+    """Vectorized multi-group run: outcomes and dose accounting."""
 
     outcomes: np.ndarray
-    phases: np.ndarray
     groups: int
     electrons_used: int
     boundary_discards: int
@@ -291,7 +271,7 @@ def simulate_groups(
     n_groups: int,
     rng: np.random.Generator,
     *,
-    budget: int | None = None,
+    budget: int,
 ) -> GroupBatchResult:
     """Vectorized equivalent of run_group + compensate + measure_qubit in the quadrature basis.
 
@@ -317,7 +297,6 @@ def simulate_groups(
     outcomes = (rng.random(completed) < p1).astype(np.uint8)
     return GroupBatchResult(
         outcomes=outcomes,
-        phases=phases,
         groups=completed,
         electrons_used=used,
         boundary_discards=discards,

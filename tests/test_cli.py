@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import os
 import tempfile
@@ -10,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 from fluxtem import cli, device, estimator, fileio, optics, protocol
 from fluxtem import detector as det_mod
-from fluxtem.constants import CODATA, PhysicalConstants
+from fluxtem.device import CODATA, PhysicalConstants
 from fluxtem.errors import PreconditionError
 from fluxtem.streams import DOMAIN_PROTOCOL
 
@@ -449,6 +450,27 @@ def test_a_beta_off_the_law_fails_the_beta_law_check(flux_fraction, tmp_path, ca
     captured = capsys.readouterr()
     assert "CHECK beta_law: FAIL" in captured.out
     assert captured.err.strip().endswith("check failed: beta_law")
+
+
+def test_an_unbalanced_beam_fails_the_orthogonality_check(tmp_path, capsys, monkeypatch):
+    trace_beam = optics.trace_beam
+
+    def unbalanced(cfg):
+        # the beam is traced without balance while cmd_optics still reads optics.balance = true
+        traced = copy.deepcopy(cfg)
+        traced.set_raw("optics.balance", "false")
+        return trace_beam(traced)
+
+    monkeypatch.setattr(optics, "trace_beam", unbalanced)
+    argv = ["optics", "--check", "--out", str(tmp_path)]
+    for override in SMALL_OPTICS:
+        argv += ["--set", override]
+    assert cli.main(argv) == cli.EXIT_CHECK_FAILED
+    captured = capsys.readouterr()
+    assert "CHECK branch_orthogonality: FAIL (|<0|1>| = 3.28e-01)" in captured.out
+    for name in ("beta_law", "branch_maps_distinct", "boundary_power"):
+        assert f"CHECK {name}: PASS" in captured.out
+    assert captured.err.strip().endswith("check failed: branch_orthogonality")
 
 
 def test_a_flux_quantum_of_h_over_e_fails_the_deflection_check(tmp_path, capsys, monkeypatch):

@@ -4,7 +4,7 @@ import pytest
 
 from fluxtem import device
 from fluxtem.config import load_config
-from fluxtem.constants import CODATA
+from fluxtem.device import CODATA
 
 
 @pytest.mark.parametrize("energy_ev", [80e3, 200e3, 300e3, 1e6])

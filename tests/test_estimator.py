@@ -71,7 +71,7 @@ def test_batch_kernel_and_estimate_phase_agree_bit_for_bit_at_every_count(mode, 
     monkeypatch.setattr(
         estimator.protocol,
         "simulate_groups",
-        lambda plan, det, n, rng, budget: estimator.protocol.GroupBatchResult(outcomes(next(hits)), None, trials, budget, 0),
+        lambda plan, det, n, rng, budget: estimator.protocol.GroupBatchResult(outcomes(next(hits)), trials, budget, 0),
     )
     single = [estimator.estimate_phase(mode, 0.1, budget, det_mod.trivial(), None, k=k).estimate for _ in range(trials + 1)]
     assert single == batch.tolist()
