@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,6 +40,13 @@ def _branches(beam):
     """Specimen-plane waves of qubit branches 0 and 1."""
     inside, outside = beam.inside.grid, beam.outside.grid
     return outside + inside, outside + O.branch_factor(beam.cfg) * inside
+
+
+def _assert_same_bits(got, want):
+    """Equal element for element through the float64 view, and byte for byte, which also tells -0.0 from 0.0."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.float64), want.view(np.float64))
+    assert got.tobytes() == want.tobytes()
 
 
 def _ring_plane(grid):
@@ -106,6 +114,21 @@ class TestBuildMask:
 
 
 class TestPropagate:
+    @pytest.mark.parametrize("n", [2, 4, 64, 256])
+    def test_bits_of_the_out_of_place_transform(self, n):
+        rng = np.random.default_rng(n)
+        grid = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        before = grid.copy()
+        out = O.propagate(O.WaveField(grid)).grid
+        _assert_same_bits(out, np.fft.fftshift(np.fft.fft2(np.fft.ifftshift(before), norm="ortho")))
+        # cmd_optics reads the specimen waves again in specimen_maps after build_detector has transformed them
+        _assert_same_bits(grid, before)
+
+    @pytest.mark.parametrize("n", [2, 4, 64, 256])
+    def test_radius_grid_has_the_bits_of_the_meshgrid_form(self, n):
+        dy, dx = np.meshgrid(np.arange(n) - n // 2, np.arange(n) - n // 2, indexing="ij")
+        _assert_same_bits(O._radius_grid(n), np.hypot(dy, dx))
+
     def test_parseval(self):
         field = _gaussian_field(128, 9.0)
         out = O.propagate(field)
@@ -338,6 +361,49 @@ class TestBuildDetector:
 
     def test_validate_passes(self, small_detector):
         validate_detector(small_detector, phase=math.pi)
+
+
+# ---------------------------------------------------------------------------
+# in-place kernels and memory
+
+
+def test_in_place_kernels_have_the_bits_of_their_plain_forms(small_beam):
+    cfg = _flux(0.3)  # a factor with two nonzero parts, so operand order can matter
+    inside, outside = small_beam.inside.grid, small_beam.outside.grid
+    _assert_same_bits(O.intensity_of(inside), np.abs(inside) ** 2)
+    want = outside + O.branch_factor(cfg) * inside
+    _assert_same_bits(O.branch_one(cfg, inside, outside), want)
+    written = inside.copy()
+    assert O.branch_one(cfg, written, outside, out=written) is written
+    _assert_same_bits(written, want)
+
+
+def test_the_chain_holds_few_grids_at_its_peak():
+    """tracemalloc peaks of trace_beam and build_detector, counted in complex grids of n^2 x 16 bytes."""
+    n = 128
+    cfg = load_config(None, [f"optics.n={n}"])
+    O.build_detector(O.trace_beam(cfg)[2])  # the first run makes one-time allocations
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        beam = O.trace_beam(cfg)[2]
+        trace_peak = (tracemalloc.get_traced_memory()[1] - start) / (n * n * 16)
+        tracemalloc.reset_peak()
+        O.build_detector(beam)
+        detector_peak = (tracemalloc.get_traced_memory()[1] - start) / (n * n * 16)
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    # each bound is the measured peak plus 0.07 grid (18 KB) of headroom for small objects
+    # 5.23: the two returned intensities (1), the ring-plane grid, the carried inside wave,
+    # the outside transform's shifted copy and result (4), and the ring masks
+    assert trace_peak <= 5.3
+    # 5.70: the beam's two waves and a, b (4), beta and wrap_angle's two real temporaries
+    # (1.5), and the dark and region masks; the out-of-place chain held 9.6 here
+    assert detector_peak <= 5.77
 
 
 # ---------------------------------------------------------------------------
