@@ -17,13 +17,15 @@ pixel carries a compensation angle of 0 or the Aharonov-Bohm phase.
 
 The beam is traced once: `trace_beam` splits the ring-plane wave at
 the ring's inner edge and carries each part to the specimen, and the
-specimen maps and the detector are both read from that pair.
+specimen maps and the detector are both read from that pair, the maps
+first: `build_detector` spends the `Beam`.
 
 Memory: each n x n array is freed or overwritten as soon as it has been
-read, so the chain holds at most 5.7 complex grids (n^2 x 16 bytes each)
-at once.  That peak falls in `build_detector`, while `wrap_angle` reduces
-the compensation angles with the two specimen waves, a and b alive;
-`trace_beam` peaks at 5.2 grids, its two returned intensities included.
+read, so the chain holds at most 5.2 complex grids (n^2 x 16 bytes each)
+at once.  That peak falls in `trace_beam`, its two returned intensities
+included.  `build_detector` frees each specimen wave once it has been
+transformed and peaks at 4.0 grids, while the outside wave is transformed
+beside the transformed inside wave.
 
 Every function reads its geometry from the run's `RunConfig` by
 `config.SCHEMA` key (`optics.*`, `mask.*`, `ring.*`), so SCHEMA stays
@@ -172,7 +174,7 @@ def propagate(fieldv: WaveField) -> WaveField:
     if fieldv.power == 0.0:
         raise PreconditionError("cannot propagate a field with zero power")
     # the ifftshift copy is transformed in place and the input is left as it was; re-centring it in
-    # place too takes trace_beam's peak from 5.2 to 4.7 grids, but the chain's is build_detector's 5.7
+    # place too would take trace_beam's peak, the chain's, from 5.2 to 4.7 grids
     shifted = np.fft.ifftshift(fieldv.grid)
     np.fft.fft2(shifted, norm="ortho", out=shifted)
     return WaveField(np.fft.fftshift(shifted), fieldv.pitch)
@@ -201,6 +203,10 @@ class Beam:
     branch 0, split at the ring's inner edge, to the specimen; branch 0
     there is outside + inside and branch 1 is outside +
     `branch_factor(cfg)` * inside.
+
+    `build_detector` spends the Beam: it deletes each wave's grid once it
+    has been transformed, so reading a spent Beam raises AttributeError.
+    Build the specimen maps first.
     """
 
     cfg: RunConfig
@@ -271,12 +277,18 @@ def build_detector(beam: Beam) -> DetectorModel:
     optics.tolerance are boundary).  With no detector aperture the re-image is an exact
     conjugate and every lit pixel is purely inside or outside, giving
     beta of 0 or the Aharonov-Bohm phase.
+
+    Spends the Beam: each specimen wave's grid is deleted as soon as the
+    wave has been transformed.
     """
     cfg = beam.cfg
     radius = cfg["optics.detector_aperture_radius"]
-    d_in, d_out = (
-        propagate(w if radius is None else apply_aperture(w, radius)).grid.ravel() for w in (beam.inside, beam.outside)
-    )
+    transformed = []
+    for wave in (beam.inside, beam.outside):
+        transformed.append(propagate(wave if radius is None else apply_aperture(wave, radius)).grid.ravel())
+        del wave.grid
+    d_in, d_out = transformed
+    del transformed
 
     p_in = intensity_of(d_in)
     p_out = intensity_of(d_out)

@@ -2,6 +2,7 @@ import copy
 import hashlib
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,11 +27,33 @@ SCALING_PROBES_SHA256 = "809250e5833d236cca643dfb211375521589180b4ad0b524a263217
 GOLDEN_TREES = {
     "design": ([], True, "76ed193f57e0625a0858150ea66a16fbb14cca1a19566f91acf0e17c5519761d"),
     "optics": (SMALL_OPTICS, True, "aadecce5d1b126b9af23b5ddeba067dcf12d12cca247486372c788d08b5c1b18"),
+    # cmd_optics' other verdict branches: maps_identical_without_flux at no flux, no map verdict at
+    # a quarter flux quantum, and the boundary-power warning, which --check would fail
+    "optics-no-flux": (
+        [*SMALL_OPTICS, "ring.flux_fraction=0"],
+        True,
+        "792e7e2171bdb30525145d22ec3c945c99eaa5a9d1204598f9bdd98f0816c0e4",
+    ),
+    "optics-quarter-flux": (
+        [*SMALL_OPTICS, "ring.flux_fraction=0.25"],
+        True,
+        "ea92e26f1fbae370fa0e7a2f3783f4e7140cfb9e53e3dfae07d45a73b8ea6076",
+    ),
+    "optics-boundary-warning": (
+        [*SMALL_OPTICS, "optics.detector_aperture_radius=9.6e-6", "optics.tolerance=0.05"],
+        False,
+        "e299170127e6f82088cc7bec954f94e4ad076bd878a3fd9c3be5ad678f2a725f",
+    ),
     "protocol": (["protocol.repetitions=200"], True, "f6f2e09854e141fb445af262ddc8ea3efbf43a0ff927a0fc15b5afe269df4bc7"),
     "protocol-optics": (
         ["protocol.detector=optics", "protocol.repetitions=200", *SMALL_OPTICS],
         True,
         "b7e119164fab938ac375743e93d24503ab72b7bf20c84ebef297439f91b2c06e",
+    ),
+    "protocol-symmetric": (
+        ["protocol.basis=symmetric_antisymmetric", "protocol.repetitions=200"],
+        True,
+        "88fe4c70136874118752f82f49bf56872a0b0826cdd992843b84cf28de058109",
     ),
     # image's rmse_ratio check does not hold at this size, so it runs without --check
     "image": (["image.shape=16", "image.repetitions=2"], False, "0ba69c5c2bac5482d522bbdcab9fe3b161730259e2e59480931955a75f278ece"),
@@ -200,6 +223,28 @@ def test_optics_traces_the_beam_path_once_outside_the_detector(tmp_path, monkeyp
         argv += ["--set", override]
     assert cli.main(argv) == cli.EXIT_OK
     assert len(calls) == 6
+
+
+def test_the_optics_command_holds_few_grids_at_its_peak(tmp_path):
+    """tracemalloc peak of a whole `optics --check` run, counted in complex grids of n^2 x 16 bytes."""
+    n = 128
+    argv = ["optics", "--seed", "12345", "--check", "--set", f"optics.n={n}"]
+    assert cli.main(argv + ["--out", str(tmp_path / "warm")]) == cli.EXIT_OK  # one-time allocations
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        assert cli.main(argv + ["--out", str(tmp_path / "run")]) == cli.EXIT_OK
+        peak = (tracemalloc.get_traced_memory()[1] - start) / (n * n * 16)
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    # the measured peak, 5.38, plus 0.07 grid (18 KB) of headroom for small objects.  It is
+    # trace_beam's, and the beta_law check's on the detector; the specimen maps are built and
+    # freed before build_detector spends the Beam, so neither step holds the other's grids
+    assert peak <= 5.45
 
 
 def test_scaling_golden_outputs(tmp_path, capsys):
