@@ -12,9 +12,12 @@ the cycle k times without resetting the qubit accumulates
     relative phase = sigma_0 + sum(beta_j) + k * delta_phi
 
 exactly; the known sum(beta_j) is then cancelled classically and the
-qubit is read out.  Everything here is a pure function of its inputs
-plus an explicit random generator, so independent trials parallelize
-trivially (see `streams`): the CLI runs them on every CPU through
+qubit is read out.  The qubit is Python complex and float scalars from
+preparation to readout, so each operation rounds once, as CPython
+rounds it, and the bytes do not depend on numpy's SIMD dispatch.
+Everything here is a pure function of its inputs plus an explicit
+random generator, so independent trials parallelize trivially (see
+`streams`): the CLI runs them on every CPU through
 `fileio.write_csv_parts`.
 """
 
@@ -35,6 +38,12 @@ NORM_TOL = 1e-12
 MAX_DISCARDS = 100_000
 
 
+def _require_unit_norm(norm_sq: float) -> None:
+    """Raise PreconditionError unless a qubit's norm^2 is finite and 1 within NORM_TOL."""
+    if not math.isfinite(norm_sq) or abs(norm_sq - 1.0) > NORM_TOL:
+        raise PreconditionError(f"qubit norm^2 = {norm_sq!r} is not 1 within {NORM_TOL}")
+
+
 @dataclass(frozen=True)
 class QubitState:
     """Normalized two-amplitude flux-qubit state.
@@ -49,9 +58,7 @@ class QubitState:
         return abs(self.amp0) ** 2 + abs(self.amp1) ** 2
 
     def require_normalized(self) -> None:
-        norm_sq = self.norm_sq()
-        if not math.isfinite(norm_sq) or abs(norm_sq - 1.0) > NORM_TOL:
-            raise PreconditionError(f"qubit norm^2 = {norm_sq!r} is not 1 within {NORM_TOL}")
+        _require_unit_norm(self.norm_sq())
 
     @property
     def relative_phase(self) -> float:
@@ -87,14 +94,16 @@ def prepare_symmetric(sigma: float) -> QubitState:
 def run_group(plan: GroupPlan, det: DetectorModel, rng: np.random.Generator) -> GroupResult:
     """Send k electrons through specimen -> far-field detection on one qubit.
 
-    The group carries only the qubit amplitudes (c0, c1).  For each
-    electron the specimen multiplies them by e^{-i delta_phi/2} and
-    e^{+i delta_phi/2}; a pixel is drawn from the Born rule
-    P(j) = w0 |a_j|^2 + w1 |b_j|^2 with w_q = |c_q|^2; detection at pixel j
-    leaves (a_j c0, b_j c1), renormalized, which kicks the relative phase
-    by beta_j.  The final relative phase is therefore
+    The group carries only the qubit amplitudes (c0, c1), as Python
+    complex scalars.  For each electron the specimen multiplies them by
+    e^{-i delta_phi/2} and e^{+i delta_phi/2}; a pixel is drawn from the
+    Born rule P(j) = w0 |a_j|^2 + w1 |b_j|^2 with w_q = |c_q|^2; detection
+    at pixel j leaves (a_j c0, b_j c1), renormalized, which kicks the
+    relative phase by beta_j.  The final relative phase is therefore
     sigma0 + sum(beta_j) + k*delta_phi exactly (up to floating point).
-    A boundary draw is logged, counted as a discard and drawn again.
+    Each float operation rounds once, as CPython rounds it, so the
+    amplitudes do not depend on numpy's SIMD dispatch.  A boundary draw
+    is logged, counted as a discard and drawn again.
 
     Stream contract: the first k draws come from one `rng.random(k)` block,
     and every draw, discards included, takes the next value in stream
@@ -103,15 +112,8 @@ def run_group(plan: GroupPlan, det: DetectorModel, rng: np.random.Generator) -> 
     if det.boundary_power_fraction() >= 1.0:
         raise PreconditionError("detector has no non-boundary power; discarding boundary draws cannot terminate")
     qubit = prepare_symmetric(plan.sigma0)
-    # the rotation stays a numpy array product: numpy's complex multiply
-    # rounds differently from Python's, and the output hashes pin numpy's.
-    # On an x86-64 host with FMA, numpy computes (ar + i ai)(br + i bi) as
-    # fma(ar, br, -ai*bi) + i fma(ar, bi, ai*br): all 30,901 of 65,536 random
-    # products that differed from Python's had exactly those bits, and the
-    # operand order counts (f * x and x * f differ in 23,751 of the 65,536).
-    # The pinned protocol hashes assume that dispatch.
-    kick = np.array([cmath.exp(-0.5j * plan.delta_phi), cmath.exp(0.5j * plan.delta_phi)])
-    amps = np.array([qubit.amp0, qubit.amp1])
+    c0, c1 = qubit.amp0, qubit.amp1
+    k0, k1 = cmath.exp(-0.5j * plan.delta_phi), cmath.exp(0.5j * plan.delta_phi)
     # ndarray.item reads one pixel as a Python scalar; a .tolist() copy of
     # the columns would hold megabytes of objects on a large detector
     beta_at, boundary_at, a_at, b_at = det.beta.item, det.boundary_mask.item, det.a.item, det.b.item
@@ -121,11 +123,9 @@ def run_group(plan: GroupPlan, det: DetectorModel, rng: np.random.Generator) -> 
     sum_beta = 0.0
     discards = 0
     for _ in range(plan.k):
-        c0, c1 = (amps * kick).tolist()
+        c0, c1 = c0 * k0, c1 * k1
         w0, w1 = abs(c0) ** 2, abs(c1) ** 2
-        norm_sq = w0 + w1
-        if not math.isfinite(norm_sq) or abs(norm_sq - 1.0) > NORM_TOL:
-            raise PreconditionError(f"qubit norm^2 = {norm_sq!r} is not 1 within {NORM_TOL}")
+        _require_unit_norm(w0 + w1)
         if abs(w0 - w1) <= 1e-12:
             cum = det.equal_weight_cumulative
         else:
@@ -145,15 +145,11 @@ def run_group(plan: GroupPlan, det: DetectorModel, rng: np.random.Generator) -> 
         norm = math.hypot(abs(amp0), abs(amp1))
         if norm == 0.0:
             raise PreconditionError(f"pixel {pixel} has zero detection amplitude")
-        # np.complex128 / float as numpy computes it, dividing by norm + 0j;
-        # Python's complex division rounds differently
         inv = 1.0 / norm
-        re0, im0, re1, im1 = amp0.real, amp0.imag, amp1.real, amp1.imag
-        amps[0] = complex((re0 + im0 * 0.0) * inv, (im0 - re0 * 0.0) * inv)
-        amps[1] = complex((re1 + im1 * 0.0) * inv, (im1 - re1 * 0.0) * inv)
+        c0, c1 = amp0 * inv, amp1 * inv
         records.append((pixel, beta, 0))
         sum_beta += beta
-    return GroupResult(QubitState(*amps.tolist()), sum_beta, records, discards)
+    return GroupResult(QubitState(c0, c1), sum_beta, records, discards)
 
 
 def compensate(qubit: QubitState, sum_beta: float) -> QubitState:
@@ -233,8 +229,9 @@ def draw_good_pixels(
 
     Samples the equal-branch-weight Born distribution; boundary hits are
     discarded and resampled.  Returns (good pixel indices in draw order,
-    electrons drawn including discards, discard count).  Consumes exactly
-    as many draws as a sequential collapse loop would.
+    electrons drawn including discards, discard count).  Each round draws
+    no more electrons than are still needed, so it consumes exactly as
+    many draws as a sequential collapse loop would.
     """
     if det.boundary_power_fraction() >= 1.0:
         raise PreconditionError("detector has no non-boundary power")
@@ -247,13 +244,6 @@ def draw_good_pixels(
         draws = np.searchsorted(cum, rng.random(min(need - got, budget - used)), side="right")
         good = ~boundary[draws]
         n_good = int(good.sum())
-        if n_good > need - got:
-            # trim to the draw that completed the last needed electron,
-            # exactly where a sequential consumer would have stopped
-            stop = int(np.searchsorted(np.cumsum(good), need - got)) + 1
-            draws = draws[:stop]
-            good = good[:stop]
-            n_good = need - got
         good_pixels[got : got + n_good] = draws[good]
         got += n_good
         used += draws.size
@@ -283,9 +273,13 @@ def simulate_groups(
     Valid for the states this protocol produces (equal branch moduli
     throughout, which holds because every operation is phase-only on the
     two branches), so the pixel distribution is fixed and groups decouple
-    into independent draws.  Statistically identical to looping the
-    scalar path; random streams are consumed in a different order, so
-    the two paths are not bit-identical for the same generator.
+    into independent draws.  Compensation cancels the recorded kicks, so
+    every group reads out sigma0 + k*delta_phi: one readout probability,
+    from Python floats, whatever numpy's SIMD dispatch.  The pixels are
+    drawn only for the dose and the boundary discards.  Statistically
+    identical to looping the scalar path; random streams are consumed in
+    a different order, so the two paths are not bit-identical for the
+    same generator.
 
     `budget` caps total electrons drawn including boundary discards;
     incomplete trailing groups are dropped from the statistics but their
@@ -293,12 +287,7 @@ def simulate_groups(
     """
     good_pixels, used, discards = draw_good_pixels(det, n_groups * plan.k, rng, budget=budget)
     completed = good_pixels.size // plan.k
-    pix = good_pixels[: completed * plan.k].reshape(completed, plan.k)
-    sum_beta = det.beta[pix].sum(axis=1)
-    # compensation subtracts the recorded kicks after detection added them;
-    # the phases keep the rounding of that add-then-subtract
-    phases = plan.sigma0 + sum_beta + plan.k * plan.delta_phi - sum_beta
-    p1 = readout_probability(phases, "quadrature")
+    p1 = readout_probability(plan.sigma0 + plan.k * plan.delta_phi, "quadrature")
     outcomes = (rng.random(completed) < p1).astype(np.uint8)
     return GroupBatchResult(
         outcomes=outcomes,

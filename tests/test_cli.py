@@ -1,8 +1,12 @@
 import copy
 import hashlib
+import json
 import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,7 +52,7 @@ GOLDEN_TREES = {
     "protocol-optics": (
         ["protocol.detector=optics", "protocol.repetitions=200", *SMALL_OPTICS],
         True,
-        "b7e119164fab938ac375743e93d24503ab72b7bf20c84ebef297439f91b2c06e",
+        "3c2e2cedab90ad76767772620a5ce7a6cf2e47c18668d79a87da9d11325e37ae",
     ),
     "protocol-symmetric": (
         ["protocol.basis=symmetric_antisymmetric", "protocol.repetitions=200"],
@@ -66,7 +70,7 @@ GOLDEN_TREES = {
 
 
 # hash_tree of the default config on the optics detector at seed 12345, with --check
-PROTOCOL_OPTICS_TREE = "44099f5ab3f42a5fbc4755731d4c63a0781046e2214cf2a98b4ec2f2ab2b36e3"
+PROTOCOL_OPTICS_TREE = "1e90c99dac7a6b0b05824e0a1f8bff0ee5beadec9c9184382a3c968473210ecf"
 # hash_tree of `optics` at the default config and seed 12345, with --check
 OPTICS_TREE = "97a081e39c54304a186f6f03ac828cecce548926bb972a48ee73b6fe6d91d310"
 
@@ -75,20 +79,77 @@ def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_TREES))
-def test_small_config_golden_tree(name, tmp_path):
-    overrides, check, want = GOLDEN_TREES[name]
+def _golden_argv(name):
+    """The command line of GOLDEN_TREES[name], without --out."""
+    overrides, check, _ = GOLDEN_TREES[name]
     argv = [name.split("-")[0], "--seed", "12345"]
     for override in overrides:
         argv += ["--set", override]
     if check:
         argv.append("--check")
+    return argv
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_TREES))
+def test_small_config_golden_tree(name, tmp_path):
+    argv, want = _golden_argv(name), GOLDEN_TREES[name][2]
     trees = []
     for run in ("a", "b"):
         assert cli.main(argv + ["--out", str(tmp_path / run)]) == cli.EXIT_OK
         trees.append(fileio.hash_tree(tmp_path / run))
     assert trees[0] == trees[1]
     assert trees[0] == want
+
+
+# optics-quarter-flux reads ea92e26f1fba natively, 5df74308f598 without X86_V4 and up and 48faa9e741c8
+# without X86_V3 and up: optics.branch_one's complex product with a factor not +-1 is fused from X86_V3,
+# and optics.build_detector's np.angle moves 3 of its 4,096 beta by an ulp from X86_V4
+DISPATCH_DEPENDENT_TREES = {"optics-quarter-flux"}
+
+# runs each named command line in-process and prints {name: hash_tree or exit code} as JSON
+_HASH_TREES = """
+import contextlib, io, json, sys, tempfile
+from pathlib import Path
+from fluxtem import cli, fileio
+hashes = {}
+for name, argv in json.loads(sys.argv[1]).items():
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv + ["--out", out])
+        hashes[name] = fileio.hash_tree(Path(out)) if code == cli.EXIT_OK else f"exit {code}"
+print(json.dumps(hashes))
+"""
+
+
+def _dispatch_targets():
+    """numpy's dispatch targets above its baseline that this host runs, lowest first."""
+    from numpy._core import _multiarray_umath as umath
+
+    return [target for target in umath.__cpu_dispatch__ if umath.__cpu_features__.get(target)]
+
+
+def test_golden_trees_hold_at_every_numpy_dispatch_level():
+    # one child per level below native, each with that target and every one above it turned off in its own
+    # environment; the children run side by side, and the native level is the in-process golden test's
+    targets = _dispatch_targets()
+    if not targets:
+        pytest.skip("numpy dispatches no target above its baseline on this host")
+    argvs = {name: _golden_argv(name) for name in sorted(GOLDEN_TREES) if name not in DISPATCH_DEPENDENT_TREES}
+    src = str(Path(cli.__file__).resolve().parents[1])
+    children = {}
+    for i, target in enumerate(targets):
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(targets[i:]))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        argv = [sys.executable, "-c", _HASH_TREES, json.dumps(argvs)]
+        children[target] = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        outputs = {target: child.communicate(timeout=60) for target, child in children.items()}
+    finally:
+        for child in children.values():
+            child.kill()
+    want = {name: GOLDEN_TREES[name][2] for name in argvs}
+    for target, (stdout, stderr) in outputs.items():
+        assert children[target].returncode == 0, stderr
+        assert json.loads(stdout) == want, f"without {target} and up"
 
 
 def test_default_protocol_optics_tree(tmp_path):
