@@ -233,7 +233,7 @@ def _load_specimen(cfg: RunConfig) -> estimator.SpecimenMap:
     except (OSError, ValueError, KeyError) as err:
         raise ConfigError(f"cannot load image.phase_file {phase_file!r}: {err}") from err
     try:
-        return estimator.SpecimenMap(phase=phase, pairs=fileio.read_pairs_csv(pairs_file, phase.shape[1]))
+        return estimator.SpecimenMap(phase=phase, pairs=fileio.read_pairs_csv(pairs_file, phase.shape))
     except (OSError, ValueError) as err:
         raise ConfigError(f"cannot load image.pairs_file {pairs_file!r}: {err}") from err
 

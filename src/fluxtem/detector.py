@@ -48,6 +48,14 @@ def wrap_angle(x):
     return float(r) if r.ndim == 0 else r
 
 
+def _cumulative(power: np.ndarray) -> np.ndarray:
+    """Cumulative distribution of per-pixel `power`, normalized to end at exactly 1."""
+    cum = np.cumsum(power)
+    cum /= cum[-1]
+    cum[-1] = 1.0
+    return cum
+
+
 @dataclass(frozen=True)
 class DetectorModel:
     """Per-pixel amplitudes (a, b), compensation angles and region classes.
@@ -83,29 +91,23 @@ class DetectorModel:
         return self.a.size
 
     @cached_property
-    def power_a(self) -> np.ndarray:
-        return np.abs(self.a) ** 2
-
-    @cached_property
-    def power_b(self) -> np.ndarray:
-        return np.abs(self.b) ** 2
-
-    @cached_property
     def boundary_mask(self) -> np.ndarray:
         return self.region == BOUNDARY
 
     @property
     def equal_weight_power(self) -> np.ndarray:
         """Detection probability of each pixel for equal branch weights: (|a_j|^2 + |b_j|^2) / 2."""
-        return 0.5 * (self.power_a + self.power_b)
+        return 0.5 * (np.abs(self.a) ** 2 + np.abs(self.b) ** 2)
 
     @cached_property
     def equal_weight_cumulative(self) -> np.ndarray:
         """Cumulative pixel distribution for equal branch weights 1/2, 1/2."""
-        cum = np.cumsum(self.equal_weight_power)
-        cum /= cum[-1]
-        cum[-1] = 1.0
-        return cum
+        return _cumulative(self.equal_weight_power)
+
+    @cached_property
+    def branch_cumulatives(self) -> tuple[np.ndarray, np.ndarray]:
+        """Cumulative pixel distributions of branch 0 (|a_j|^2) and branch 1 (|b_j|^2), built on first use."""
+        return _cumulative(np.abs(self.a) ** 2), _cumulative(np.abs(self.b) ** 2)
 
     @cached_property
     def _boundary_power_fraction(self) -> float:

@@ -242,11 +242,12 @@ def read_csv_floats(path) -> np.ndarray:
     return np.asarray(rows, dtype=float)
 
 
-def read_pairs_csv(path, width: int) -> list[tuple[np.ndarray, np.ndarray]]:
+def read_pairs_csv(path, shape: tuple[int, int]) -> list[tuple[np.ndarray, np.ndarray]]:
     """Read a `pair,region,row,col` list into (S0, S1) flat-index regions, ordered by pair id.
 
-    `width` is the phase map's row length; region must be 0 (S0) or 1 (S1).
+    `shape` is the phase map's (height, width), which holds every cell; region must be 0 (S0) or 1 (S1).
     """
+    height, width = shape
     pair_sets: dict[int, tuple[list[int], list[int]]] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -257,6 +258,8 @@ def read_pairs_csv(path, width: int) -> list[tuple[np.ndarray, np.ndarray]]:
             pair, region, r, c = (int(v) for v in row)
             if region not in (0, 1):
                 raise ValueError(f"region must be 0 or 1, got {region}")
+            if not (0 <= r < height and 0 <= c < width):
+                raise ValueError(f"line {reader.line_num}: cell ({r}, {c}) lies outside the {height} x {width} phase map")
             pair_sets.setdefault(pair, ([], []))[region].append(r * width + c)
     return [
         (np.array(s0, dtype=np.int64), np.array(s1, dtype=np.int64))

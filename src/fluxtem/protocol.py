@@ -44,6 +44,20 @@ def _require_unit_norm(norm_sq: float) -> None:
         raise PreconditionError(f"qubit norm^2 = {norm_sq!r} is not 1 within {NORM_TOL}")
 
 
+def _draw_pixel(det: DetectorModel, u: float, w0: float, w1: float) -> int:
+    """The pixel that uniform u in [0, 1) draws from the Born law P(j) ~ w0 |a_j|^2 + w1 |b_j|^2.
+
+    P = (2 min(w0, w1) Q + |w0 - w1| H) / (w0 + w1) exactly, for the equal-weight law Q and the heavier
+    branch's law H: u picks the component, then the pixel.  Rounding can carry H's coordinate to 1, so
+    it is capped at H's last pixel with mass, where H's cumulative first reaches 1.
+    """
+    t, shared = u * (w0 + w1), 2.0 * min(w0, w1)
+    if t < shared:
+        return int(det.equal_weight_cumulative.searchsorted(t / shared, side="right"))
+    cum = det.branch_cumulatives[int(w1 > w0)]
+    return min(int(cum.searchsorted((t - shared) / abs(w0 - w1), side="right")), int(cum.searchsorted(1.0)))
+
+
 @dataclass(frozen=True)
 class QubitState:
     """Normalized two-amplitude flux-qubit state.
@@ -96,8 +110,8 @@ def run_group(plan: GroupPlan, det: DetectorModel, rng: np.random.Generator) -> 
 
     The group carries only the qubit amplitudes (c0, c1), as Python
     complex scalars.  For each electron the specimen multiplies them by
-    e^{-i delta_phi/2} and e^{+i delta_phi/2}; a pixel is drawn from the
-    Born rule P(j) = w0 |a_j|^2 + w1 |b_j|^2 with w_q = |c_q|^2; detection
+    e^{-i delta_phi/2} and e^{+i delta_phi/2}; a pixel is drawn from the Born
+    rule P(j) = w0 |a_j|^2 + w1 |b_j|^2 with w_q = |c_q|^2 (`_draw_pixel`); detection
     at pixel j leaves (a_j c0, b_j c1), renormalized, which kicks the
     relative phase by beta_j.  The final relative phase is therefore
     sigma0 + sum(beta_j) + k*delta_phi exactly (up to floating point).
@@ -126,14 +140,8 @@ def run_group(plan: GroupPlan, det: DetectorModel, rng: np.random.Generator) -> 
         c0, c1 = c0 * k0, c1 * k1
         w0, w1 = abs(c0) ** 2, abs(c1) ** 2
         _require_unit_norm(w0 + w1)
-        if abs(w0 - w1) <= 1e-12:
-            cum = det.equal_weight_cumulative
-        else:
-            cum = np.cumsum(w0 * det.power_a + w1 * det.power_b)
-            cum /= cum[-1]
-            cum[-1] = 1.0
         while True:
-            pixel = int(cum.searchsorted(uniforms.pop() if uniforms else rng.random(), side="right"))
+            pixel = _draw_pixel(det, uniforms.pop() if uniforms else rng.random(), w0, w1)
             beta = beta_at(pixel)
             if not boundary_at(pixel):
                 break
@@ -227,11 +235,11 @@ def draw_good_pixels(
 ) -> tuple[np.ndarray, int, int]:
     """Draw detector pixels until `need` non-boundary hits or `budget` draws.
 
-    Samples the equal-branch-weight Born distribution; boundary hits are
-    discarded and resampled.  Returns (good pixel indices in draw order,
-    electrons drawn including discards, discard count).  Each round draws
-    no more electrons than are still needed, so it consumes exactly as
-    many draws as a sequential collapse loop would.
+    Samples the equal-weight Born law, `_draw_pixel`'s mapping at equal
+    weights; boundary hits are discarded and resampled.  Returns (good pixel
+    indices in draw order, electrons drawn including discards, discard
+    count).  Each round draws no more electrons than are still needed, so it
+    consumes exactly as many draws as a sequential collapse loop would.
     """
     if det.boundary_power_fraction() >= 1.0:
         raise PreconditionError("detector has no non-boundary power")

@@ -52,7 +52,7 @@ def validate_detector(det, tolerance=1e-6, phase=math.pi):
     `phase` is None, every non-boundary beta_j must also sit within 1e-6
     of 0 (outside the shadow) or of the Aharonov-Bohm `phase` (inside).
     """
-    for name, p in (("a", det.power_a), ("b", det.power_b)):
+    for name, p in (("a", np.abs(det.a) ** 2), ("b", np.abs(det.b) ** 2)):
         total = p.sum()
         if abs(total - 1.0) > 1e-10:
             raise PreconditionError(f"detector {name} power {total!r} is not 1 within 1e-10")

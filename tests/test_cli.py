@@ -1,3 +1,5 @@
+import ast
+import cmath
 import copy
 import hashlib
 import json
@@ -27,6 +29,9 @@ SCALING_TABLE_SHA256 = "6d01bddd1377ca93f5ddaf28c5efcd27d4d2d09256bda8f18387eb06
 SCALING_PROBES_SHA256 = "809250e5833d236cca643dfb211375521589180b4ad0b524a263217d732d80ab"
 
 
+# a blurred reimage of SMALL_OPTICS, whose detector puts 24.9% of the power on boundary pixels
+BOUNDARY_OPTICS = ["optics.detector_aperture_radius=9.6e-6", "optics.tolerance=0.05"]
+
 # hash_tree of each command's output at a small config and seed 12345
 GOLDEN_TREES = {
     "design": ([], True, "76ed193f57e0625a0858150ea66a16fbb14cca1a19566f91acf0e17c5519761d"),
@@ -44,7 +49,7 @@ GOLDEN_TREES = {
         "ea92e26f1fbae370fa0e7a2f3783f4e7140cfb9e53e3dfae07d45a73b8ea6076",
     ),
     "optics-boundary-warning": (
-        [*SMALL_OPTICS, "optics.detector_aperture_radius=9.6e-6", "optics.tolerance=0.05"],
+        [*SMALL_OPTICS, *BOUNDARY_OPTICS],
         False,
         "e299170127e6f82088cc7bec954f94e4ad076bd878a3fd9c3be5ad678f2a725f",
     ),
@@ -53,6 +58,13 @@ GOLDEN_TREES = {
         ["protocol.detector=optics", "protocol.repetitions=200", *SMALL_OPTICS],
         True,
         "3c2e2cedab90ad76767772620a5ce7a6cf2e47c18668d79a87da9d11325e37ae",
+    ),
+    # the boundary regime: 24.9% of the power on boundary pixels, whose draws are discarded, and qubit
+    # branch weights up to 5% apart, so run_group also draws from the heavier branch's component
+    "protocol-boundary": (
+        ["protocol.detector=optics", "protocol.repetitions=200", *SMALL_OPTICS, *BOUNDARY_OPTICS],
+        True,
+        "d4ac75311a7c047e6820fd0aa15d55f7123261934f557d9e2834e116c50ced4f",
     ),
     "protocol-symmetric": (
         ["protocol.basis=symmetric_antisymmetric", "protocol.repetitions=200"],
@@ -65,6 +77,11 @@ GOLDEN_TREES = {
         ["image.shape=16", "image.repetitions=2", "protocol.detector=optics", *SMALL_OPTICS],
         False,
         "1ec1b769b614f427a51f34213df738a65c95ba366b21b6ddcbca61c30763124a",
+    ),
+    "image-boundary": (
+        ["image.shape=16", "image.repetitions=2", "protocol.detector=optics", *SMALL_OPTICS, *BOUNDARY_OPTICS],
+        False,
+        "1359825c3a85d7eee73b1796b83c5bf051713f466449c373a13d6ec82d006752",
     ),
 }
 
@@ -303,8 +320,9 @@ def test_the_optics_command_holds_few_grids_at_its_peak(tmp_path):
         if not tracing:
             tracemalloc.stop()
     # the measured peak, 5.38, plus 0.07 grid (18 KB) of headroom for small objects.  It is
-    # trace_beam's, and the beta_law check's on the detector; the specimen maps are built and
-    # freed before build_detector spends the Beam, so neither step holds the other's grids
+    # trace_beam's; the beta_law check peaks at 4.39, as the detector caches no branch powers; the
+    # specimen maps are built and freed before build_detector spends the Beam, so neither step
+    # holds the other's grids
     assert peak <= 5.45
 
 
@@ -454,6 +472,21 @@ def test_overlapping_pair_regions_are_a_config_error(tmp_path, capsys):
     assert err.startswith("config error:") and "image.pairs_file" in err and "overlap" in err
 
 
+@pytest.mark.parametrize("cell", ["0,4", "1,-1", "4,2"], ids=["col = width", "col = -1", "row = height"])
+def test_a_pair_cell_outside_the_phase_map_is_a_config_error(cell, tmp_path, capsys):
+    # each of these cells has a flat index inside the 4 x 4 map, on another pixel
+    phase = tmp_path / "phase.csv"
+    phase.write_text("0,0.1,0,0.1\n" * 4)
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text(f"pair,region,row,col\n0,0,0,0\n0,1,{cell}\n")
+    argv = ["image", "--set", "image.specimen=files", "--set", f"image.phase_file={phase}"]
+    argv += ["--set", f"image.pairs_file={pairs}", "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "image.pairs_file" in err
+    assert f"line 3: cell ({cell.replace(',', ', ')}) lies outside the 4 x 4 phase map" in err
+
+
 @pytest.mark.parametrize("case", ["nan", "inf", "pgm sidecar nan"])
 def test_non_finite_phase_file_is_a_config_error(case, tmp_path, capsys):
     if case == "pgm sidecar nan":
@@ -577,6 +610,31 @@ def test_an_unbalanced_beam_fails_the_orthogonality_check(tmp_path, capsys, monk
     for name in ("beta_law", "branch_maps_distinct", "boundary_power"):
         assert f"CHECK {name}: PASS" in captured.out
     assert captured.err.strip().endswith("check failed: branch_orthogonality")
+
+
+def _optics_check(tmp_path, *overrides):
+    argv = ["optics", "--check", "--out", str(tmp_path)]
+    for override in [*SMALL_OPTICS, *overrides]:
+        argv += ["--set", override]
+    return cli.main(argv)
+
+
+def test_a_flux_that_leaves_branch_one_unchanged_fails_the_distinct_maps_check(tmp_path, capsys, monkeypatch):
+    # at half flux cmd_optics still reads a phase of pi, while the beam gets no Aharonov-Bohm factor
+    monkeypatch.setattr(optics, "branch_factor", lambda cfg: 1.0)
+    assert _optics_check(tmp_path) == cli.EXIT_CHECK_FAILED
+    captured = capsys.readouterr()
+    assert "CHECK branch_maps_distinct: FAIL (ncc = 1.000)" in captured.out
+    # b = a, so the beta law and the orthogonality verdict fail with it
+    assert captured.err.strip().endswith("check failed: beta_law, branch_maps_distinct, branch_orthogonality")
+
+
+def test_a_stray_phase_without_flux_fails_the_identical_maps_check(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(optics, "branch_factor", lambda cfg: cmath.exp(1e-3j))
+    assert _optics_check(tmp_path, "ring.flux_fraction=0") == cli.EXIT_CHECK_FAILED
+    captured = capsys.readouterr()
+    assert "CHECK maps_identical_without_flux: FAIL (map0 == map1)" in captured.out
+    assert captured.err.strip().endswith("check failed: beta_law, maps_identical_without_flux")
 
 
 def test_a_flux_quantum_of_h_over_e_fails_the_deflection_check(tmp_path, capsys, monkeypatch):
@@ -728,3 +786,23 @@ def test_files_specimen_reproduces_the_checkerboard(tmp_path, phase_format):
     _run_image(tmp_path / "files", files)
     for name in FILES_IMAGE_OUTPUTS:
         assert (tmp_path / "files" / name).read_bytes() == (tmp_path / "board" / name).read_bytes(), name
+
+
+def _verdict_names():
+    """The verdict name of every `checks.append((name, passed, detail))` in cli.py."""
+    names = set()
+    for node in ast.walk(ast.parse(Path(cli.__file__).read_text())):
+        func = getattr(node, "func", None)
+        if isinstance(func, ast.Attribute) and func.attr == "append" and getattr(func.value, "id", None) == "checks":
+            names.add(node.args[0].elts[0].value)
+    return names
+
+
+def test_the_readme_maps_every_verdict_and_no_other():
+    readme = (Path(cli.__file__).resolve().parents[2] / "README.md").read_text()
+    table = readme.split("## Claims and verdicts")[1].split("\n## ")[0]
+    # the third cell of each row after the header and its rule
+    rows = [line.split(" | ")[2].strip("`") for line in table.splitlines() if line.startswith("| ")][1:]
+    assert len(rows) == len(set(rows))
+    assert set(rows) == _verdict_names()
+    assert len(rows) == 12

@@ -27,8 +27,8 @@ def test_two_region_detector():
     validate_detector(det)
     np.testing.assert_allclose(det.beta[6:], math.pi)
     np.testing.assert_allclose(det.b[6:], -det.a[6:])
-    assert det.power_a.sum() == pytest.approx(1.0)
-    assert det.power_b.sum() == pytest.approx(1.0)
+    assert (np.abs(det.a) ** 2).sum() == pytest.approx(1.0)
+    assert (np.abs(det.b) ** 2).sum() == pytest.approx(1.0)
 
 
 def test_degenerate_detector_flags_everything_boundary():

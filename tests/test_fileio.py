@@ -224,7 +224,7 @@ def test_read_pairs_csv_orders_pairs_by_id_and_flattens_indices(tmp_path):
         tmp_path,
         ["pair,region,row,col", "2,1,1,3", "0,0,0,0", "2,0,1,2", "0,1,0,1", "0,1,1,1"],
     )
-    pairs = fileio.read_pairs_csv(path, width=4)
+    pairs = fileio.read_pairs_csv(path, shape=(2, 4))
     assert len(pairs) == 2
     (s0, s1), (t0, t1) = pairs
     assert s0.tolist() == [0] and s1.tolist() == [1, 5]
@@ -243,7 +243,7 @@ def test_read_pairs_csv_orders_pairs_by_id_and_flattens_indices(tmp_path):
 )
 def test_read_pairs_csv_rejects_bad_files(tmp_path, lines, message):
     with pytest.raises(ValueError, match=message):
-        fileio.read_pairs_csv(_pairs_file(tmp_path, lines), width=4)
+        fileio.read_pairs_csv(_pairs_file(tmp_path, lines), shape=(2, 4))
 
 
 def test_hash_tree_depends_on_names_and_bytes(tmp_path):

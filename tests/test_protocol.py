@@ -58,37 +58,50 @@ def _ref_posterior(c, det, j):
     return amp0 * inv, amp1 * inv
 
 
-def _ref_cumulative(c, det):
-    """Pixel cumulative from the electron branch weights, checked against the Born rule.
+def _ref_cumulative(power):
+    """Cumulative of per-pixel `power`, ending at exactly 1."""
+    cum = np.cumsum(power)
+    cum /= cum[-1]
+    cum[-1] = 1.0
+    return cum
 
-    Returns the cumulative and whether the branch weights were unequal.
+
+def _ref_draw(c, det, u):
+    """The pixel that uniform u draws from the Born law of table c, checked against the Born rule.
+
+    With electron branch weights w0, w1, the law is the exact two-component mixture
+    2 min(w0, w1) Q(j) + |w0 - w1| |h_j|^2, over w0 + w1, of the equal-weight law Q and the
+    heavier branch h: u * (w0 + w1) picks the component, and its remainder the pixel in it.
+    Returns the pixel and whether the heavier branch's component drew it.
     """
-    w0, w1 = (float(np.sum(np.abs(c[e, :]) ** 2)) for e in (0, 1))
-    unequal = abs(w0 - w1) > 1e-12
-    if unequal:
-        cum = np.cumsum(w0 * det.power_a + w1 * det.power_b)
-        cum /= cum[-1]
-        cum[-1] = 1.0
-    else:
-        cum = det.equal_weight_cumulative
-    np.testing.assert_allclose(np.diff(cum, prepend=0.0), _ref_born(c, det), rtol=0.0, atol=1e-12)
-    return cum, unequal
+    w0, w1 = (sum(abs(complex(x)) ** 2 for x in c[e, :]) for e in (0, 1))
+    power_a, power_b = np.abs(det.a) ** 2, np.abs(det.b) ** 2
+    equal, heavy = 0.5 * (power_a + power_b), power_b if w1 > w0 else power_a
+    shared = 2.0 * min(w0, w1)
+    mixture = (shared * equal + abs(w0 - w1) * heavy) / (w0 + w1)
+    np.testing.assert_allclose(mixture, _ref_born(c, det), rtol=0.0, atol=1e-12)
+    t = u * (w0 + w1)
+    if t < shared:
+        return int(np.searchsorted(_ref_cumulative(equal), t / shared, side="right")), False
+    cum = _ref_cumulative(heavy)
+    j = int(np.searchsorted(cum, (t - shared) / abs(w0 - w1), side="right"))
+    # a coordinate that rounds to 1 takes the first pixel where the cumulative reaches 1, the last with mass
+    return min(j, int((cum < 1.0).sum())), True
 
 
 def _reference_group(plan, det, rng):
     """One group on the full table, drawing from `rng` exactly as run_group does.
 
     Returns ((pixel, boundary) per draw, discards, sum_beta, final
-    amplitudes, number of draws from unequal branch weights).
+    amplitudes, number of draws from the heavier branch's component).
     """
     qubit = P.prepare_symmetric(plan.sigma0)
     amp0, amp1 = qubit.amp0, qubit.amp1
     draws, discards, sum_beta, unequal_draws = [], 0, 0.0, 0
     for _ in range(plan.k):
         c = _ref_specimen(_ref_entangle(amp0, amp1), plan.delta_phi)
-        cum, unequal = _ref_cumulative(c, det)
         while True:
-            j = int(np.searchsorted(cum, rng.random(), side="right"))
+            j, unequal = _ref_draw(c, det, rng.random())
             unequal_draws += unequal
             draws.append((j, bool(det.boundary_mask[j])))
             if not det.boundary_mask[j]:
@@ -146,9 +159,41 @@ def test_run_group_matches_reference(name):
         assert res.boundary_discards == discards
         assert res.sum_beta == sum_beta
         np.testing.assert_array_equal(np.array([res.qubit.amp0, res.qubit.amp1]), amps)
-    # only the unequal-moduli detector leaves the qubit with unequal branch weights
+    # only the unequal-moduli detector leaves the qubit's branch weights far enough apart to draw from the heavier branch
     assert (unequal_draws > 0) == (name == "unequal_moduli")
     assert (total_discards > 0) == (name == "half_boundary")
+
+
+SAMPLER_WEIGHTS = [(0.7, 0.3), (0.2, 0.8), (1.0, 0.0), (0.0, 1.0), (0.5, 0.5)]
+
+
+@pytest.mark.parametrize("w0, w1", SAMPLER_WEIGHTS)
+def test_draw_pixel_follows_the_born_law_on_a_grid_of_uniforms(w0, w1):
+    # a pixel takes one run of midpoints in each of the two components, and each run
+    # holds N times its share of the pixel's mass to within one midpoint
+    det = _unequal_moduli_detector()
+    n = 1 << 20
+    uniforms = ((np.arange(n) + 0.5) / n).tolist()
+    draws = map(P._draw_pixel, itertools.repeat(det, n), uniforms, itertools.repeat(w0, n), itertools.repeat(w1, n))
+    mass = np.bincount(np.fromiter(draws, dtype=np.int64, count=n), minlength=det.n_pixels) / n
+    law = (w0 * np.abs(det.a) ** 2 + w1 * np.abs(det.b) ** 2) / (w0 + w1)
+    assert mass.shape == law.shape
+    assert np.abs(mass - law).max() <= 2.0 / n
+
+
+# at (0.0359, 0.9641) rounding carries the top uniform's heavy-branch coordinate to exactly 1
+@pytest.mark.parametrize("w0, w1", [*SAMPLER_WEIGHTS, (0.5 + 1e-13, 0.5 - 1e-13), (0.0359, 0.9641)])
+@pytest.mark.parametrize("u", [0.0, 1.0 - 2.0**-53])
+def test_draw_pixel_stays_on_the_detector_at_both_ends_of_the_unit_interval(u, w0, w1):
+    det = _unequal_moduli_detector()
+    assert 0 <= P._draw_pixel(det, u, w0, w1) < det.n_pixels
+
+
+def test_draw_pixel_caps_a_rounded_draw_at_the_last_pixel_with_mass():
+    # rounding carries the heavier branch's coordinate to 1 here, and pixel 2 has no power in either branch
+    a, b = np.array([0.8, 0.6, 0.0], dtype=complex), np.array([0.6, 0.8, 0.0], dtype=complex)
+    det = det_mod.DetectorModel(a=a, b=b, beta=np.zeros(3), region=np.zeros(3, dtype=np.int8))
+    assert P._draw_pixel(det, 1.0 - 2.0**-53, 0.0359, 0.9641) == 1
 
 
 def test_run_group_consumes_the_stream_in_draw_order():
@@ -267,10 +312,9 @@ class TestCollapse:
     def test_degenerate_detector_always_boundary(self):
         det = degenerate_two_pixel()
         c = _ref_specimen(_ref_entangle(INV_SQRT2, INV_SQRT2), 0.0)
-        cum, _ = _ref_cumulative(c, det)
         rng = derive(3, 2)
         for _ in range(20):
-            assert det.boundary_mask[np.searchsorted(cum, rng.random(), side="right")]
+            assert det.boundary_mask[_ref_draw(c, det, rng.random())[0]]
 
     def test_discard_policy_rejects_all_boundary_detector(self):
         det = degenerate_two_pixel()
