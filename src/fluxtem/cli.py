@@ -157,46 +157,37 @@ def cmd_protocol(cfg: RunConfig, out: Path, check: bool) -> None:
             f"{discards:.3g} discards (limit {protocol.MAX_DISCARDS}); raise optics.tolerance"
         )
 
-    def run_trials(lo, hi, writers):
-        write_records, write_outcomes = writers
+    def run_trials(lo, hi, write):
         outcome_rows = []
         audit_max = 0.0
-        ones = 0
 
         def record_rows():
             # the trials run as records.csv is written, so only a block of its rows is ever held
-            nonlocal audit_max, ones
+            nonlocal audit_max
             for trial in range(lo, hi):
                 rng = derive(seed, DOMAIN_PROTOCOL, trial)
                 result = protocol.run_group(plan, det, rng)
                 audit_max = max(audit_max, protocol.phase_audit(result, plan))
                 qubit = protocol.compensate(result.qubit, result.sum_beta)
                 outcome = protocol.measure_qubit(qubit, basis, rng)
-                ones += outcome
                 outcome_rows.append((trial, result.sum_beta, result.boundary_discards, qubit.relative_phase, outcome))
                 for step, rec in enumerate(result.records):
                     yield (trial, step, *rec)
 
-        write_records(record_rows())
-        write_outcomes(outcome_rows)
-        return ones, audit_max
+        write(record_rows())
+        return outcome_rows, audit_max
 
     records_path = out / "records.csv"
     outcomes_path = out / "outcomes.csv"
-    parts = fileio.write_csv_parts(
-        [
-            (records_path, ["trial", "step", "pixel", "beta_j", "boundary_flag"]),
-            (outcomes_path, ["trial", "sum_beta", "boundary_discards", "phase_after_compensation", "outcome"]),
-        ],
-        reps,
-        run_trials,
-    )
+    parts = fileio.write_csv_parts(records_path, ["trial", "step", "pixel", "beta_j", "boundary_flag"], reps, run_trials)
+    outcome_rows = [row for rows, _ in parts for row in rows]
+    fileio.write_csv(outcomes_path, ["trial", "sum_beta", "boundary_discards", "phase_after_compensation", "outcome"], outcome_rows)
     # a max does not depend on the order of its parts
     audit_max = max(part_max for _, part_max in parts)
 
     p1 = float(protocol.readout_probability(plan.sigma0 + plan.k * plan.delta_phi, basis))
     # the correctly rounded mean of 0/1 outcomes: the bits of float(np.mean) of their uint8 array
-    rate = sum(ones for ones, _ in parts) / reps
+    rate = sum(row[-1] for row in outcome_rows) / reps
     sigma = math.sqrt(max(p1 * (1.0 - p1), 1e-12) / reps)
     stats = {
         "audit_max_deviation": repr(audit_max),

@@ -140,11 +140,7 @@ class DetectorModel:
                 regions = map(REGION_NAMES.__getitem__, self.region[part].tolist())
                 yield from zip(range(start, hi), *(c[part].tolist() for c in columns), regions)
 
-        def write_pixels(lo, hi, writers):
-            (write,) = writers
-            write(rows(lo, hi))
-
-        fileio.write_csv_parts([(path, _CSV_HEADER)], self.n_pixels, write_pixels)
+        fileio.write_csv_parts(path, _CSV_HEADER, self.n_pixels, lambda lo, hi, write: write(rows(lo, hi)))
 
 
 def trivial(n_pixels: int = 64) -> DetectorModel:

@@ -8,16 +8,16 @@ write for every table this package emits; the `csv` module only reads.
 
 `write_csv_parts` is the package's one fork helper.  It splits a run's
 items (detector pixels, protocol trials) into one contiguous part per
-CPU that the process may run on.  Each part writes its rows into
-several tables and returns one small value; every part after the first
-runs in a forked child, and the tables get the bytes one sequential
-pass writes.  `os.fork` and `os.sched_getaffinity` are Linux
-facilities, so the package is Linux-only.
+CPU that the process may run on.  Each part writes its rows into one
+table and returns one value; every part after the first runs in a
+forked child and reports through a temporary file, and the table gets
+the bytes one sequential pass writes.  `os.fork` and
+`os.sched_getaffinity` are Linux facilities, so the package is
+Linux-only.
 """
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import functools
 import hashlib
@@ -111,64 +111,52 @@ def write_csv(path, header: list[str], rows) -> None:
         _write_rows(fh, path, len(header), rows)
 
 
-def write_csv_parts(tables, n_items: int, run_part) -> list:
-    """Write CSV tables whose rows come from items 0..n_items-1, on every CPU; return each part's value.
+def write_csv_parts(path, header: list[str], n_items: int, run_part) -> list:
+    """Write a CSV table whose rows come from items 0..n_items-1, on every CPU; return each part's value.
 
-    `tables` lists (path, header) pairs.  `run_part(lo, hi, writers)`
-    handles items lo..hi-1: `writers[i](rows)` writes rows into table i
-    as `write_csv` formats them, and the call returns one small picklable
-    value.  The items are split into contiguous parts, one per CPU in
-    `os.sched_getaffinity(0)` but none smaller than `CSV_BLOCK_ROWS`
-    items, so one CPU or fewer than two blocks of items forks nothing.
-    The first part runs here and writes straight into the tables.  Each
-    other part runs in a forked child, writes into anonymous temporary
-    files, which no directory lists, and sends its value back through a
-    pipe; its files are appended in item order.  So each table holds the
-    bytes one `run_part(0, n_items, writers)` call writes, and the
-    values come back in part order.
+    `run_part(lo, hi, write)` handles items lo..hi-1: `write(rows)` writes
+    rows into the table as `write_csv` formats them, and the call returns
+    one picklable value.  The items are split into contiguous parts, one
+    per CPU in `os.sched_getaffinity(0)` but none smaller than
+    `CSV_BLOCK_ROWS` items, so one CPU or fewer than two blocks of items
+    forks nothing.  The first part runs here and writes straight into the
+    table.  Each other part runs in a forked child, which writes its rows
+    into one anonymous temporary file and pickles its value into another;
+    no directory lists either.  The rows are appended in item order, so
+    the table holds the bytes one `run_part(0, n_items, write)` call
+    writes, and the values come back in part order.
 
-    A child that raises sends its exception instead.  Once the first part
-    has succeeded, the exception of the lowest failing part is raised
-    here, the error a sequential run raises.  A child that dies without
-    a report (a signal, or an exception pickle cannot carry) raises
-    RuntimeError naming its items.  Every child is reaped before this
-    returns or raises.
+    A child that raises reports its exception instead.  Once the first
+    part has succeeded, the exception of the lowest failing part is
+    raised here, the error a sequential run raises.  A child that does
+    not exit 0 with a report (a signal, or an exception pickle cannot
+    carry) raises RuntimeError naming its items.  Every child is reaped
+    before this returns or raises.
     """
     n_parts = max(1, min(len(os.sched_getaffinity(0)), n_items // CSV_BLOCK_ROWS))
     bounds = [n_items * i // n_parts for i in range(n_parts + 1)]
-    # each child's part files, and the pids and result pipes not yet reaped and read, in item order
-    parts, pids, pipes = [], [], []
+    # each child's rows and report files, and the pids not yet reaped, in item order
+    parts, pids = [], []
     try:
         for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            parts.append([tempfile.TemporaryFile("w+", newline="") for _ in tables])
-            read_end, write_end = os.pipe()
-            pipes.append(read_end)
-            try:
-                pids.append(_fork_part(write_end, run_part, lo, hi, tables, parts[-1]))
-            finally:
-                os.close(write_end)
-        with contextlib.ExitStack() as stack:
-            outs = [stack.enter_context(open(path, "w", newline="")) for path, _ in tables]
-            for fh, (_, header) in zip(outs, tables):
-                fh.write(",".join(header) + "\r\n")
-            values = [run_part(0, bounds[1], _writers(tables, outs))]
-            for fh in outs:
-                fh.flush()  # the parts are appended to fh.buffer, below the text layer
-            for files, lo, hi in zip(parts, bounds[1:-1], bounds[2:]):
-                with open(pipes.pop(0), "rb") as pipe:
-                    report = pipe.read()
-                _, status = os.waitpid(pids.pop(0), 0)
-                if not report:
-                    names = ", ".join(str(path) for path, _ in tables)
-                    code = os.waitstatus_to_exitcode(status)
-                    raise RuntimeError(f"{names}: items {lo}..{hi - 1} failed without a report (child exit status {code})")
-                ok, value = pickle.loads(report)
+            parts.append((tempfile.TemporaryFile("w+", newline=""), tempfile.TemporaryFile()))
+            pids.append(_fork_part(run_part, lo, hi, path, len(header), *parts[-1]))
+        with open(path, "w", newline="") as fh:
+            fh.write(",".join(header) + "\r\n")
+            values = [run_part(0, bounds[1], functools.partial(_write_rows, fh, path, len(header)))]
+            fh.flush()  # the parts are appended to fh.buffer, below the text layer
+            for (rows, report), lo, hi in zip(parts, bounds[1:-1], bounds[2:]):
+                code = os.waitstatus_to_exitcode(os.waitpid(pids.pop(0), 0)[1])
+                report.seek(0)  # the child wrote through a shared file offset
+                data = report.read() if code == 0 else b""
+                if not data:
+                    raise RuntimeError(f"{path}: items {lo}..{hi - 1} failed without a report (child exit status {code})")
+                ok, value = pickle.loads(data)
                 if not ok:
                     raise value
                 values.append(value)
-                for fh, part in zip(outs, files):
-                    part.seek(0)
-                    shutil.copyfileobj(part.buffer, fh.buffer)
+                rows.seek(0)
+                shutil.copyfileobj(rows.buffer, fh.buffer)
         return values
     finally:
         if pids:  # this call is failing: the children's work is moot, so they are stopped, not awaited
@@ -177,24 +165,20 @@ def write_csv_parts(tables, n_items: int, run_part) -> list:
             for pid in pids:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-        for fd in pipes:
-            os.close(fd)
         for files in parts:
             for part in files:
                 part.close()
 
 
-def _writers(tables, files) -> list:
-    """One `rows -> None` writer per table, formatting into the matching open text file."""
-    return [functools.partial(_write_rows, fh, path, len(header)) for fh, (path, header) in zip(files, tables)]
+def _fork_part(run_part, lo: int, hi: int, path, width: int, rows, report) -> int:
+    """Fork a child that runs part lo..hi into the text file `rows`, pickles its report into `report` and exits; returns its pid.
 
-
-def _fork_part(pipe: int, run_part, lo: int, hi: int, tables, files) -> int:
-    """Fork a child that runs part lo..hi into the open `files`, reports through `pipe` and exits; returns its pid.
-
-    The report is the pickle of (True, value) or (False, exception).  The
-    child leaves only through `os._exit`, so it never returns into the
-    caller and never flushes the buffers of files it inherited.
+    The report is the pickle of (True, value) or (False, exception); a
+    child that cannot write one exits 1.  It reports through a file, not
+    a pipe, so a large value never blocks it while this process runs the
+    first part.  The child leaves only through `os._exit`, so it never
+    returns into the caller and never flushes the buffers of files it
+    inherited.
     """
     pid = os.fork()
     if pid != 0:
@@ -202,22 +186,21 @@ def _fork_part(pipe: int, run_part, lo: int, hi: int, tables, files) -> int:
     code = 1
     try:
         try:
-            report = (True, run_part(lo, hi, _writers(tables, files)))
-            for fh in files:
-                fh.flush()
+            result = (True, run_part(lo, hi, functools.partial(_write_rows, rows, path, width)))
+            rows.flush()
         except BaseException as err:
-            report = (False, err)
+            result = (False, err)
         try:
-            data = pickle.dumps(report)
+            data = pickle.dumps(result)
             pickle.loads(data)  # what the parent cannot load is no report
         except BaseException as err:
             import traceback
 
-            shown = err if report[0] else report[1]
+            shown = err if result[0] else result[1]
             os.write(2, "".join(traceback.format_exception(shown)).encode())
         else:
-            with open(pipe, "wb", closefd=False) as fh:
-                fh.write(data)
+            report.write(data)
+            report.flush()
             code = 0
     finally:
         os._exit(code)

@@ -60,11 +60,6 @@ class WaveField:
     """2-D complex scalar field on a square power-of-two grid."""
 
     grid: np.ndarray
-    pitch: float = 1.0
-
-    @property
-    def n(self) -> int:
-        return self.grid.shape[0]
 
     @property
     def power(self) -> float:
@@ -161,7 +156,7 @@ def build_mask(cfg: RunConfig) -> WaveField:
             delta = wrap_angle(theta - center)
             annulus &= np.abs(delta) >= 0.5 * cfg["mask.gap_width"]
         open_px = open_px | annulus
-    return WaveField(open_px.astype(complex), pitch)
+    return WaveField(open_px.astype(complex))
 
 
 def propagate(fieldv: WaveField) -> WaveField:
@@ -177,14 +172,13 @@ def propagate(fieldv: WaveField) -> WaveField:
     # place too would take trace_beam's peak, the chain's, from 5.2 to 4.7 grids
     shifted = np.fft.ifftshift(fieldv.grid)
     np.fft.fft2(shifted, norm="ortho", out=shifted)
-    return WaveField(np.fft.fftshift(shifted), fieldv.pitch)
+    return WaveField(np.fft.fftshift(shifted))
 
 
 def apply_aperture(fieldv: WaveField, radius: float) -> WaveField:
-    """Hard circular low-pass at an image plane (power can only decrease)."""
-    r = _radius_grid(fieldv.n)
-    keep = r <= radius / fieldv.pitch
-    return WaveField(np.where(keep, fieldv.grid, 0.0), fieldv.pitch)
+    """Hard circular low-pass of radius `radius` pixels at an image plane (power can only decrease)."""
+    keep = _radius_grid(fieldv.grid.shape[0]) <= radius
+    return WaveField(np.where(keep, fieldv.grid, 0.0))
 
 
 def normalized_cross_correlation(x: np.ndarray, y: np.ndarray) -> float:
@@ -229,7 +223,7 @@ def trace_beam(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray, Beam]:
     field = build_mask(cfg)
     mask_intensity = intensity_of(field.grid)
     field = propagate(field)
-    field = apply_aperture(field, cfg["optics.aperture_radius"])
+    field = apply_aperture(field, cfg["optics.aperture_radius"] / cfg["optics.pitch"])
     field = propagate(field)
     grid = field.grid
     intensity = intensity_of(grid)
@@ -244,11 +238,10 @@ def trace_beam(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray, Beam]:
     if norm == 0.0:
         raise PreconditionError("no beam power survives the ring plane")
     grid /= norm
-    pitch = cfg["optics.pitch"]
-    inside_wave = propagate(WaveField(np.where(inside, grid, 0.0), pitch))
+    inside_wave = propagate(WaveField(np.where(inside, grid, 0.0)))
     # the ring-plane grid becomes the outside part once the inside part has been carried
     grid[inside] = 0.0
-    outside_wave = propagate(WaveField(grid, pitch))
+    outside_wave = propagate(WaveField(grid))
     return mask_intensity, intensity, Beam(cfg, inside_wave, outside_wave)
 
 
@@ -282,10 +275,10 @@ def build_detector(beam: Beam) -> DetectorModel:
     wave has been transformed.
     """
     cfg = beam.cfg
-    radius = cfg["optics.detector_aperture_radius"]
+    pitch, radius = cfg["optics.pitch"], cfg["optics.detector_aperture_radius"]
     transformed = []
     for wave in (beam.inside, beam.outside):
-        transformed.append(propagate(wave if radius is None else apply_aperture(wave, radius)).grid.ravel())
+        transformed.append(propagate(wave if radius is None else apply_aperture(wave, radius / pitch)).grid.ravel())
         del wave.grid
     d_in, d_out = transformed
     del transformed

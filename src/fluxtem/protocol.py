@@ -18,7 +18,8 @@ rounds it, and the bytes do not depend on numpy's SIMD dispatch.
 Everything here is a pure function of its inputs plus an explicit
 random generator, so independent trials parallelize trivially (see
 `streams`): the CLI runs them on every CPU through
-`fileio.write_csv_parts`.
+`fileio.write_csv_parts`, each part streaming its trials' records into
+`records.csv` and returning their outcome rows.
 """
 
 from __future__ import annotations

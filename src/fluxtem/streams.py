@@ -5,7 +5,7 @@ independent counter-based generator.  Streams depend only on the pair
 (seed, path), never on creation order, so repetitions may run in any
 order or in parallel and still reproduce bit-identical results; the
 `protocol` command splits its trials across CPUs with
-`fileio.write_csv_parts`.
+`fileio.write_csv_parts`, and each part derives its own trials' streams.
 """
 
 from __future__ import annotations

@@ -281,7 +281,7 @@ def test_a_stuck_detector_exits_3_before_any_draw(overrides, code, tmp_path, mon
 
 @given(arrays(np.uint8, st.integers(1, 10_000), elements=st.integers(0, 1)))
 def test_outcome_rate_as_a_count_has_the_bits_of_the_uint8_mean(outcomes):
-    # cmd_protocol's outcome_rate is the count of outcome 1 over the trials, summed over the parts;
+    # cmd_protocol's outcome_rate is the sum of the outcome column over the number of trials;
     # it must have the bits of the mean of the 0/1 uint8 array
     assert repr(int(outcomes.sum()) / outcomes.size) == repr(float(outcomes.mean()))
 
@@ -637,6 +637,22 @@ def test_a_stray_phase_without_flux_fails_the_identical_maps_check(tmp_path, cap
     assert captured.err.strip().endswith("check failed: beta_law, maps_identical_without_flux")
 
 
+def test_a_reimage_through_an_aperture_fails_the_boundary_power_check(tmp_path, capsys, monkeypatch):
+    build_detector = optics.build_detector
+
+    def apertured(beam):
+        # a 12 um aperture (30 px at SMALL_OPTICS) before the detector: the re-image is no exact conjugate
+        radius = 12e-6 / beam.cfg["optics.pitch"]
+        waves = (optics.apply_aperture(beam.inside, radius), optics.apply_aperture(beam.outside, radius))
+        return build_detector(optics.Beam(beam.cfg, *waves))
+
+    monkeypatch.setattr(optics, "build_detector", apertured)
+    assert _optics_check(tmp_path) == cli.EXIT_CHECK_FAILED
+    captured = capsys.readouterr()
+    assert "CHECK boundary_power: FAIL (1.000e+00)" in captured.out
+    assert captured.err.strip().endswith("check failed: boundary_power")
+
+
 def test_a_flux_quantum_of_h_over_e_fails_the_deflection_check(tmp_path, capsys, monkeypatch):
     class WrongQuantum(PhysicalConstants):
         @property
@@ -717,6 +733,20 @@ def test_scaling_check_with_one_k_fails_for_want_of_a_slope(tmp_path, capsys):
     assert "CHECK dose_scaling_slope: FAIL (one k: no slope to fit)" in captured.out
     assert captured.err.strip().endswith("check failed: dose_scaling_slope")
     assert "check.dose_scaling_slope = FAIL (one k: no slope to fit)" in (tmp_path / "manifest.txt").read_text()
+
+
+def test_a_group_per_electron_fails_the_slope_check(tmp_path, capsys, monkeypatch):
+    estimate_batch = estimator._estimate_batch
+
+    def group_per_electron(mode, delta_phi, budget, repetitions, det, rng, k):
+        # k times the budget completes G = B groups in place of floor(B / k) on the trivial detector
+        return estimate_batch(mode, delta_phi, budget * k, repetitions, det, rng, k)
+
+    monkeypatch.setattr(estimator, "_estimate_batch", group_per_electron)
+    assert cli.main(["scaling", "--seed", "12345", "--check", "--out", str(tmp_path)]) == cli.EXIT_CHECK_FAILED
+    captured = capsys.readouterr()
+    assert "CHECK dose_scaling_slope: FAIL (slope -2.0008 (want -1 +- 0.1))" in captured.out
+    assert captured.err.strip().endswith("check failed: dose_scaling_slope")
 
 
 def test_shape_without_an_even_tile_count_is_a_config_error(tmp_path, capsys):

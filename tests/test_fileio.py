@@ -137,10 +137,9 @@ def _raise_unloadable(i):
 
 
 def _part_failing_at(bad, fault):
-    """A one-table part that writes (i, float(i)) for each item, except `fault(i)` at the items in `bad`."""
+    """A part that writes (i, float(i)) for each item, except `fault(i)` at the items in `bad`."""
 
-    def run_part(lo, hi, writers):
-        (write,) = writers
+    def run_part(lo, hi, write):
         write(fault(i) if i in bad else (i, float(i)) for i in range(lo, hi))
         return lo
 
@@ -167,7 +166,7 @@ def test_write_csv_parts_reaps_every_child_and_leaves_nothing_behind(tmp_path, m
     with open(tmp_path / "log.txt", "w") as log:
         log.write("written before the call\n")  # left in the buffer, unflushed
         with pytest.raises(error, match=message) as raised:
-            fileio.write_csv_parts([(tmp_path / "t.csv", ["i", "x"])], 192, _part_failing_at(bad, fault))
+            fileio.write_csv_parts(tmp_path / "t.csv", ["i", "x"], 192, _part_failing_at(bad, fault))
     assert (tmp_path / "log.txt").read_text() == "written before the call\n"
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -180,7 +179,7 @@ def test_write_csv_parts_reaps_every_child_and_leaves_nothing_behind(tmp_path, m
     if error is ValueError:  # the error one sequential run raises
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         with pytest.raises(ValueError) as sequential:
-            fileio.write_csv_parts([(tmp_path / "t.csv", ["i", "x"])], 192, _part_failing_at(bad, fault))
+            fileio.write_csv_parts(tmp_path / "t.csv", ["i", "x"], 192, _part_failing_at(bad, fault))
         assert str(raised.value) == str(sequential.value)
 
 
@@ -190,27 +189,43 @@ def test_write_csv_parts_raises_the_lowest_failing_parts_error(tmp_path, monkeyp
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     with pytest.raises(LookupError, match="^item 100$"):
-        fileio.write_csv_parts([(tmp_path / "t.csv", ["i", "x"])], 192, _part_failing_at({100, 150}, fault))
+        fileio.write_csv_parts(tmp_path / "t.csv", ["i", "x"], 192, _part_failing_at({100, 150}, fault))
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
-def test_write_csv_parts_writes_several_tables_and_returns_each_parts_value(tmp_path, monkeypatch, cpus):
-    def run_part(lo, hi, writers):
-        squares, cubes = writers
-        squares((i, i * i) for i in range(lo, hi))
-        cubes([(i, float(i) ** 3, "x") for i in range(lo, hi) if i % 3 == 0])
-        return lo, hi
+def test_write_csv_parts_writes_one_table_and_returns_each_parts_value(tmp_path, monkeypatch, cpus):
+    # each part's value pickles to more than a pipe holds (64 KiB), so a child that sent it through
+    # a pipe would wait for this process to finish the first part before it could exit
+    def run_part(lo, hi, write):
+        write((i, float(i) ** 3, "x") for i in range(lo, hi))
+        return lo, hi, [(i, float(i)) for i in range(lo, hi) for _ in range(100)]
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    tables = [(tmp_path / "squares.csv", ["i", "square"]), (tmp_path / "cubes.csv", ["i", "cube", "tag"])]
-    values = fileio.write_csv_parts(tables, 200, run_part)
-    assert values == [(200 * i // cpus, 200 * (i + 1) // cpus) for i in range(cpus)]
-    fileio.write_csv(tmp_path / "ref_squares.csv", ["i", "square"], ((i, i * i) for i in range(200)))
-    fileio.write_csv(tmp_path / "ref_cubes.csv", ["i", "cube", "tag"], [(i, float(i) ** 3, "x") for i in range(0, 200, 3)])
-    for name in ("squares.csv", "cubes.csv"):
-        assert (tmp_path / name).read_bytes() == (tmp_path / f"ref_{name}").read_bytes()
+    values = fileio.write_csv_parts(tmp_path / "cubes.csv", ["i", "cube", "tag"], 200, run_part)
+    bounds = [200 * i // cpus for i in range(cpus + 1)]
+    assert [value[:2] for value in values] == list(zip(bounds, bounds[1:]))
+    assert [row for value in values for row in value[2]] == [(i, float(i)) for i in range(200) for _ in range(100)]
+    fileio.write_csv(tmp_path / "ref.csv", ["i", "cube", "tag"], ((i, float(i) ** 3, "x") for i in range(200)))
+    assert (tmp_path / "cubes.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "bad, fault",
+    [(set(), _long_row), ({10}, _long_row), ({150}, _long_row), ({150}, _killed)],
+    ids=["success", "in-the-first-part", "in-a-child-part", "in-a-killed-child"],
+)
+def test_write_csv_parts_leaves_no_descriptor_open(tmp_path, monkeypatch, bad, fault):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    before = sorted(os.listdir("/proc/self/fd"))
+    try:
+        fileio.write_csv_parts(tmp_path / "t.csv", ["i", "x"], 192, _part_failing_at(bad, fault))
+    except (ValueError, RuntimeError):
+        assert bad
+    else:
+        assert not bad
+    assert sorted(os.listdir("/proc/self/fd")) == before
 
 
 def _pairs_file(tmp_path, lines):

@@ -12,6 +12,9 @@ Every package import is checked, at module level or inside a function or
 an `if TYPE_CHECKING:` block: `from . import m`, `from .m import x` and
 their absolute `fluxtem` spellings.  A name imported from the package
 that is not a module comes from `__init__`.
+
+A second guard keeps `fileio.write_csv_parts` the package's one fork
+helper: no other module names `os.fork`.
 """
 
 import ast
@@ -92,3 +95,29 @@ def test_the_layer_guard_names_each_import_at_or_above_its_importer(tmp_path):
         ("mid", "mid"),
         ("stray", None),
     ]
+
+
+def fork_users(root):
+    """The modules under root/src/fluxtem that name `os.fork`, as `os.fork` or through `from os import fork`."""
+    found = set()
+    for path in sorted((root / "src" / "fluxtem").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr == "fork" and getattr(node.value, "id", None) == "os":
+                found.add(path.stem)
+            elif isinstance(node, ast.ImportFrom) and node.module == "os" and any(a.name == "fork" for a in node.names):
+                found.add(path.stem)
+    return sorted(found)
+
+
+def test_only_fileio_forks():
+    assert fork_users(ROOT) == ["fileio"]
+
+
+def test_the_fork_guard_names_each_module_that_names_os_fork(tmp_path):
+    package = tmp_path / "src" / "fluxtem"
+    package.mkdir(parents=True)
+    (package / "calls.py").write_text("import os\n\ndef f():\n    return os.fork()\n")
+    (package / "refers.py").write_text("import os\n\nFORK = os.fork\n")
+    (package / "imports.py").write_text("from os import getpid, fork\n")
+    (package / "clean.py").write_text("import os\n\ndef fork(pid):\n    return os.getpid() + pid\n")
+    assert fork_users(tmp_path) == ["calls", "imports", "refers"]

@@ -351,8 +351,8 @@ class TestBuildDetector:
         rotation = np.exp(0.77j)
         rotated = O.Beam(
             small_beam.cfg,
-            O.WaveField(small_beam.inside.grid * rotation, small_beam.inside.pitch),
-            O.WaveField(small_beam.outside.grid * rotation, small_beam.outside.pitch),
+            O.WaveField(small_beam.inside.grid * rotation),
+            O.WaveField(small_beam.outside.grid * rotation),
         )
         det = O.build_detector(rotated)
         det_ref = small_detector
@@ -425,7 +425,7 @@ def test_four_plane_chain_unitarity(default_cfg):
     mask = O.build_mask(default_cfg)
     image = O.propagate(mask)
     assert abs(image.power - mask.power) / mask.power < 1e-10
-    apertured = O.apply_aperture(image, default_cfg["optics.aperture_radius"])
+    apertured = O.apply_aperture(image, default_cfg["optics.aperture_radius"] / default_cfg["optics.pitch"])
     ring_plane = O.propagate(apertured)
     assert abs(ring_plane.power - apertured.power) / apertured.power < 1e-10
     mask_intensity, ring_intensity, beam = O.trace_beam(default_cfg)
