@@ -41,7 +41,7 @@ def _detector(cfg: RunConfig) -> det_mod.DetectorModel:
     if cfg["protocol.detector"] == "trivial":
         return det_mod.trivial()
     # only the Beam is kept, so the trace's two intensities are freed before the detector is built,
-    # and build_detector spends it; the chain peaks at 5.2 complex n x n grids, in trace_beam
+    # and build_detector spends it; the chain peaks at 3.7 complex n x n grids, in build_detector
     return optics.build_detector(optics.trace_beam(cfg)[2])
 
 
@@ -97,8 +97,8 @@ def cmd_optics(cfg: RunConfig, out: Path, check: bool) -> None:
     files.extend(fileio.write_pgm16(out / "qubit_plane.pgm", ring_plane))
     del mask, ring_plane
     # the maps come first, because build_detector spends the Beam, and all the verdicts read of
-    # them is taken before they are freed: the maps peak at 4.5 complex n x n grids, the Beam's
-    # two included, and build_detector at 4.0, both under trace_beam's 5.2
+    # them is taken before they are freed: the maps peak at 4.0 complex n x n grids, the Beam's
+    # two included, the command's peak; trace_beam peaks at 3.4 and build_detector at 3.7
     map0, map1, overlap = optics.specimen_maps(beam)
     overlap = abs(overlap)
     files.extend(fileio.write_pgm16(out / "specimen_map0.pgm", map0))

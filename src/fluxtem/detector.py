@@ -120,10 +120,13 @@ class DetectorModel:
 
     def beta_law_deviation(self, phase: float) -> float:
         """Largest angular distance of a non-boundary beta_j from 0 (outside the shadow) or `phase` (inside)."""
-        ok = ~self.boundary_mask
-        beta = self.beta[ok]
-        inside = self.region[ok] == INSIDE_SHADOW
-        return max(np.abs(beta[~inside]).max(initial=0.0), np.abs(wrap_angle(beta[inside] - phase)).max(initial=0.0))
+        beta = self.beta
+        outside = self.region == OUTSIDE_SHADOW
+        # max |beta| over the outside shadow, which holds most pixels, read without a masked copy;
+        # abs turns a -0.0 that the SIMD max can return into the 0.0 of np.abs
+        far = abs(max(beta.max(where=outside, initial=0.0), -beta.min(where=outside, initial=0.0)))
+        near = np.abs(wrap_angle(beta[self.region == INSIDE_SHADOW] - phase)).max(initial=0.0)
+        return max(far, near)
 
     def to_csv(self, path) -> None:
         # imported on first use: importing fileio with the detector moves the

@@ -50,12 +50,18 @@ def write_pgm16(path, array: np.ndarray) -> tuple[Path, Path]:
     lo = float(np.nanmin(data))
     hi = float(np.nanmax(data))
     if hi > lo:
-        scaled = (np.nan_to_num(data, nan=lo) - lo) / (hi - lo) * PGM_MAXVAL
+        # one copy is scaled and rounded in place, with the bits of round((x - lo) / (hi - lo) * maxval)
+        scaled = np.nan_to_num(data, nan=lo)
+        scaled -= lo
+        scaled /= hi - lo
+        scaled *= PGM_MAXVAL
+        np.round(scaled, out=scaled)
     else:
         scaled = np.zeros_like(data)
-    u16 = np.round(scaled).astype(">u2")
-    header = f"P5\n{data.shape[1]} {data.shape[0]}\n{PGM_MAXVAL}\n".encode("ascii")
-    path.write_bytes(header + u16.tobytes())
+    u16 = scaled.astype(">u2", order="C")
+    with path.open("wb") as fh:
+        fh.write(f"P5\n{data.shape[1]} {data.shape[0]}\n{PGM_MAXVAL}\n".encode("ascii"))
+        fh.write(u16)
     sidecar = Path(str(path) + ".txt")
     sidecar.write_text(f"min = {lo!r}\nmax = {hi!r}\n")
     return path, sidecar

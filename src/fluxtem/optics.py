@@ -20,12 +20,12 @@ the ring's inner edge and carries each part to the specimen, and the
 specimen maps and the detector are both read from that pair, the maps
 first: `build_detector` spends the `Beam`.
 
-Memory: each n x n array is freed or overwritten as soon as it has been
-read, so the chain holds at most 5.2 complex grids (n^2 x 16 bytes each)
-at once.  That peak falls in `trace_beam`, its two returned intensities
-included.  `build_detector` frees each specimen wave once it has been
-transformed and peaks at 4.0 grids, while the outside wave is transformed
-beside the transformed inside wave.
+Memory: `propagate` transforms a grid in place, and each n x n array is
+freed or overwritten as soon as it has been read, so the chain holds at
+most 4.0 complex grids (n^2 x 16 bytes each) at once: the Beam's two
+waves and both branches, while `specimen_maps` takes their overlap.
+`trace_beam` peaks at 3.4 grids, its two returned intensities included,
+and `build_detector` at 3.7, the Beam it spends included.
 
 Every function reads its geometry from the run's `RunConfig` by
 `config.SCHEMA` key (`optics.*`, `mask.*`, `ring.*`), so SCHEMA stays
@@ -159,20 +159,35 @@ def build_mask(cfg: RunConfig) -> WaveField:
     return WaveField(open_px.astype(complex))
 
 
-def propagate(fieldv: WaveField) -> WaveField:
-    """Unitary centered 2-D Fourier transform to the conjugate plane.
+def _swap_quadrants(grid: np.ndarray) -> None:
+    """Swap the diagonal quadrants of an even n x n grid in place: both fftshift and ifftshift there."""
+    h = grid.shape[0] // 2
+    quarter = grid[:h, :h].copy()
+    grid[:h, :h] = grid[h:, h:]
+    grid[h:, h:] = quarter
+    quarter[...] = grid[:h, h:]
+    grid[:h, h:] = grid[h:, :h]
+    grid[h:, :h] = quarter
 
-    Preserves total power (Parseval) to floating-point accuracy.
-    Applying it twice reproduces the input mirrored through the grid
-    center (parity).
+
+def propagate(fieldv: WaveField) -> WaveField:
+    """Unitary centered 2-D Fourier transform to the conjugate plane, computed in the input's grid.
+
+    The returned field shares `fieldv`'s grid, which then holds the
+    transform: pass a copy to keep the input.  The bits are those of
+    fftshift(fft2(ifftshift(grid), norm="ortho")), as the grid side is a
+    power of two and both shifts swap its diagonal quadrants.  Preserves
+    total power (Parseval) to floating-point accuracy.  Applying it twice
+    reproduces the input mirrored through the grid center (parity).
     """
-    if fieldv.power == 0.0:
+    grid = fieldv.grid
+    if np.vdot(grid, grid).real == 0.0:
         raise PreconditionError("cannot propagate a field with zero power")
-    # the ifftshift copy is transformed in place and the input is left as it was; re-centring it in
-    # place too would take trace_beam's peak, the chain's, from 5.2 to 4.7 grids
-    shifted = np.fft.ifftshift(fieldv.grid)
-    np.fft.fft2(shifted, norm="ortho", out=shifted)
-    return WaveField(np.fft.fftshift(shifted))
+    # no step holds a second grid: the shifts are swaps through one quadrant, and fft2 writes its input
+    _swap_quadrants(grid)
+    np.fft.fft2(grid, norm="ortho", out=grid)
+    _swap_quadrants(grid)
+    return fieldv
 
 
 def apply_aperture(fieldv: WaveField, radius: float) -> WaveField:
@@ -198,9 +213,9 @@ class Beam:
     there is outside + inside and branch 1 is outside +
     `branch_factor(cfg)` * inside.
 
-    `build_detector` spends the Beam: it deletes each wave's grid once it
-    has been transformed, so reading a spent Beam raises AttributeError.
-    Build the specimen maps first.
+    `build_detector` spends the Beam: it transforms each wave in the
+    wave's own grid and deletes that grid from the Beam, so reading a
+    spent Beam raises AttributeError.  Build the specimen maps first.
     """
 
     cfg: RunConfig
@@ -239,7 +254,8 @@ def trace_beam(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray, Beam]:
         raise PreconditionError("no beam power survives the ring plane")
     grid /= norm
     inside_wave = propagate(WaveField(np.where(inside, grid, 0.0)))
-    # the ring-plane grid becomes the outside part once the inside part has been carried
+    # the ring-plane grid becomes the outside part once the inside part has been carried, and
+    # propagate carries it in place
     grid[inside] = 0.0
     outside_wave = propagate(WaveField(grid))
     return mask_intensity, intensity, Beam(cfg, inside_wave, outside_wave)
@@ -249,11 +265,11 @@ def specimen_maps(beam: Beam) -> tuple[np.ndarray, np.ndarray, complex]:
     """Unit-power specimen intensity maps of qubit branches 0 and 1, and <0|1>."""
     outside, inside = beam.outside.grid, beam.inside.grid
     branch0 = outside + inside
-    branch1 = branch_one(beam.cfg, inside, outside)
-    overlap = complex(np.vdot(branch0, branch1))
+    overlap = complex(np.vdot(branch0, branch_one(beam.cfg, inside, outside)))
     map0 = intensity_of(branch0)
     del branch0
-    map1 = intensity_of(branch1)
+    # branch 1 is built again, with the same bits, so no step holds both branches beside a map
+    map1 = intensity_of(branch_one(beam.cfg, inside, outside))
     p0, p1 = map0.sum(), map1.sum()
     map0 /= p0
     map1 /= p1
@@ -271,8 +287,8 @@ def build_detector(beam: Beam) -> DetectorModel:
     conjugate and every lit pixel is purely inside or outside, giving
     beta of 0 or the Aharonov-Bohm phase.
 
-    Spends the Beam: each specimen wave's grid is deleted as soon as the
-    wave has been transformed.
+    Spends the Beam: each specimen wave is transformed in its own grid,
+    which is then deleted from the Beam.
     """
     cfg = beam.cfg
     pitch, radius = cfg["optics.pitch"], cfg["optics.detector_aperture_radius"]

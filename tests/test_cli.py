@@ -303,27 +303,45 @@ def test_optics_traces_the_beam_path_once_outside_the_detector(tmp_path, monkeyp
     assert len(calls) == 6
 
 
-def test_the_optics_command_holds_few_grids_at_its_peak(tmp_path):
-    """tracemalloc peak of a whole `optics --check` run, counted in complex grids of n^2 x 16 bytes."""
-    n = 128
-    argv = ["optics", "--seed", "12345", "--check", "--set", f"optics.n={n}"]
-    assert cli.main(argv + ["--out", str(tmp_path / "warm")]) == cli.EXIT_OK  # one-time allocations
+def _peak_in_grids(n, argv, out):
+    """tracemalloc peak of one `cli.main(argv)` run after a first run, counted in complex grids of n^2 x 16 bytes."""
+    assert cli.main([*argv, "--out", str(out / "warm")]) == cli.EXIT_OK  # one-time allocations
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         start = tracemalloc.get_traced_memory()[0]
-        assert cli.main(argv + ["--out", str(tmp_path / "run")]) == cli.EXIT_OK
-        peak = (tracemalloc.get_traced_memory()[1] - start) / (n * n * 16)
+        assert cli.main([*argv, "--out", str(out / "run")]) == cli.EXIT_OK
+        return (tracemalloc.get_traced_memory()[1] - start) / (n * n * 16)
     finally:
         if not tracing:
             tracemalloc.stop()
-    # the measured peak, 5.38, plus 0.07 grid (18 KB) of headroom for small objects.  It is
-    # trace_beam's; the beta_law check peaks at 4.39, as the detector caches no branch powers; the
-    # specimen maps are built and freed before build_detector spends the Beam, so neither step
-    # holds the other's grids
-    assert peak <= 5.45
+
+
+def test_the_optics_command_holds_few_grids_at_its_peak(tmp_path):
+    n = 128
+    peak = _peak_in_grids(n, ["optics", "--seed", "12345", "--check", "--set", f"optics.n={n}"], tmp_path)
+    # the measured peak, 4.26, plus 0.07 grid (18 KB) of headroom for small objects.  It is the
+    # maps step's: the Beam's two waves and both branches for np.vdot (4), and small objects.
+    # trace_beam peaks at 3.4 and build_detector at 3.7, the Beam included, as propagate
+    # transforms in place; the beta_law check copies only the inside pixels, and write_pgm16
+    # scales one float copy of a map in place
+    assert peak <= 4.33
+
+
+def test_the_protocol_command_holds_few_grids_at_its_peak(tmp_path, monkeypatch):
+    n = 128
+    # one CPU, so every trial runs in this process, where tracemalloc sees it
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(os, "fork", _no_fork)
+    argv = ["protocol", "--seed", "12345", "--check", "--set", "protocol.detector=optics", "--set", f"optics.n={n}"]
+    peak = _peak_in_grids(n, argv, tmp_path)
+    # the measured peak, 4.31, plus 0.07 grid (18 KB) of headroom for small objects.  It is the
+    # trial phase's: the detector with its boundary mask and equal-weight cumulative (3.14) and
+    # about 300 KB of rows, mostly the 2,000 outcome rows, which do not scale with n.  The
+    # optics chain before it peaks at 3.7, in build_detector
+    assert peak <= 4.38
 
 
 def test_scaling_golden_outputs(tmp_path, capsys):

@@ -74,6 +74,51 @@ def test_beta_law_deviation_measures_inside_pixels_against_the_phase():
     assert det.beta_law_deviation(math.pi - 1e-9) == pytest.approx(2e-9, abs=1e-15)
 
 
+def _beta_law_deviation_of_masked_copies(det, phase):
+    """beta_law_deviation as it read before it took the outside shadow's maximum without a copy."""
+    ok = ~det.boundary_mask
+    beta = det.beta[ok]
+    inside = det.region[ok] == det_mod.INSIDE_SHADOW
+    return max(np.abs(beta[~inside]).max(initial=0.0), np.abs(det_mod.wrap_angle(beta[inside] - phase)).max(initial=0.0))
+
+
+def _random_detector(rng, n, regions):
+    """n pixels with angles in (-pi, pi], some exact zeros of either sign, in the given region codes."""
+    beta = det_mod.wrap_angle(rng.uniform(-4.0, 4.0, n))
+    beta[rng.random(n) < 0.2] = 0.0
+    beta[rng.random(n) < 0.2] = -0.0
+    amp = np.full(n, 1.0 / math.sqrt(n), dtype=complex)
+    region = rng.choice(np.array(regions, dtype=np.int8), n)
+    return det_mod.DetectorModel(a=amp, b=amp, beta=beta, region=region)
+
+
+@pytest.mark.parametrize(
+    "regions",
+    [
+        (det_mod.OUTSIDE_SHADOW, det_mod.INSIDE_SHADOW, det_mod.BOUNDARY),
+        (det_mod.INSIDE_SHADOW, det_mod.BOUNDARY),
+        (det_mod.OUTSIDE_SHADOW, det_mod.BOUNDARY),
+    ],
+    ids=["all-regions", "no-outside", "no-inside"],
+)
+@pytest.mark.parametrize("seed", range(6))
+def test_beta_law_deviation_has_the_bits_of_the_masked_copies(regions, seed):
+    rng = np.random.default_rng(seed)
+    det = _random_detector(rng, int(rng.integers(1, 3000)), regions)
+    for phase in (math.pi, 0.0, -0.0, float(rng.uniform(-math.pi, math.pi))):
+        got, want = det.beta_law_deviation(phase), _beta_law_deviation_of_masked_copies(det, phase)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def test_beta_law_deviation_of_signed_zeros_is_plus_zero():
+    # the SIMD max of -0.0 and the initial 0.0 can be -0.0; np.abs of the masked copy never is
+    for n in (1, 7, 64, 1000):
+        det = det_mod.DetectorModel(
+            a=np.ones(n, dtype=complex), b=np.ones(n, dtype=complex), beta=np.full(n, -0.0), region=np.zeros(n, dtype=np.int8)
+        )
+        assert np.float64(det.beta_law_deviation(0.0)).tobytes() == np.float64(0.0).tobytes()
+
+
 def test_validate_rejects_unnormalized_power():
     amp = np.array([1.0, 1.0], dtype=complex)
     det = det_mod.DetectorModel(

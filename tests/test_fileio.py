@@ -34,6 +34,46 @@ def test_pgm_of_a_constant_map_is_all_zero(tmp_path):
     assert np.all(fileio.read_scaled_pgm(path) == 0.25)
 
 
+def _pgm16_bytes_of_copies(array):
+    """The P5 file write_pgm16 wrote before it scaled one copy in place and wrote header and buffer apart."""
+    data = np.asarray(array, dtype=float)
+    lo = float(np.nanmin(data))
+    hi = float(np.nanmax(data))
+    if hi > lo:
+        scaled = (np.nan_to_num(data, nan=lo) - lo) / (hi - lo) * fileio.PGM_MAXVAL
+    else:
+        scaled = np.zeros_like(data)
+    u16 = np.round(scaled).astype(">u2")
+    return f"P5\n{data.shape[1]} {data.shape[0]}\n{fileio.PGM_MAXVAL}\n".encode("ascii") + u16.tobytes()
+
+
+def _pgm16_cases():
+    rng = np.random.default_rng(16)
+    holes = rng.normal(size=(40, 24))
+    holes[rng.random(holes.shape) < 0.1] = np.nan
+    # values that scale to k + 1/2 in exact arithmetic, so the operation order shows in the rounding
+    halves = 3.0 * (np.arange(65534) + 0.5) / fileio.PGM_MAXVAL
+    return {
+        "half-steps": np.concatenate([[0.0], halves, [3.0]]).reshape(256, 256),
+        "random": rng.normal(size=(33, 70)) * 1e3 - 7.0,
+        "intensity": np.abs(rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))) ** 2,
+        "transposed": rng.uniform(size=(20, 9)).T,
+        "constant": np.full((5, 8), -2.5),
+        "nan": holes,
+        "nan-and-constant": np.where(rng.random((6, 6)) < 0.5, np.nan, 3.0),
+    }
+
+
+@pytest.mark.parametrize("name", list(_pgm16_cases()))
+def test_write_pgm16_has_the_bytes_of_the_copying_form(name, tmp_path):
+    array = _pgm16_cases()[name]
+    before = array.copy()
+    path, _ = fileio.write_pgm16(tmp_path / "map.pgm", array)
+    assert path.read_bytes() == _pgm16_bytes_of_copies(before)
+    # the caller's array is scaled in a copy
+    np.testing.assert_array_equal(array, before)
+
+
 def test_csv_floats_round_trip_exactly(tmp_path):
     values = [0.1, 1.0 / 3.0, -2.5e-300, 6.02214076e23, float("inf")]
     path = tmp_path / "t.csv"
