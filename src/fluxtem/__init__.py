@@ -11,7 +11,7 @@ it, and tests/test_layers.py holds that order.
   config     - key = value run configuration with units and limits; SCHEMA
                is each run parameter's only description
   detector   - per-pixel branch amplitudes, compensation angles, regions,
-               and the one angle wrap to (-pi, pi]
+               the one angle wrap to (-pi, pi] and the one |amplitude|^2
   device     - pinned CODATA constants, beam deflection and SQUID sizing
                calculators; the design report reads the run config by
                SCHEMA key

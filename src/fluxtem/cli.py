@@ -97,8 +97,8 @@ def cmd_optics(cfg: RunConfig, out: Path, check: bool) -> None:
     files.extend(fileio.write_pgm16(out / "qubit_plane.pgm", ring_plane))
     del mask, ring_plane
     # the maps come first, because build_detector spends the Beam, and all the verdicts read of
-    # them is taken before they are freed: the maps peak at 4.0 complex n x n grids, the Beam's
-    # two included, the command's peak; trace_beam peaks at 3.4 and build_detector at 3.7
+    # them is taken before they are freed.  Writing them beside the Beam is the command's peak,
+    # 3.9 complex n x n grids at n = 256; trace_beam peaks at 3.4 and build_detector at 3.7
     map0, map1, overlap = optics.specimen_maps(beam)
     overlap = abs(overlap)
     files.extend(fileio.write_pgm16(out / "specimen_map0.pgm", map0))
@@ -136,6 +136,8 @@ def cmd_optics(cfg: RunConfig, out: Path, check: bool) -> None:
         elif abs(phase) < 1e-9:
             checks.append(("maps_identical_without_flux", maps_identical, "map0 == map1"))
         checks.append(("boundary_power", boundary_frac <= BOUNDARY_POWER_LIMIT, f"{boundary_frac:.3e}"))
+    # the manifest's first hash loads OpenSSL (~3.6 MB RSS): with the detector freed, it sits under no grid
+    del det
     _finish(out, cfg, "optics", stats, files, checks, check)
 
 
@@ -146,9 +148,8 @@ def cmd_protocol(cfg: RunConfig, out: Path, check: bool) -> None:
     reps = cfg["protocol.repetitions"]
     seed = cfg["seed"]
 
-    # warmed here, so the forked parts inherit them instead of each computing them
+    # read with the boundary mask and the equal-weight cumulative, so the forked parts inherit all three
     boundary = det.boundary_power_fraction()
-    det.equal_weight_cumulative
     # a group discards k q / (1 - q) draws on average; stop a stuck one before it draws
     discards = plan.k * boundary / (1.0 - boundary) if boundary < 1.0 else math.inf
     if discards > protocol.MAX_DISCARDS:

@@ -14,10 +14,10 @@ hash identically.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from pathlib import Path
 
+from . import fileio
 from .errors import ConfigError
 
 # value kinds
@@ -225,7 +225,7 @@ class RunConfig:
         return "\n".join(lines) + "\n"
 
     def config_hash(self) -> str:
-        return hashlib.sha256(self.canonical_text().encode()).hexdigest()
+        return fileio.sha256(self.canonical_text().encode()).hexdigest()
 
 
 def load_config(path=None, overrides: list[str] | None = None) -> RunConfig:

@@ -10,7 +10,8 @@ protocol discards an electron drawn there and draws again.
 
 The package reduces every angle to (-pi, pi] with this module's
 `wrap_angle`: beta_j here, the mask wedges and the Aharonov-Bohm phase in
-`optics`, and the qubit phase in `protocol`.
+`optics`, and the qubit phase in `protocol`.  It squares every amplitude
+with this module's `intensity_of`, in place.
 """
 
 from __future__ import annotations
@@ -48,9 +49,15 @@ def wrap_angle(x):
     return float(r) if r.ndim == 0 else r
 
 
+def intensity_of(amplitudes: np.ndarray) -> np.ndarray:
+    """|amplitudes|^2, squared in place: the bits of np.abs(amplitudes) ** 2 with one real temporary fewer."""
+    out = np.abs(amplitudes)
+    return np.square(out, out=out)
+
+
 def _cumulative(power: np.ndarray) -> np.ndarray:
-    """Cumulative distribution of per-pixel `power`, normalized to end at exactly 1."""
-    cum = np.cumsum(power)
+    """Cumulative distribution of per-pixel `power`, normalized to end at exactly 1; summed in `power`'s own array."""
+    cum = np.cumsum(power, out=power)
     cum /= cum[-1]
     cum[-1] = 1.0
     return cum
@@ -96,27 +103,38 @@ class DetectorModel:
 
     @property
     def equal_weight_power(self) -> np.ndarray:
-        """Detection probability of each pixel for equal branch weights: (|a_j|^2 + |b_j|^2) / 2."""
-        return 0.5 * (np.abs(self.a) ** 2 + np.abs(self.b) ** 2)
+        """Detection probability of each pixel for equal branch weights: (|a_j|^2 + |b_j|^2) / 2.
+
+        Summed in one array, with the bits of 0.5 * (np.abs(a) ** 2 + np.abs(b) ** 2).
+        """
+        power = intensity_of(self.a)
+        power += intensity_of(self.b)
+        power *= 0.5
+        return power
 
     @cached_property
+    def _equal_weight(self) -> tuple[float, np.ndarray]:
+        """The boundary power fraction and the equal-weight cumulative, read from one power array.
+
+        The cumulative is summed in that array, so no power array outlives the call.
+        """
+        power = self.equal_weight_power
+        fraction = float(power[self.boundary_mask].sum() / power.sum())
+        return fraction, _cumulative(power)
+
+    @property
     def equal_weight_cumulative(self) -> np.ndarray:
         """Cumulative pixel distribution for equal branch weights 1/2, 1/2."""
-        return _cumulative(self.equal_weight_power)
+        return self._equal_weight[1]
 
     @cached_property
     def branch_cumulatives(self) -> tuple[np.ndarray, np.ndarray]:
         """Cumulative pixel distributions of branch 0 (|a_j|^2) and branch 1 (|b_j|^2), built on first use."""
-        return _cumulative(np.abs(self.a) ** 2), _cumulative(np.abs(self.b) ** 2)
-
-    @cached_property
-    def _boundary_power_fraction(self) -> float:
-        p = self.equal_weight_power
-        return float(p[self.boundary_mask].sum() / p.sum())
+        return _cumulative(intensity_of(self.a)), _cumulative(intensity_of(self.b))
 
     def boundary_power_fraction(self) -> float:
         """Power-weighted fraction of pixels classed as boundary."""
-        return self._boundary_power_fraction
+        return self._equal_weight[0]
 
     def beta_law_deviation(self, phase: float) -> float:
         """Largest angular distance of a non-boundary beta_j from 0 (outside the shadow) or `phase` (inside)."""

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import hashlib
 import os
 import pickle
 import shutil
@@ -265,9 +264,17 @@ def _hash_file(h, path) -> None:
             h.update(view[:n])
 
 
+def sha256(data: bytes = b""):
+    """A new SHA-256 hash object fed `data`: the package's only use of `hashlib`."""
+    # imported on first use: hashlib maps OpenSSL's libcrypto (~3.6 MB RSS), which would otherwise sit under every grid
+    import hashlib
+
+    return hashlib.sha256(data)
+
+
 def sha256_file(path) -> str:
     """SHA-256 of a file's bytes."""
-    h = hashlib.sha256()
+    h = sha256()
     _hash_file(h, path)
     return h.hexdigest()
 
@@ -289,7 +296,7 @@ def write_manifest(path, entries: dict, files: list[Path] | None = None) -> None
 def hash_tree(directory) -> str:
     """Order-independent digest of every file (name and bytes) under a directory."""
     directory = Path(directory)
-    h = hashlib.sha256()
+    h = sha256()
     for f in sorted(p for p in directory.rglob("*") if p.is_file()):
         h.update(str(f.relative_to(directory)).encode())
         h.update(b"\0")

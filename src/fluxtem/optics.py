@@ -21,11 +21,19 @@ specimen maps and the detector are both read from that pair, the maps
 first: `build_detector` spends the `Beam`.
 
 Memory: `propagate` transforms a grid in place, and each n x n array is
-freed or overwritten as soon as it has been read, so the chain holds at
-most 4.0 complex grids (n^2 x 16 bytes each) at once: the Beam's two
-waves and both branches, while `specimen_maps` takes their overlap.
-`trace_beam` peaks at 3.4 grids, its two returned intensities included,
-and `build_detector` at 3.7, the Beam it spends included.
+freed or overwritten as soon as it has been read.  `trace_beam` peaks at
+3.4 complex grids (n^2 x 16 bytes each), its two returned intensities
+included, and `build_detector` at 3.7, the Beam it spends included.
+`specimen_maps` builds the branches a block of rows at a time, so it
+holds the Beam's two waves and the two float maps, 3.0 grids.  The
+`optics` command peaks at 3.9 grids at n = 256, writing a specimen map
+beside the Beam.  It holds no grid once it hashes its outputs, and that
+first hash loads OpenSSL (see `fileio.sha256`), so OpenSSL's 3.6 MB of
+RSS sit under no grid.
+
+No step calls BLAS.  Sums are taken with np.sum, whose order is fixed,
+not with np.dot or np.vdot, whose order OpenBLAS sets by its thread
+count and so by the host's CPU count.
 
 Every function reads its geometry from the run's `RunConfig` by
 `config.SCHEMA` key (`optics.*`, `mask.*`, `ring.*`), so SCHEMA stays
@@ -43,7 +51,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .detector import BOUNDARY, INSIDE_SHADOW, OUTSIDE_SHADOW, DetectorModel, wrap_angle
+from .detector import BOUNDARY, INSIDE_SHADOW, OUTSIDE_SHADOW, DetectorModel, intensity_of, wrap_angle
 from .errors import PreconditionError
 
 if TYPE_CHECKING:
@@ -53,6 +61,10 @@ if TYPE_CHECKING:
 # brightest pixel are dark shadow; they are unreachable in sampling and
 # get region = outside, beta = 0 rather than a meaningless phase.
 DARK_POWER_FLOOR = 1e-16
+
+# grid rows per block of `specimen_maps`, whose temporaries are a few arrays of this many rows; the
+# block sets the order of the <0|1> sums, so changing it moves the last bits of branch_overlap
+MAP_BLOCK_ROWS = 16
 
 
 @dataclass
@@ -64,12 +76,6 @@ class WaveField:
     @property
     def power(self) -> float:
         return float(np.sum(intensity_of(self.grid)))
-
-
-def intensity_of(grid: np.ndarray) -> np.ndarray:
-    """|grid|^2, squared in place: the bits of np.abs(grid) ** 2 with one real temporary fewer."""
-    out = np.abs(grid)
-    return np.square(out, out=out)
 
 
 def branch_phase(cfg: RunConfig) -> float:
@@ -181,7 +187,7 @@ def propagate(fieldv: WaveField) -> WaveField:
     reproduces the input mirrored through the grid center (parity).
     """
     grid = fieldv.grid
-    if np.vdot(grid, grid).real == 0.0:
+    if not grid.any():
         raise PreconditionError("cannot propagate a field with zero power")
     # no step holds a second grid: the shifts are swaps through one quadrant, and fft2 writes its input
     _swap_quadrants(grid)
@@ -200,8 +206,8 @@ def normalized_cross_correlation(x: np.ndarray, y: np.ndarray) -> float:
     """Cosine similarity sum(x y) / sqrt(sum(x^2) sum(y^2)) of two intensity maps."""
     x = np.asarray(x, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
-    denom = math.sqrt(float(np.dot(x, x)) * float(np.dot(y, y)))
-    return float(np.dot(x, y)) / denom
+    denom = math.sqrt(float(np.sum(x * x)) * float(np.sum(y * y)))
+    return float(np.sum(x * y)) / denom
 
 
 @dataclass(frozen=True)
@@ -262,18 +268,28 @@ def trace_beam(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray, Beam]:
 
 
 def specimen_maps(beam: Beam) -> tuple[np.ndarray, np.ndarray, complex]:
-    """Unit-power specimen intensity maps of qubit branches 0 and 1, and <0|1>."""
+    """Unit-power specimen intensity maps of qubit branches 0 and 1, and <0|1>.
+
+    The branches are built `MAP_BLOCK_ROWS` rows at a time, so the step
+    holds the Beam, the two maps and one block of each branch.  <0|1> is
+    summed from float products with np.sum, not np.vdot, whose BLAS sum
+    follows the host's CPU count.
+    """
     outside, inside = beam.outside.grid, beam.inside.grid
-    branch0 = outside + inside
-    overlap = complex(np.vdot(branch0, branch_one(beam.cfg, inside, outside)))
-    map0 = intensity_of(branch0)
-    del branch0
-    # branch 1 is built again, with the same bits, so no step holds both branches beside a map
-    map1 = intensity_of(branch_one(beam.cfg, inside, outside))
+    map0, map1 = np.empty(outside.shape), np.empty(outside.shape)
+    re = im = 0.0
+    for lo in range(0, outside.shape[0], MAP_BLOCK_ROWS):
+        rows = slice(lo, lo + MAP_BLOCK_ROWS)
+        branch0 = outside[rows] + inside[rows]
+        branch1 = branch_one(beam.cfg, inside[rows], outside[rows])
+        re += float(np.sum(branch0.real * branch1.real + branch0.imag * branch1.imag))
+        im += float(np.sum(branch0.real * branch1.imag - branch0.imag * branch1.real))
+        map0[rows] = intensity_of(branch0)
+        map1[rows] = intensity_of(branch1)
     p0, p1 = map0.sum(), map1.sum()
     map0 /= p0
     map1 /= p1
-    return map0, map1, overlap / math.sqrt(p0 * p1)
+    return map0, map1, complex(re, im) / math.sqrt(p0 * p1)
 
 
 def build_detector(beam: Beam) -> DetectorModel:

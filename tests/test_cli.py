@@ -1,5 +1,6 @@
 import ast
 import cmath
+import contextlib
 import copy
 import hashlib
 import json
@@ -35,23 +36,23 @@ BOUNDARY_OPTICS = ["optics.detector_aperture_radius=9.6e-6", "optics.tolerance=0
 # hash_tree of each command's output at a small config and seed 12345
 GOLDEN_TREES = {
     "design": ([], True, "76ed193f57e0625a0858150ea66a16fbb14cca1a19566f91acf0e17c5519761d"),
-    "optics": (SMALL_OPTICS, True, "aadecce5d1b126b9af23b5ddeba067dcf12d12cca247486372c788d08b5c1b18"),
+    "optics": (SMALL_OPTICS, True, "1fc55117b50fa972005d5d34d0df08bf78ea0b998ca9493029f1b80de8a96733"),
     # cmd_optics' other verdict branches: maps_identical_without_flux at no flux, no map verdict at
     # a quarter flux quantum, and the boundary-power warning, which --check would fail
     "optics-no-flux": (
         [*SMALL_OPTICS, "ring.flux_fraction=0"],
         True,
-        "792e7e2171bdb30525145d22ec3c945c99eaa5a9d1204598f9bdd98f0816c0e4",
+        "544c3f970987b8d7140e9b15a9ac62512f2506469d75676ca39e0ef582904641",
     ),
     "optics-quarter-flux": (
         [*SMALL_OPTICS, "ring.flux_fraction=0.25"],
         True,
-        "ea92e26f1fbae370fa0e7a2f3783f4e7140cfb9e53e3dfae07d45a73b8ea6076",
+        "aae109c93b8125c94b896445ab4968639a4a397fb7d9fe2dae55fcccbd021255",
     ),
     "optics-boundary-warning": (
         [*SMALL_OPTICS, *BOUNDARY_OPTICS],
         False,
-        "e299170127e6f82088cc7bec954f94e4ad076bd878a3fd9c3be5ad678f2a725f",
+        "d870a07b256e3f18d14886f0057c0a5d43d4be0b2602fb589c7c352ec345613e",
     ),
     "protocol": (["protocol.repetitions=200"], True, "f6f2e09854e141fb445af262ddc8ea3efbf43a0ff927a0fc15b5afe269df4bc7"),
     "protocol-optics": (
@@ -89,7 +90,7 @@ GOLDEN_TREES = {
 # hash_tree of the default config on the optics detector at seed 12345, with --check
 PROTOCOL_OPTICS_TREE = "1e90c99dac7a6b0b05824e0a1f8bff0ee5beadec9c9184382a3c968473210ecf"
 # hash_tree of `optics` at the default config and seed 12345, with --check
-OPTICS_TREE = "97a081e39c54304a186f6f03ac828cecce548926bb972a48ee73b6fe6d91d310"
+OPTICS_TREE = "7c2fbcf32cf58ac3a0b3cdd8414759d597d8f932d02c59bbb41a7d8ed6400379"
 
 
 def _sha256(path):
@@ -118,7 +119,7 @@ def test_small_config_golden_tree(name, tmp_path):
     assert trees[0] == want
 
 
-# optics-quarter-flux reads ea92e26f1fba natively, 5df74308f598 without X86_V4 and up and 48faa9e741c8
+# optics-quarter-flux reads aae109c93b81 natively, 8db1668668a5 without X86_V4 and up and abb5496c8c9a
 # without X86_V3 and up: optics.branch_one's complex product with a factor not +-1 is fused from X86_V3,
 # and optics.build_detector's np.angle moves 3 of its 4,096 beta by an ulp from X86_V4
 DISPATCH_DEPENDENT_TREES = {"optics-quarter-flux"}
@@ -137,6 +138,18 @@ print(json.dumps(hashes))
 """
 
 
+def _hash_trees_child(argvs, **env):
+    """A child process that runs each named command line of `argvs` with `env` added to its own environment.
+
+    It prints {name: hash_tree or exit code} as JSON.
+    """
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, **env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = [sys.executable, "-c", _HASH_TREES, json.dumps(argvs)]
+    return subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+
+
 def _dispatch_targets():
     """numpy's dispatch targets above its baseline that this host runs, lowest first."""
     from numpy._core import _multiarray_umath as umath
@@ -151,13 +164,9 @@ def test_golden_trees_hold_at_every_numpy_dispatch_level():
     if not targets:
         pytest.skip("numpy dispatches no target above its baseline on this host")
     argvs = {name: _golden_argv(name) for name in sorted(GOLDEN_TREES) if name not in DISPATCH_DEPENDENT_TREES}
-    src = str(Path(cli.__file__).resolve().parents[1])
     children = {}
     for i, target in enumerate(targets):
-        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(targets[i:]))
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        argv = [sys.executable, "-c", _HASH_TREES, json.dumps(argvs)]
-        children[target] = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        children[target] = _hash_trees_child(argvs, NPY_DISABLE_CPU_FEATURES=" ".join(targets[i:]))
     try:
         outputs = {target: child.communicate(timeout=60) for target, child in children.items()}
     finally:
@@ -167,6 +176,21 @@ def test_golden_trees_hold_at_every_numpy_dispatch_level():
     for target, (stdout, stderr) in outputs.items():
         assert children[target].returncode == 0, stderr
         assert json.loads(stdout) == want, f"without {target} and up"
+
+
+def test_optics_trees_hold_on_one_blas_thread():
+    # OpenBLAS sizes its thread pool from the CPU count, and a BLAS sum's last bits follow the pool, so a
+    # child on one BLAS thread, as a one-CPU host runs, must read the pins this process reads
+    names = [name for name in sorted(GOLDEN_TREES) if name.startswith("optics")]
+    argvs = {name: _golden_argv(name) for name in names}
+    argvs["default"] = ["optics", "--seed", "12345", "--check"]
+    child = _hash_trees_child(argvs, OPENBLAS_NUM_THREADS="1")
+    try:
+        stdout, stderr = child.communicate(timeout=60)
+    finally:
+        child.kill()
+    assert child.returncode == 0, stderr
+    assert json.loads(stdout) == {**{name: GOLDEN_TREES[name][2] for name in names}, "default": OPTICS_TREE}
 
 
 def test_default_protocol_optics_tree(tmp_path):
@@ -303,31 +327,53 @@ def test_optics_traces_the_beam_path_once_outside_the_detector(tmp_path, monkeyp
     assert len(calls) == 6
 
 
-def _peak_in_grids(n, argv, out):
-    """tracemalloc peak of one `cli.main(argv)` run after a first run, counted in complex grids of n^2 x 16 bytes."""
-    assert cli.main([*argv, "--out", str(out / "warm")]) == cli.EXIT_OK  # one-time allocations
+@contextlib.contextmanager
+def _traced_grids(n):
+    """Trace memory: yields a function that reads (held, peak) since entry, in complex grids of n^2 x 16 bytes."""
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         start = tracemalloc.get_traced_memory()[0]
-        assert cli.main([*argv, "--out", str(out / "run")]) == cli.EXIT_OK
-        return (tracemalloc.get_traced_memory()[1] - start) / (n * n * 16)
+        yield lambda: tuple((traced - start) / (n * n * 16) for traced in tracemalloc.get_traced_memory())
     finally:
         if not tracing:
             tracemalloc.stop()
 
 
+def _peak_in_grids(n, argv, out):
+    """tracemalloc peak of one `cli.main(argv)` run after a first run, counted in complex grids of n^2 x 16 bytes."""
+    assert cli.main([*argv, "--out", str(out / "warm")]) == cli.EXIT_OK  # one-time allocations
+    with _traced_grids(n) as grids:
+        assert cli.main([*argv, "--out", str(out / "run")]) == cli.EXIT_OK
+        return grids()[1]
+
+
 def test_the_optics_command_holds_few_grids_at_its_peak(tmp_path):
     n = 128
     peak = _peak_in_grids(n, ["optics", "--seed", "12345", "--check", "--set", f"optics.n={n}"], tmp_path)
-    # the measured peak, 4.26, plus 0.07 grid (18 KB) of headroom for small objects.  It is the
-    # maps step's: the Beam's two waves and both branches for np.vdot (4), and small objects.
-    # trace_beam peaks at 3.4 and build_detector at 3.7, the Beam included, as propagate
-    # transforms in place; the beta_law check copies only the inside pixels, and write_pgm16
-    # scales one float copy of a map in place
+    # the measured peak, 3.99, is write_pgm16's at a specimen map: the Beam's two waves and both
+    # maps (3), the float copy that write_pgm16 scales in place, its 16-bit image, and small
+    # objects.  specimen_maps builds the branches a block of rows at a time, trace_beam peaks at
+    # 3.4 and build_detector at 3.7, the Beam included, as propagate transforms in place; the
+    # beta_law check copies only the inside pixels
     assert peak <= 4.33
+
+
+def test_the_optics_command_holds_no_grid_when_it_hashes_its_outputs(tmp_path, monkeypatch):
+    # the manifest's first hash loads OpenSSL (~3.6 MB RSS), which would sit under any array still held
+    n = 128
+    argv = ["optics", "--seed", "12345", "--check", "--set", f"optics.n={n}"]
+    assert cli.main([*argv, "--out", str(tmp_path / "warm")]) == cli.EXIT_OK  # one-time allocations
+    held = []
+    write_manifest = fileio.write_manifest
+    with _traced_grids(n) as grids:
+        monkeypatch.setattr(fileio, "write_manifest", lambda *args: held.append(grids()[0]) or write_manifest(*args))
+        assert cli.main([*argv, "--out", str(tmp_path / "run")]) == cli.EXIT_OK
+    # the measured value, 0.20, is small objects that do not scale with n, most of them the argument
+    # parser (34 KB), plus 0.07 grid (18 KB) of headroom; the detector held there adds 2.57
+    assert len(held) == 1 and held[0] <= 0.27
 
 
 def test_the_protocol_command_holds_few_grids_at_its_peak(tmp_path, monkeypatch):
@@ -337,10 +383,10 @@ def test_the_protocol_command_holds_few_grids_at_its_peak(tmp_path, monkeypatch)
     monkeypatch.setattr(os, "fork", _no_fork)
     argv = ["protocol", "--seed", "12345", "--check", "--set", "protocol.detector=optics", "--set", f"optics.n={n}"]
     peak = _peak_in_grids(n, argv, tmp_path)
-    # the measured peak, 4.31, plus 0.07 grid (18 KB) of headroom for small objects.  It is the
-    # trial phase's: the detector with its boundary mask and equal-weight cumulative (3.14) and
-    # about 300 KB of rows, mostly the 2,000 outcome rows, which do not scale with n.  The
-    # optics chain before it peaks at 3.7, in build_detector
+    # the measured peak, 4.17, is the manifest step's: the detector with its boundary mask and
+    # equal-weight cumulative (3.14), about 170 KB of outcome rows and the 64 KB buffer that hashes
+    # the outputs, which do not scale with n.  The optics chain before it peaks at 3.7, in
+    # build_detector, and the equal-weight power is summed in one array, so the set-up peaks lower
     assert peak <= 4.38
 
 

@@ -198,6 +198,20 @@ def test_equal_weight_power_and_boundary_fraction():
     assert det.boundary_power_fraction() is det.boundary_power_fraction()
 
 
+@pytest.mark.parametrize("name", ["trivial", "small-optics"])
+def test_equal_weight_power_has_the_bits_of_its_three_temporary_form(name, request):
+    det = det_mod.trivial() if name == "trivial" else request.getfixturevalue("small_detector")
+    want = 0.5 * (np.abs(det.a) ** 2 + np.abs(det.b) ** 2)
+    assert det.equal_weight_power.tobytes() == want.tobytes()
+    # the boundary fraction and the cumulative are both read from one such array
+    fresh = det_mod.DetectorModel(a=det.a, b=det.b, beta=det.beta, region=det.region)
+    assert fresh.boundary_power_fraction() == float(want[det.boundary_mask].sum() / want.sum())
+    cum = np.cumsum(want)
+    cum /= cum[-1]
+    cum[-1] = 1.0
+    assert fresh.equal_weight_cumulative.tobytes() == cum.tobytes()
+
+
 def test_equal_weight_cumulative_normalized():
     det = two_region(7, 9)
     cum = det.equal_weight_cumulative

@@ -3,8 +3,11 @@ import hashlib
 import os
 import signal
 import struct
+import subprocess
+import sys
 import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -335,3 +338,14 @@ def test_file_hashes_hold_one_small_buffer(hasher, tmp_path):
         tracemalloc.stop()
     assert digest == want
     assert peak < 128 << 10
+
+
+def test_importing_the_command_line_loads_no_openssl():
+    # hashlib maps OpenSSL's libcrypto (~3.6 MB RSS), so it loads at a command's first hash, not under its grids;
+    # a child compares its modules before and after, so a site hook that loads _hashlib first shows nothing
+    code = "import sys; before = set(sys.modules); import fluxtem.cli; print('_hashlib' in set(sys.modules) - before)"
+    src = str(Path(fileio.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == "False\n"

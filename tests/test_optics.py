@@ -282,6 +282,20 @@ class TestSpecimenIntensity:
         assert O.normalized_cross_correlation(map0, map1) < 0.9
         assert np.unravel_index(map0.argmax(), map0.shape) != np.unravel_index(map1.argmax(), map1.shape)
 
+    @pytest.mark.parametrize("flux", [1.0, 0.25])
+    def test_maps_built_a_block_of_rows_at_a_time_have_the_whole_grid_bits(self, small_beam, flux):
+        beam = O.Beam(_flux(flux), small_beam.inside, small_beam.outside)
+        map0, map1, overlap = O.specimen_maps(beam)
+        inside, outside = beam.inside.grid, beam.outside.grid
+        branch0, branch1 = outside + inside, O.branch_one(beam.cfg, inside, outside)
+        for got, branch in ((map0, branch0), (map1, branch1)):
+            want = np.abs(branch) ** 2
+            want /= want.sum()
+            _assert_same_bits(got, want)
+        # the sum's order differs from BLAS's, so only the last bits may
+        p0, p1 = (np.sum(np.abs(b) ** 2) for b in (branch0, branch1))
+        assert abs(overlap - np.vdot(branch0, branch1) / np.sqrt(p0 * p1)) < 1e-15
+
     def test_maps_are_normalized(self, small_beam):
         map0, map1, _ = O.specimen_maps(small_beam)
         assert map0.sum() == pytest.approx(1.0)
