@@ -3,11 +3,12 @@
 The command line, `fluxtem <command>` or `python -m fluxtem <command>`, is
 the package's only interface, so this file re-exports nothing.
 
-The ten modules, in layer order: each imports only modules listed above
-it, and tests/test_layers.py holds that order.
+The eleven modules, in layer order: each imports only modules listed
+above it, and tests/test_layers.py holds that order.
   errors     - the two error types, one per exit code
   streams    - seeded random streams derived from (seed, path)
   fileio     - deterministic CSV, PGM and manifest output
+  hexcsv     - the detector's table, each float as exact float.hex text
   config     - key = value run configuration with units and limits; SCHEMA
                is each run parameter's only description
   detector   - per-pixel branch amplitudes, compensation angles, regions,

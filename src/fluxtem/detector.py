@@ -44,7 +44,11 @@ def wrap_angle(x):
         r = x - TWO_PI * math.copysign(round(q), q)
         return r + TWO_PI if r <= -math.pi else r
     x = np.asarray(x, dtype=float)
-    r = np.asarray(x - TWO_PI * np.round(x / TWO_PI))
+    # x - TWO_PI * np.round(x / TWO_PI), each step in one array beside x
+    r = np.divide(x, TWO_PI, out=np.empty_like(x))
+    np.round(r, out=r)
+    np.multiply(TWO_PI, r, out=r)
+    np.subtract(x, r, out=r)
     r[r <= -math.pi] += TWO_PI
     return float(r) if r.ndim == 0 else r
 
@@ -147,21 +151,13 @@ class DetectorModel:
         return max(far, near)
 
     def to_csv(self, path) -> None:
-        # imported on first use: importing fileio with the detector moves the
-        # package's import order, and that raised every command's peak RSS by ~0.15 MB
-        from . import fileio
+        """Write one row per pixel: its index, a_j, b_j and beta_j as float.hex text, and its region's name."""
+        # imported on first use, so that no other command compiles it
+        from . import hexcsv
 
-        # each block of rows is converted to Python floats and strings in one
-        # .tolist() per column; whole columns would hold ~10 MB of objects at once
         columns = (self.a.real, self.a.imag, self.b.real, self.b.imag, self.beta)
-
-        def rows(lo, hi):
-            for start in range(lo, hi, fileio.CSV_BLOCK_ROWS):
-                part = slice(start, min(start + fileio.CSV_BLOCK_ROWS, hi))
-                regions = map(REGION_NAMES.__getitem__, self.region[part].tolist())
-                yield from zip(range(start, hi), *(c[part].tolist() for c in columns), regions)
-
-        fileio.write_csv_parts(path, _CSV_HEADER, self.n_pixels, lambda lo, hi, write: write(rows(lo, hi)))
+        names = [REGION_NAMES[code] for code in range(len(REGION_NAMES))]
+        hexcsv.write_hex_csv(path, _CSV_HEADER, columns, self.region, names)
 
 
 def trivial(n_pixels: int = 64) -> DetectorModel:

@@ -4,16 +4,17 @@ All writers are timestamp-free and format floats with repr, so a run
 with a fixed configuration and seed reproduces its output tree
 bit-exactly.  `write_csv` formats its rows itself, a block of
 `CSV_BLOCK_ROWS` rows at a time, and writes the bytes `csv.writer` would
-write for every table this package emits; the `csv` module only reads.
+write for every table it is given; the `csv` module only reads.  The
+detector's table is the one the package writes elsewhere: `hexcsv`
+writes its floats as `float.hex` text.
 
 `write_csv_parts` is the package's one fork helper.  It splits a run's
-items (detector pixels, protocol trials) into one contiguous part per
-CPU that the process may run on.  Each part writes its rows into one
-table and returns one value; every part after the first runs in a
-forked child and reports through a temporary file, and the table gets
-the bytes one sequential pass writes.  `os.fork` and
-`os.sched_getaffinity` are Linux facilities, so the package is
-Linux-only.
+items, the protocol's trials, into one contiguous part per CPU that the
+process may run on.  Each part writes its rows into one table and
+returns one value; every part after the first runs in a forked child and
+reports through a temporary file, and the table gets the bytes one
+sequential pass writes.  `os.fork` and `os.sched_getaffinity` are Linux
+facilities, so the package is Linux-only.
 """
 
 from __future__ import annotations

@@ -36,23 +36,23 @@ BOUNDARY_OPTICS = ["optics.detector_aperture_radius=9.6e-6", "optics.tolerance=0
 # hash_tree of each command's output at a small config and seed 12345
 GOLDEN_TREES = {
     "design": ([], True, "76ed193f57e0625a0858150ea66a16fbb14cca1a19566f91acf0e17c5519761d"),
-    "optics": (SMALL_OPTICS, True, "1fc55117b50fa972005d5d34d0df08bf78ea0b998ca9493029f1b80de8a96733"),
+    "optics": (SMALL_OPTICS, True, "e6c1887249b482c5c6f17eba07ce270af785b22d3445ebfab643ebdaf17bea33"),
     # cmd_optics' other verdict branches: maps_identical_without_flux at no flux, no map verdict at
     # a quarter flux quantum, and the boundary-power warning, which --check would fail
     "optics-no-flux": (
         [*SMALL_OPTICS, "ring.flux_fraction=0"],
         True,
-        "544c3f970987b8d7140e9b15a9ac62512f2506469d75676ca39e0ef582904641",
+        "899af187a504b3504c41398575d54ddef739cbaf1d2b7cd1f9dd0f5c04631b79",
     ),
     "optics-quarter-flux": (
         [*SMALL_OPTICS, "ring.flux_fraction=0.25"],
         True,
-        "aae109c93b8125c94b896445ab4968639a4a397fb7d9fe2dae55fcccbd021255",
+        "accf594e51f39183e9dae78860db2d021d69ef1a0c328accb9b97b3265c38551",
     ),
     "optics-boundary-warning": (
         [*SMALL_OPTICS, *BOUNDARY_OPTICS],
         False,
-        "d870a07b256e3f18d14886f0057c0a5d43d4be0b2602fb589c7c352ec345613e",
+        "4893562987b4b49a5aeb107768e978cac2b4bf7b995c464562ad8b5a9efe4755",
     ),
     "protocol": (["protocol.repetitions=200"], True, "f6f2e09854e141fb445af262ddc8ea3efbf43a0ff927a0fc15b5afe269df4bc7"),
     "protocol-optics": (
@@ -90,7 +90,7 @@ GOLDEN_TREES = {
 # hash_tree of the default config on the optics detector at seed 12345, with --check
 PROTOCOL_OPTICS_TREE = "1e90c99dac7a6b0b05824e0a1f8bff0ee5beadec9c9184382a3c968473210ecf"
 # hash_tree of `optics` at the default config and seed 12345, with --check
-OPTICS_TREE = "7c2fbcf32cf58ac3a0b3cdd8414759d597d8f932d02c59bbb41a7d8ed6400379"
+OPTICS_TREE = "56e23304744d83fb31b12c79ff3e20dc933d4e243064842129dcd44b97106257"
 
 
 def _sha256(path):
@@ -119,7 +119,7 @@ def test_small_config_golden_tree(name, tmp_path):
     assert trees[0] == want
 
 
-# optics-quarter-flux reads aae109c93b81 natively, 8db1668668a5 without X86_V4 and up and abb5496c8c9a
+# optics-quarter-flux reads accf594e51f3 natively, c2e204c2529e without X86_V4 and up and 57ed6ce9ae39
 # without X86_V3 and up: optics.branch_one's complex product with a factor not +-1 is fused from X86_V3,
 # and optics.build_detector's np.angle moves 3 of its 4,096 beta by an ulp from X86_V4
 DISPATCH_DEPENDENT_TREES = {"optics-quarter-flux"}
@@ -383,11 +383,28 @@ def test_the_protocol_command_holds_few_grids_at_its_peak(tmp_path, monkeypatch)
     monkeypatch.setattr(os, "fork", _no_fork)
     argv = ["protocol", "--seed", "12345", "--check", "--set", "protocol.detector=optics", "--set", f"optics.n={n}"]
     peak = _peak_in_grids(n, argv, tmp_path)
-    # the measured peak, 4.17, is the manifest step's: the detector with its boundary mask and
-    # equal-weight cumulative (3.14), about 170 KB of outcome rows and the 64 KB buffer that hashes
-    # the outputs, which do not scale with n.  The optics chain before it peaks at 3.7, in
-    # build_detector, and the equal-weight power is summed in one array, so the set-up peaks lower
+    # the measured peak, 4.15, is the trials': the detector with its boundary mask and equal-weight
+    # cumulative (3.14), and the records and outcome rows, which do not scale with n.  The optics
+    # chain before it peaks at 3.7, in build_detector, and the equal-weight power is summed in one
+    # array, so the set-up peaks lower; the detector is freed before the manifest's hashes
     assert peak <= 4.38
+
+
+def test_the_protocol_command_holds_no_grid_when_it_hashes_its_outputs(tmp_path, monkeypatch):
+    # as in optics, the manifest's first hash loads OpenSSL (~3.6 MB RSS), which would sit under the detector
+    n = 128
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(os, "fork", _no_fork)
+    argv = ["protocol", "--seed", "12345", "--check", "--set", "protocol.detector=optics", "--set", f"optics.n={n}"]
+    assert cli.main([*argv, "--out", str(tmp_path / "warm")]) == cli.EXIT_OK  # one-time allocations
+    held = []
+    write_manifest = fileio.write_manifest
+    with _traced_grids(n) as grids:
+        monkeypatch.setattr(fileio, "write_manifest", lambda *args: held.append(grids()[0]) or write_manifest(*args))
+        assert cli.main([*argv, "--out", str(tmp_path / "run")]) == cli.EXIT_OK
+    # the measured value, 0.78 to 0.92 after other tests or alone, is the outcome rows (about 170 KB)
+    # and small objects, none of which scale with n, plus headroom; the detector held there adds 3.14
+    assert len(held) == 1 and held[0] <= 1.0
 
 
 def test_scaling_golden_outputs(tmp_path, capsys):

@@ -8,7 +8,7 @@ import pytest
 
 from fluxtem import detector as det_mod
 from fluxtem.errors import PreconditionError
-from fluxtem.fileio import CSV_BLOCK_ROWS
+from fluxtem.hexcsv import HEX_BLOCK_ROWS
 
 from conftest import degenerate_two_pixel, two_region, validate_detector
 
@@ -136,19 +136,34 @@ def test_csv_round_trip(tmp_path):
         header, *rows = list(csv.reader(fh))
     assert header == ["pixel", "re_a", "im_a", "re_b", "im_b", "beta", "region"]
     assert [int(row[0]) for row in rows] == list(range(det.n_pixels))
-    a = np.array([complex(float(row[1]), float(row[2])) for row in rows])
-    b = np.array([complex(float(row[3]), float(row[4])) for row in rows])
+    a = np.array([complex(float.fromhex(row[1]), float.fromhex(row[2])) for row in rows])
+    b = np.array([complex(float.fromhex(row[3]), float.fromhex(row[4])) for row in rows])
     np.testing.assert_array_equal(a, det.a)
     np.testing.assert_array_equal(b, det.b)
-    np.testing.assert_array_equal([float(row[5]) for row in rows], det.beta)
+    np.testing.assert_array_equal([float.fromhex(row[5]) for row in rows], det.beta)
     assert [row[6] for row in rows] == [det_mod.REGION_NAMES[r] for r in det.region.tolist()]
 
 
+def test_the_readme_loader_reads_detector_csv_back_bit_for_bit(tmp_path):
+    rng = np.random.default_rng(7)
+    n = 2 * HEX_BLOCK_ROWS + 3
+    det = det_mod.DetectorModel(
+        a=rng.normal(size=n) + 1j * rng.normal(size=n),
+        b=rng.normal(size=n) * 1e-310 + 1j * rng.normal(size=n) * 1e300,
+        beta=np.where(rng.random(n) < 0.3, -0.0, rng.uniform(-np.pi, np.pi, size=n)),
+        region=rng.integers(0, 3, size=n),
+    )
+    det.to_csv(tmp_path / "det.csv")
+    table = np.loadtxt(tmp_path / "det.csv", delimiter=",", skiprows=1, usecols=range(1, 6), converters=float.fromhex)
+    want = np.stack([det.a.real, det.a.imag, det.b.real, det.b.imag, det.beta], axis=1)
+    assert table.tobytes() == want.tobytes()
+
+
 def _no_fork():
-    raise AssertionError("forked a child for a part smaller than a block or on one CPU")
+    raise AssertionError("to_csv forked a child")
 
 
-@pytest.mark.parametrize("n", [1, 63, 64, 65, 129, 192, 1000])
+@pytest.mark.parametrize("n", [1, HEX_BLOCK_ROWS - 1, HEX_BLOCK_ROWS, HEX_BLOCK_ROWS + 1, 2 * HEX_BLOCK_ROWS + 1, 10 * HEX_BLOCK_ROWS + 7])
 def test_to_csv_matches_a_csv_writer_reference_across_block_edges(tmp_path, monkeypatch, n):
     rng = np.random.default_rng(n)
     det = det_mod.DetectorModel(
@@ -158,25 +173,24 @@ def test_to_csv_matches_a_csv_writer_reference_across_block_edges(tmp_path, monk
         region=rng.integers(0, 3, size=n),
     )
     regions = (det_mod.REGION_NAMES[r] for r in det.region)
+    columns = (det.a.real, det.a.imag, det.b.real, det.b.imag, det.beta)
     with open(tmp_path / "ref.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["pixel", "re_a", "im_a", "re_b", "im_b", "beta", "region"])
-        writer.writerows(zip(range(n), det.a.real, det.a.imag, det.b.real, det.b.imag, det.beta, regions))
-    # three CPUs split n >= 128 rows into uneven parts formatted by forked children;
-    # one CPU, or fewer rows than two blocks, forks none
+        writer.writerows(zip(range(n), *([float.hex(float(x)) for x in col] for col in columns), regions))
+    # the table is written in this process, whatever the CPU count
     for cpus in (1, 3):
         with monkeypatch.context() as patch:
             patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-            if cpus == 1 or n < 2 * CSV_BLOCK_ROWS:
-                patch.setattr(os, "fork", _no_fork)
+            patch.setattr(os, "fork", _no_fork)
             det.to_csv(tmp_path / "det.csv")
         assert (tmp_path / "det.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes(), f"{cpus} CPUs"
 
 
 def test_to_csv_converts_a_block_at_a_time(tmp_path):
-    # converting whole columns to Python objects holds about 10 MB here
+    # the whole table as padded text would hold about 10 MB here
     det = det_mod.trivial(65_536)
-    det_mod.trivial(1).to_csv(tmp_path / "warm.csv")  # leave the first-use fileio import out of the peak
+    det_mod.trivial(1).to_csv(tmp_path / "warm.csv")  # leave the first-use hexcsv import out of the peak
     tracemalloc.start()
     try:
         det.to_csv(tmp_path / "det.csv")

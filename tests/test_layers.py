@@ -22,7 +22,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-LAYERS = ("errors", "streams", "fileio", "config", "detector", "device", "optics", "protocol", "estimator", "cli", "__main__")
+LAYERS = ("errors", "streams", "fileio", "hexcsv", "config", "detector", "device", "optics", "protocol", "estimator", "cli", "__main__")
 
 
 def _imported_modules(node, modules):

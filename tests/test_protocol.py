@@ -2,6 +2,7 @@ import cmath
 import itertools
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -683,6 +684,35 @@ def test_wrap_angle_array_path_matches_scalar_path():
     assert w.tolist() == [wrap_angle(float(v)) for v in x]
     assert w[1] == math.pi
     np.testing.assert_array_equal(x, before)
+
+
+def _wrap_angle_of_temporaries(x):
+    """wrap_angle's array path as it read before it ran in one array."""
+    x = np.asarray(x, dtype=float)
+    r = np.asarray(x - TWO_PI * np.round(x / TWO_PI))
+    r[r <= -math.pi] += TWO_PI
+    return r
+
+
+def test_wrap_angle_array_path_has_the_bits_of_the_temporaries():
+    rng = np.random.default_rng(3)
+    x = np.concatenate([rng.uniform(-50.0, 50.0, 10_000), rng.normal(0.0, 1e6, 1_000), WRAP_EDGES])
+    assert wrap_angle(x).tobytes() == _wrap_angle_of_temporaries(x).tobytes()
+    for v in WRAP_EDGES:
+        assert _bits(wrap_angle(np.float64(v))) == _bits(float(_wrap_angle_of_temporaries(v)))
+
+
+def test_wrap_angle_array_path_holds_one_array_beside_its_input():
+    x = np.random.default_rng(4).uniform(-4.0, 4.0, 65_536)
+    wrap_angle(x[:10])
+    tracemalloc.start()
+    try:
+        wrap_angle(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the result (524,288 bytes) and the branch-cut mask (65,536); two float temporaries read 1,048,960
+    assert peak < 1.3 * x.nbytes
 
 
 # ---------------------------------------------------------------------------
