@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import detector as det_mod
-from . import device, estimator, fileio, optics, protocol
+from . import estimator, fileio, optics, protocol
 from .config import RunConfig, load_config
 from .errors import ConfigError, PreconditionError
 from .streams import DOMAIN_PROTOCOL, derive
@@ -63,6 +63,9 @@ def _finish(out: Path, cfg: RunConfig, command: str, stats: dict, files: list[Pa
 
 
 def cmd_design(cfg: RunConfig, out: Path, check: bool) -> None:
+    # imported on first use, so that no other command compiles it
+    from . import device
+
     try:
         report = device.design_report(cfg)
     except ArithmeticError as err:
@@ -198,7 +201,9 @@ def cmd_protocol(cfg: RunConfig, out: Path, check: bool) -> None:
     checks = []
     if check:
         checks.append(("phase_bookkeeping", audit_max < 1e-9, f"max deviation {audit_max:.2e}"))
-        # on the trivial detector every beta_j is 0, so this verdict does not test compensation there
+        # on the trivial detector every beta_j is 0, so this verdict does not test compensation there.  Size: no
+        # false alarm at seeds 1-200 (largest pull 2.37) on either default detector, whose outcomes are equal
+        # seed for seed; a normal pull exceeds 3.5 at a rate of 0.05%
         pull = abs(rate - p1) / sigma
         checks.append(("outcome_statistics", pull <= 3.5, f"{pull:.2f} binomial sigma"))
     # the manifest's first hash loads OpenSSL (~3.6 MB RSS): with the detector freed, it sits under no grid
@@ -317,6 +322,8 @@ def cmd_scaling(cfg: RunConfig, out: Path, check: bool) -> None:
     if check and result.slope is None:
         checks.append(("dose_scaling_slope", False, "one k: no slope to fit"))
     elif check:
+        # size: 1 false alarm at seeds 1-200 of the default config (seed 187, slope -0.894); the slopes read
+        # -0.980 with SD 0.032, so the bound's near edge lies 2.5 SD from their mean
         ok = abs(result.slope + 1.0) <= 0.1
         checks.append(("dose_scaling_slope", ok, f"slope {result.slope:.4f} (want -1 +- 0.1)"))
     _finish(out, cfg, "scaling", stats, [table_path, probes_path], checks, check)

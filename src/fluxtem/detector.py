@@ -17,7 +17,6 @@ with this module's `intensity_of`, in place.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -67,35 +66,32 @@ def _cumulative(power: np.ndarray) -> np.ndarray:
     return cum
 
 
-@dataclass(frozen=True)
 class DetectorModel:
     """Per-pixel amplitudes (a, b), compensation angles and region classes.
 
     Both amplitude arrays are normalized to unit total power.  `region`
-    holds OUTSIDE_SHADOW / INSIDE_SHADOW / BOUNDARY codes.
+    holds OUTSIDE_SHADOW / INSIDE_SHADOW / BOUNDARY codes.  The model is
+    read-only, arrays and attributes alike, because its cached
+    distributions assume that `a`, `b` and `region` never change.
     """
 
-    a: np.ndarray
-    b: np.ndarray
-    beta: np.ndarray
-    region: np.ndarray
-
-    def __post_init__(self):
-        for name in ("a", "b"):
-            arr = np.asarray(getattr(self, name), dtype=complex).ravel()
+    def __init__(self, a: np.ndarray, b: np.ndarray, beta: np.ndarray, region: np.ndarray):
+        fields = self.__dict__
+        for name, value, dtype in (("a", a, complex), ("b", b, complex), ("beta", beta, float), ("region", region, np.int8)):
+            arr = np.asarray(value, dtype=dtype).ravel()
             arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        beta = np.asarray(self.beta, dtype=float).ravel()
-        beta.setflags(write=False)
-        object.__setattr__(self, "beta", beta)
-        region = np.asarray(self.region, dtype=np.int8).ravel()
-        region.setflags(write=False)
-        object.__setattr__(self, "region", region)
+            fields[name] = arr
         n = self.a.size
         if not (self.b.size == self.beta.size == self.region.size == n):
             raise PreconditionError("detector arrays must have equal length")
         if n == 0:
             raise PreconditionError("detector needs at least one pixel")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"DetectorModel is read-only: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"DetectorModel is read-only: cannot delete {name!r}")
 
     @property
     def n_pixels(self) -> int:

@@ -14,8 +14,7 @@ constants they use are pinned here as `CODATA` (CODATA 2018, SI units).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ConfigError
 
@@ -26,8 +25,7 @@ if TYPE_CHECKING:
 TIMING_MARGIN = 10.0
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
+class PhysicalConstants(NamedTuple):
     """Fundamental constants used by the beam and SQUID calculators.
 
     h, e and c are exact by the 2019 SI definition; the rest are CODATA
@@ -56,8 +54,7 @@ class PhysicalConstants:
 CODATA = PhysicalConstants()
 
 
-@dataclass(frozen=True)
-class BeamSpec:
+class BeamSpec(NamedTuple):
     """Relativistic electron-beam kinematics plus the beam waist at the ring."""
 
     kinetic_energy: float  # [eV]
@@ -112,8 +109,7 @@ def charge_deflection(beam: BeamSpec) -> float:
     return CODATA.e**2 / (CODATA.eps0 * beam.waist * beam.velocity * beam.momentum)
 
 
-@dataclass
-class DesignReport:
+class DesignReport(NamedTuple):
     """Tabulated design quantities plus timing/coherence feasibility flags."""
 
     rows: list[tuple[str, float, str]]

@@ -18,7 +18,7 @@ budget that completes no group or no target spread.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,8 +36,7 @@ MODES = ("conventional", "entangled")
 # single-shot estimators
 
 
-@dataclass(frozen=True)
-class EstimationResult:
+class EstimationResult(NamedTuple):
     """Outcome of one phase estimate plus its dose accounting."""
 
     estimate: float
@@ -101,16 +100,14 @@ def estimate_phase(
 # dose-scaling experiment
 
 
-@dataclass
-class ScalingRow:
+class ScalingRow(NamedTuple):
     k: int
     electrons: int
     achieved_std: float
-    probes: list[tuple[int, float]] = field(default_factory=list)
+    probes: list[tuple[int, float]]
 
 
-@dataclass
-class DoseScalingResult:
+class DoseScalingResult(NamedTuple):
     rows: list[ScalingRow]
     slope: float | None
     slope_stderr: float | None
@@ -227,23 +224,19 @@ def dose_scaling_experiment(
 # synthetic specimens and imaging
 
 
-@dataclass
 class SpecimenMap:
     """Ground-truth phase grid plus the (S0, S1) region pairs to compare.
 
     Building one rejects an empty region, overlapping regions and an index outside the map.
     """
 
-    phase: np.ndarray
-    pairs: list[tuple[np.ndarray, np.ndarray]]
-
-    def __post_init__(self):
-        self.phase = np.asarray(self.phase, dtype=float)
+    def __init__(self, phase: np.ndarray, pairs: list[tuple[np.ndarray, np.ndarray]]):
+        self.phase = np.asarray(phase, dtype=float)
         if self.phase.ndim != 2:
             raise ValueError("phase map must be 2-D")
         self.pairs = [
             (np.asarray(s0, dtype=np.int64).ravel(), np.asarray(s1, dtype=np.int64).ravel())
-            for s0, s1 in self.pairs
+            for s0, s1 in pairs
         ]
         size = self.phase.size
         for i, (s0, s1) in enumerate(self.pairs):
@@ -298,8 +291,7 @@ def make_checkerboard(shape: int, tile: int, delta_phi: float) -> SpecimenMap:
     return SpecimenMap(phase=phase, pairs=pairs)
 
 
-@dataclass
-class ImageScanResult:
+class ImageScanResult(NamedTuple):
     """One mode's repeated scans: the pooled error and dose, and the last scan's per-pair estimates."""
 
     true_values: np.ndarray

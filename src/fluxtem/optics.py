@@ -46,8 +46,7 @@ excitations can map the same grids to any physical size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -67,11 +66,11 @@ DARK_POWER_FLOOR = 1e-16
 MAP_BLOCK_ROWS = 16
 
 
-@dataclass
 class WaveField:
-    """2-D complex scalar field on a square power-of-two grid."""
+    """2-D complex scalar field on a square power-of-two grid; `del wave.grid` frees it."""
 
-    grid: np.ndarray
+    def __init__(self, grid: np.ndarray):
+        self.grid = grid
 
     @property
     def power(self) -> float:
@@ -210,8 +209,7 @@ def normalized_cross_correlation(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.sum(x * y)) / denom
 
 
-@dataclass(frozen=True)
-class Beam:
+class Beam(NamedTuple):
     """The beam at the specimen plane, traced once for one configuration.
 
     `inside` and `outside` carry the unit-power ring-plane wave of qubit

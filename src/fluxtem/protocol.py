@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,8 +59,7 @@ def _draw_pixel(det: DetectorModel, u: float, w0: float, w1: float) -> int:
     return min(int(cum.searchsorted((t - shared) / abs(w0 - w1), side="right")), int(cum.searchsorted(1.0)))
 
 
-@dataclass(frozen=True)
-class QubitState:
+class QubitState(NamedTuple):
     """Normalized two-amplitude flux-qubit state.
 
     The observable content is the relative phase arg(amp1) - arg(amp0).
@@ -81,8 +80,7 @@ class QubitState:
         return wrap_angle(cmath.phase(self.amp1) - cmath.phase(self.amp0))
 
 
-@dataclass(frozen=True)
-class GroupPlan:
+class GroupPlan(NamedTuple):
     """Parameters of one k-electron group: size, specimen phase, initial sigma."""
 
     k: int
@@ -90,8 +88,7 @@ class GroupPlan:
     sigma0: float = 0.0
 
 
-@dataclass
-class GroupResult:
+class GroupResult(NamedTuple):
     """Output of `run_group`: final qubit, accumulated beta, and (pixel, beta_j, boundary_flag) records."""
 
     qubit: QubitState
@@ -259,8 +256,7 @@ def draw_good_pixels(
     return good_pixels[:got], used, used - got
 
 
-@dataclass
-class GroupBatchResult:
+class GroupBatchResult(NamedTuple):
     """Vectorized multi-group run: outcomes and dose accounting."""
 
     outcomes: np.ndarray

@@ -917,3 +917,47 @@ def test_the_readme_maps_every_verdict_and_no_other():
     assert len(rows) == len(set(rows))
     assert set(rows) == _verdict_names()
     assert len(rows) == 12
+
+
+def test_importing_the_command_line_generates_no_code_and_loads_no_device():
+    # a @dataclass compiles its methods' source with exec at import, and the compiler's memory stays
+    # resident; device serves only `design`, which imports it on first use.  A child compares its modules
+    # before and after, so a site hook that loads dataclasses first shows nothing
+    code = (
+        "import sys; before = set(sys.modules); import fluxtem.cli; "
+        "print(sorted({'dataclasses', 'fluxtem.device'} & (set(sys.modules) - before)))"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == "[]\n"
+
+
+def _read_only_records():
+    """Each read-only record type's name -> (an instance, one of its fields)."""
+    det = det_mod.trivial(4)
+    wave = optics.WaveField(np.zeros((2, 2), dtype=complex))
+    return {
+        "DetectorModel": (det, "a"),
+        "QubitState": (protocol.prepare_symmetric(0.0), "amp0"),
+        "GroupPlan": (protocol.GroupPlan(k=2, delta_phi=0.1), "k"),
+        "Beam": (optics.Beam(cli.load_config(None, []), wave, wave), "inside"),
+        "BeamSpec": (device.beam_from_energy(3e5, 1e-6), "wavelength"),
+        "PhysicalConstants": (CODATA, "h"),
+        "EstimationResult": (estimator.estimate_phase("conventional", 0.1, 100, det, np.random.default_rng(0)), "estimate"),
+    }
+
+
+@pytest.mark.parametrize("name", list(_read_only_records()))
+def test_records_that_callers_share_are_read_only(name):
+    # DetectorModel's cached distributions assume a, b and region never change; the others are shared values
+    record, field = _read_only_records()[name]
+    assert type(record).__name__ == name
+    before = getattr(record, field)
+    for attribute in (field, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, attribute, 0)
+        with pytest.raises(AttributeError):
+            delattr(record, attribute)
+    assert getattr(record, field) is before

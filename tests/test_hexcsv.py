@@ -23,6 +23,8 @@ _BIT_PATTERNS = st.one_of(
 )
 
 
+# slow, about 1 s: 200 examples, each writing and reading a file in its own directory, because
+# infinities are the rarest class: in two runs, only 8 and 2-3 of the 200 examples held one
 @settings(deadline=None, max_examples=200)
 @given(patterns=st.lists(_BIT_PATTERNS, min_size=1, max_size=40))
 def test_write_hex_csv_writes_float_hex_of_any_bit_pattern(patterns, tmp_path_factory):
