@@ -5,13 +5,16 @@ writes its outputs plus a manifest (effective config, its hash, the
 seed, statistics, and SHA-256 of each file) into --out.  Identical
 config and seed reproduce the output tree bit-exactly.  --check
 evaluates the command's quantitative contracts and encodes the verdict
-in the exit code.
+in the exit code.  The command line (`main_entry`) ends with a hard
+exit, skipping the interpreter's teardown; callers inside Python use
+`main`, which returns the exit code.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -380,7 +383,21 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def main_entry() -> None:
-    sys.exit(main())
+    """Run `main`, flush both streams and leave with `os._exit`, skipping the interpreter's teardown.
+
+    Every file `main` writes is closed before it returns, and the package
+    registers no atexit handler, so the teardown only frees memory.  An
+    exception escaping `main`, argparse's SystemExit included, leaves
+    the usual way.  A reader that closed its end of a stream ends the
+    run with exit code 1 and no traceback.
+    """
+    try:
+        code = main()
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except BrokenPipeError:
+        os._exit(1)
+    os._exit(code)
 
 
 if __name__ == "__main__":

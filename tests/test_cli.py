@@ -138,16 +138,21 @@ print(json.dumps(hashes))
 """
 
 
+def _child_env(**env):
+    """This process's environment with `env` added and the package's sources first on PYTHONPATH."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, **env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def _hash_trees_child(argvs, **env):
     """A child process that runs each named command line of `argvs` with `env` added to its own environment.
 
     It prints {name: hash_tree or exit code} as JSON.
     """
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, **env)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     argv = [sys.executable, "-c", _HASH_TREES, json.dumps(argvs)]
-    return subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    return subprocess.Popen(argv, env=_child_env(**env), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
 
 
 def _dispatch_targets():
@@ -927,11 +932,168 @@ def test_importing_the_command_line_generates_no_code_and_loads_no_device():
         "import sys; before = set(sys.modules); import fluxtem.cli; "
         "print(sorted({'dataclasses', 'fluxtem.device'} & (set(sys.modules) - before)))"
     )
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    child = subprocess.run([sys.executable, "-c", code], env=_child_env(), capture_output=True, text=True, timeout=60)
     assert child.returncode == 0, child.stderr
     assert child.stdout == "[]\n"
+
+
+# the command line's whole output and exit code for a pass, a failed verdict, a config error and a
+# precondition error
+EXIT_PATHS = {
+    "pass": (
+        ["design", "--seed", "1", "--check"],
+        cli.EXIT_OK,
+        "CHECK critical_current_order: PASS (i_c = 1.646e-06 A)\n"
+        "CHECK deflection_ratio_half: PASS (theta_d/theta_b = 0.5)\n"
+        "CHECK charge_scheme_weaker: PASS (charge/flux = 3.759e-02)\n",
+        "",
+    ),
+    "verdict": (
+        ["scaling", "--set", "scaling.k_list=4", "--check"],
+        cli.EXIT_CHECK_FAILED,
+        "CHECK dose_scaling_slope: FAIL (one k: no slope to fit)\n",
+        "check failed: dose_scaling_slope\n",
+    ),
+    "config": (["protocol", "--set", "protocol.k=0"], cli.EXIT_CONFIG, "", "config error: protocol.k must be >= 1, got 0\n"),
+    "precondition": (
+        ["scaling", "--set", "scaling.k_list=1,32"],
+        cli.EXIT_PRECONDITION,
+        "",
+        "precondition error: k = 32 puts |k * delta_phi| = 1.6000 >= pi/2; the quadrature inversion is ambiguous\n",
+    ),
+}
+
+
+def _fluxtem_child(args, stdout, stderr, unbuffered=False):
+    """A `python -m fluxtem` child; its streams are buffered, as a shell or a pipe runs it, unless `unbuffered`."""
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.Popen([sys.executable, "-m", "fluxtem", *args], env=env, stdout=stdout, stderr=stderr)
+
+
+def test_the_command_line_flushes_its_streams_before_its_hard_exit(tmp_path):
+    # without PYTHONUNBUFFERED the streams are block-buffered files, so a hard exit that skipped the
+    # flush would lose their text; the children run side by side
+    children = {}
+    for name, (args, *_) in EXIT_PATHS.items():
+        streams = [open(tmp_path / f"{name}.{stream}", "w") for stream in ("out", "err")]
+        with streams[0], streams[1]:
+            children[name] = _fluxtem_child([*args, "--out", str(tmp_path / name)], *streams)
+    try:
+        codes = {name: child.wait(timeout=60) for name, child in children.items()}
+    finally:
+        for child in children.values():
+            child.kill()
+    for name, (_, code, out, err) in EXIT_PATHS.items():
+        assert (tmp_path / f"{name}.out").read_text() == out, name
+        assert (tmp_path / f"{name}.err").read_text() == err, name
+        assert codes[name] == code, name
+    assert cli.main([*EXIT_PATHS["pass"][0], "--out", str(tmp_path / "in-process")]) == cli.EXIT_OK
+    assert fileio.hash_tree(tmp_path / "pass") == fileio.hash_tree(tmp_path / "in-process")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_a_closed_stdout_ends_the_command_line_without_a_traceback(unbuffered, tmp_path):
+    # buffered, the flush in main_entry meets the closed pipe; unbuffered, the first print in _finish does
+    with open(tmp_path / "err", "w") as err:
+        child = _fluxtem_child([*EXIT_PATHS["pass"][0], "--out", str(tmp_path / "tree")], subprocess.PIPE, err, unbuffered)
+    child.stdout.close()
+    try:
+        assert child.wait(timeout=60) == 1
+    finally:
+        child.kill()
+    assert (tmp_path / "err").read_text() == ""
+    assert cli.main([*EXIT_PATHS["pass"][0], "--out", str(tmp_path / "in-process")]) == cli.EXIT_OK
+    assert fileio.hash_tree(tmp_path / "tree") == fileio.hash_tree(tmp_path / "in-process")
+
+
+class _HardExit(Exception):
+    pass
+
+
+@pytest.fixture
+def exit_events(monkeypatch):
+    """The os._exit calls, in order; os._exit raises _HardExit."""
+    events = []
+
+    def hard_exit(code):
+        events.append(("exit", code))
+        raise _HardExit
+
+    monkeypatch.setattr(os, "_exit", hard_exit)
+    return events
+
+
+def _record_flushes(monkeypatch, events):
+    """Replace both streams with ones that record each flush in `events`.
+
+    Called in the test body: pytest's capture sets the streams again once fixtures are set up.
+    """
+
+    class Stream:
+        def __init__(self, name):
+            self.name = name
+
+        def write(self, text):
+            return len(text)
+
+        def flush(self):
+            events.append(("flush", self.name))
+
+    monkeypatch.setattr(sys, "stdout", Stream("stdout"))
+    monkeypatch.setattr(sys, "stderr", Stream("stderr"))
+
+
+def test_main_entry_flushes_both_streams_then_exits_hard_with_mains_code(exit_events, monkeypatch):
+    _record_flushes(monkeypatch, exit_events)
+    monkeypatch.setattr(cli, "main", lambda: cli.EXIT_PRECONDITION)
+    with pytest.raises(_HardExit):
+        cli.main_entry()
+    assert exit_events == [("flush", "stdout"), ("flush", "stderr"), ("exit", cli.EXIT_PRECONDITION)]
+
+
+@pytest.mark.parametrize(
+    "where, flushed",
+    [("main", []), ("stdout", []), ("stderr", [("flush", "stdout")])],
+)
+def test_a_broken_pipe_in_main_entry_exits_hard_with_code_1(where, flushed, exit_events, monkeypatch):
+    _record_flushes(monkeypatch, exit_events)
+
+    def broken():
+        raise BrokenPipeError
+
+    if where == "main":
+        monkeypatch.setattr(cli, "main", broken)
+    else:
+        monkeypatch.setattr(cli, "main", lambda: cli.EXIT_OK)
+        monkeypatch.setattr(getattr(sys, where), "flush", broken)
+    with pytest.raises(_HardExit):
+        cli.main_entry()
+    assert exit_events == [*flushed, ("exit", 1)]
+
+
+def test_an_exception_from_main_leaves_main_entry_the_usual_way(exit_events, monkeypatch):
+    # argparse's usage error is a SystemExit from main, and leaves the same way
+    monkeypatch.setattr(sys, "argv", ["fluxtem", "no-such-command"])
+    with pytest.raises(SystemExit) as raised:
+        cli.main_entry()
+    assert raised.value.code == 2
+
+    def failing():
+        raise ValueError("from main")
+
+    monkeypatch.setattr(cli, "main", failing)
+    with pytest.raises(ValueError, match="from main"):
+        cli.main_entry()
+    assert exit_events == []
+
+
+def test_main_never_exits_hard(exit_events, tmp_path):
+    # perfbench's traced runs and every in-process test call main and go on running
+    assert cli.main(["design", "--seed", "1", "--check", "--out", str(tmp_path)]) == cli.EXIT_OK
+    assert exit_events == []
 
 
 def _read_only_records():
