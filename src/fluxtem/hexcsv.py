@@ -2,8 +2,9 @@
 
 `write_hex_csv` writes the detector's table (`DetectorModel.to_csv`).
 `float.hex` is C99 `%a` text, which `float.fromhex` reads back bit for
-bit, and numpy builds it from each float's bits with lookup tables, a
-block of rows at a time, with no Python object per cell.
+bit.  numpy builds it a block of rows at a time, with no Python object
+per cell: the digits come from `binascii.hexlify` of the floats' bits, and
+the text around them from tables indexed by sign and exponent.
 
 Nothing imports this module at start-up: `detector` imports it on first
 use.  A process compiles the package's sources that have no cached
@@ -14,27 +15,24 @@ perfbench's runner's, by about 0.2 MB.
 
 from __future__ import annotations
 
+import binascii
 import sys
 
 import numpy as np
 
-# rows per write; it divides 1000.  A block holds its padded text, that text's mask and the
-# packed bytes, about 150 bytes a row each at the detector's widths, and the writer peaks at
-# 0.33 MB with its tables (tracemalloc, 65,536 rows).  1,000 rows write no faster and peak at
-# 0.52 MB, which at n = 128 is the optics command's peak
+# rows per write; it divides 1000, as the index field's tables need.  1,000 rows put the optics
+# command's tracemalloc peak at n = 128 at 4.87 grids, past its guard's bound of 4.33
 HEX_BLOCK_ROWS = 500
 
 
 def write_hex_csv(path, header: list[str], columns, labels: np.ndarray, names: list[str]) -> None:
     """CSV whose row i holds i, `float.hex` of each column's i-th float and names[labels[i]]; CRLF line ends.
 
-    `float.hex` writes C99 `%a` text, which `float.fromhex` reads back bit
-    for bit.  A block of `HEX_BLOCK_ROWS` rows at a time is laid out in
-    one uint8 array with every field at its widest, filled from lookup
-    tables indexed by the floats' bits; NUL bytes pad the shorter fields,
-    and one boolean compress drops them before the block is written in
-    one call.  No Python object is made per cell.  Columns or labels of
-    different lengths, or a label outside `names`, raise ValueError.
+    A block of `HEX_BLOCK_ROWS` rows at a time is laid out in one uint8
+    array with every field at its widest; NUL bytes pad the shorter fields,
+    and one boolean compress drops them before the block is written in one
+    call.  Columns or labels of different lengths, or a label outside
+    `names`, raise ValueError.
     """
     labels = np.asarray(labels)
     n = labels.size
@@ -53,33 +51,27 @@ def write_hex_csv(path, header: list[str], columns, labels: np.ndarray, names: l
     cells_at = lead_digits + 4
     cells_end = cells_at + len(columns) * _HEX_CELL
     ends = _text_table((name + "\r\n" for name in names), max(map(len, names)) + 2)
-    # the row's template: NUL in every field but the index field's comma and the "0x" and "." of each cell
-    template = np.zeros(cells_end + ends.shape[1], dtype=np.uint8)
-    template[cells_at - 1] = ord(",")
-    template[cells_at:cells_end].reshape(-1, _HEX_CELL)[:, 1:5] = np.frombuffer(b"0x\0.", dtype=np.uint8)
     tables = _hex_tables()
-    text = np.empty((min(n, HEX_BLOCK_ROWS), template.size), dtype=np.uint8)
-    values = np.empty((len(text), len(columns)))
+    # every block writes each byte after the index field, and the blocks run in row order, so the
+    # leading digits stay NUL until row 1000 and the index field's comma is set once
+    text = np.zeros((min(n, HEX_BLOCK_ROWS), cells_end + ends.shape[1]), dtype=np.uint8)
+    text[:, cells_at - 1] = ord(",")
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\r\n").encode("ascii"))
         for lo in range(0, n, HEX_BLOCK_ROWS):
             hi = min(lo + HEX_BLOCK_ROWS, n)
             block = text[: hi - lo]
-            block[:] = template
             if lo >= 1000:
                 block[:, :lead_digits] = _text_table([str(lo // 1000)], lead_digits)
             block[:, lead_digits : cells_at - 1] = (later_rows if lo >= 1000 else first_rows)[lo % 1000 : lo % 1000 + hi - lo]
-            for k, col in enumerate(columns):
-                values[: hi - lo, k] = col[lo:hi]
-            _hex_cells(block[:, cells_at:cells_end].reshape(hi - lo, len(columns), _HEX_CELL), values[: hi - lo], *tables)
+            values = np.stack([col[lo:hi] for col in columns], axis=1)
+            _hex_cells(block[:, cells_at:cells_end].reshape(hi - lo, len(columns), _HEX_CELL), values, *tables)
             block[:, cells_end:] = ends[labels[lo:hi]]
-            flat = block.ravel()
-            fh.write(flat[flat != 0])
+            fh.write(block[block != 0])
 
 
-# a float's cell: its float.hex text, at most "-0x1.", 13 hex digits and "p-1022", padded with NUL,
-# and the comma after it.  The text up to the "." and the text from the "p" on are each one uint64
-# looked up by the float's sign and biased exponent, and the digits are uint16 pairs looked up by byte
+# a float's cell: its float.hex text, at most "-0x1.", 13 hex digits and "p-1022", NUL-padded, and a
+# comma.  The text up to the "." and from the "p" on are each one uint64 looked up by sign and exponent
 _HEX_CELL = 26
 
 
@@ -95,30 +87,26 @@ def _text_table(texts, width: int) -> np.ndarray:
     return np.frombuffer(table, dtype=np.uint8).reshape(-1, width)
 
 
-def _hex_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The tables of `_hex_cells`: the head and tail of each sign-and-exponent field, and each byte's two hex digits.
+def _hex_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The tables of `_hex_cells`: the head and the tail of each sign-and-exponent field, as uint64 text.
 
     A field is a float's top 12 bits: its sign, then its biased exponent,
-    which is 0 for zero and the subnormals.  The tables are built from
-    Python text, so numpy runs no integer arithmetic here: every kernel it
-    runs first maps pages of its code into memory.
+    which is 0 for zero and the subnormals.  The heads repeat four leads:
+    heads computed by integer arithmetic on the fields run numpy kernels
+    that map their code, and raised optics' own peak RSS by about 0.25 MB.
     """
-    heads = _text_table((sign + lead for sign in ("", "-") for lead in ["0x0."] + ["0x1."] * 2047), 8)
+    leads = np.frombuffer(b"0x0.\0\0\0\0" b"0x1.\0\0\0\0" b"-0x0.\0\0\0" b"-0x1.\0\0\0", dtype="<u8")
     tails = _text_table((f"p{max(biased, 1) - 1023:+d}".ljust(7, "\0") + "," for biased in range(2048)), 8)
-    # bytes(range(256)).hex() is each byte's two digits in turn; read as one little-endian uint16, high nibble first
-    pairs = np.frombuffer(bytes(range(256)).hex().encode("ascii"), dtype="<u2")
-    return heads.view("<u8").ravel(), np.concatenate((tails, tails)).view("<u8").ravel(), pairs
+    return np.repeat(leads, [1, 2047, 1, 2047]), np.concatenate((tails, tails)).view("<u8").ravel()
 
 
-def _hex_cells(cells: np.ndarray, values: np.ndarray, heads: np.ndarray, tails: np.ndarray, pairs: np.ndarray) -> None:
+def _hex_cells(cells: np.ndarray, values: np.ndarray, heads: np.ndarray, tails: np.ndarray) -> None:
     """Fill `cells`, which holds a row of _HEX_CELL bytes for each of `values`, with float.hex of each value and a comma."""
     bits = values.view(np.uint64)
     field = (bits >> 52).astype(np.intp)
     cells[..., :8].view("<u8")[..., 0] = heads[field]
-    # the 52 fraction bits as 13 nibbles: bytes 0-6, big-endian, of bits << 12, two digits a byte; the
-    # last digit's partner and byte 7's pair land where the tail goes, and the tail overwrites them
-    fraction = (bits << 12).astype(">u8").view(np.uint8).reshape(*bits.shape, 8)
-    cells[..., 5:21].view("<u2")[:] = pairs[fraction]
+    # each float's 16 hex digits, big-endian: the first 3 spell its field and the other 13 its fraction
+    cells[..., 5:18] = np.frombuffer(binascii.hexlify(bits.astype(">u8")), dtype=np.uint8).reshape(*bits.shape, 16)[..., 3:]
     cells[..., 18:].view("<u8")[..., 0] = tails[field]
     # zeros and non-finite values are found with the float comparisons the optics chain has run
     # already, so no new kernel maps its code; NaN is neither zero nor finite

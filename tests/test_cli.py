@@ -381,6 +381,8 @@ def test_the_optics_command_holds_no_grid_when_it_hashes_its_outputs(tmp_path, m
     assert len(held) == 1 and held[0] <= 0.27
 
 
+# slow, about 1.2-1.4 s: two full 2,000-trial protocol commands on one CPU, the second under tracemalloc,
+# because the warm-up run keeps one-time allocations out of the traced peak
 def test_the_protocol_command_holds_few_grids_at_its_peak(tmp_path, monkeypatch):
     n = 128
     # one CPU, so every trial runs in this process, where tracemalloc sees it
@@ -395,6 +397,8 @@ def test_the_protocol_command_holds_few_grids_at_its_peak(tmp_path, monkeypatch)
     assert peak <= 4.38
 
 
+# slow, about 1.2-1.4 s: two full 2,000-trial protocol commands on one CPU, the second under tracemalloc,
+# because the warm-up run keeps one-time allocations out of what the manifest's hash sees held
 def test_the_protocol_command_holds_no_grid_when_it_hashes_its_outputs(tmp_path, monkeypatch):
     # as in optics, the manifest's first hash loads OpenSSL (~3.6 MB RSS), which would sit under the detector
     n = 128
