@@ -8,7 +8,7 @@ above it, and tests/test_layers.py holds that order.
   errors     - the two error types, one per exit code
   streams    - seeded random streams derived from (seed, path)
   fileio     - deterministic CSV, PGM and manifest output
-  hexcsv     - the detector's table, each float as exact float.hex text
+  hexcsv     - the detector's table, each float an exact hex cell of one width
   config     - key = value run configuration with units and limits; SCHEMA
                is each run parameter's only description
   detector   - per-pixel branch amplitudes, compensation angles, regions,

@@ -29,9 +29,7 @@ OUTSIDE_SHADOW = 0
 INSIDE_SHADOW = 1
 BOUNDARY = 2
 
-REGION_NAMES = {OUTSIDE_SHADOW: "outside_shadow", INSIDE_SHADOW: "inside_shadow", BOUNDARY: "boundary"}
-
-_CSV_HEADER = ["pixel", "re_a", "im_a", "re_b", "im_b", "beta", "region"]
+_CSV_HEADER = ["re_a", "im_a", "re_b", "im_b", "beta", "region"]
 
 
 def wrap_angle(x):
@@ -93,10 +91,6 @@ class DetectorModel:
     def __delattr__(self, name):
         raise AttributeError(f"DetectorModel is read-only: cannot delete {name!r}")
 
-    @property
-    def n_pixels(self) -> int:
-        return self.a.size
-
     @cached_property
     def boundary_mask(self) -> np.ndarray:
         return self.region == BOUNDARY
@@ -147,13 +141,12 @@ class DetectorModel:
         return max(far, near)
 
     def to_csv(self, path) -> None:
-        """Write one row per pixel: its index, a_j, b_j and beta_j as float.hex text, and its region's name."""
+        """Write row j for pixel j: a_j, b_j and beta_j as exact hex cells of one width, and its region code."""
         # imported on first use, so that no other command compiles it
         from . import hexcsv
 
         columns = (self.a.real, self.a.imag, self.b.real, self.b.imag, self.beta)
-        names = [REGION_NAMES[code] for code in range(len(REGION_NAMES))]
-        hexcsv.write_hex_csv(path, _CSV_HEADER, columns, self.region, names)
+        hexcsv.write_hex_csv(path, _CSV_HEADER, columns, self.region)
 
 
 def trivial(n_pixels: int = 64) -> DetectorModel:

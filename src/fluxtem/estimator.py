@@ -41,7 +41,6 @@ class EstimationResult(NamedTuple):
 
     estimate: float
     std_error: float
-    trials: int
     electrons_used: int
     boundary_discards: int
 
@@ -90,7 +89,6 @@ def estimate_phase(
     return EstimationResult(
         estimate=float(protocol.readout_phase(hits, trials, basis, k)),
         std_error=1.0 / (k * math.sqrt(trials)),
-        trials=trials,
         electrons_used=used,
         boundary_discards=discards,
     )
@@ -114,23 +112,18 @@ class DoseScalingResult(NamedTuple):
     intercept: float | None
 
 
-def _estimate_batch(mode, delta_phi, budget, repetitions, det, rng, k):
-    """Estimates and trials of `repetitions` fixed-k `estimate_phase` calls, drawn at once.
+def _estimate_batch(delta_phi, budget, repetitions, det, rng, k):
+    """Estimates of `repetitions` fixed-k entangled `estimate_phase` calls, drawn at once.
 
     Exact in distribution to calling `estimate_phase` once per
-    repetition.  Conventional: the antisymmetric count is
-    Binomial(budget, sin^2(dphi/2)).  Entangled: compensation subtracts
-    the same beta_j that detection added, so every completed group reads
-    out k*dphi whichever pixels it hit, and only the number of groups
-    matters.  Drawing stops at budget // k groups or when the budget is
-    spent, so the groups completed are min(budget // k, Binomial(budget,
-    q) // k) for non-boundary power fraction q, and the plus count is
-    Binomial(groups, (1 + sin k dphi) / 2).
+    repetition.  Compensation subtracts the same beta_j that detection
+    added, so every completed group reads out k*dphi whichever pixels it
+    hit, and only the number of groups matters.  Drawing stops at
+    budget // k groups or when the budget is spent, so the groups
+    completed are min(budget // k, Binomial(budget, q) // k) for
+    non-boundary power fraction q, and the plus count is Binomial(groups,
+    (1 + sin k dphi) / 2).
     """
-    if mode == "conventional":
-        basis = "symmetric_antisymmetric"
-        hits = rng.binomial(budget, protocol.readout_probability(delta_phi, basis), size=repetitions)
-        return protocol.readout_phase(hits, budget, basis, 1), np.full(repetitions, budget)
     q = 1.0 - det.boundary_power_fraction()
     groups = np.full(repetitions, budget // k)
     if q < 1.0:
@@ -138,13 +131,12 @@ def _estimate_batch(mode, delta_phi, budget, repetitions, det, rng, k):
     if not groups.all():
         raise PreconditionError("no group completed within the electron budget")
     hits = rng.binomial(groups, protocol.readout_probability(k * delta_phi, "quadrature"))
-    return protocol.readout_phase(hits, groups, "quadrature", k), groups
+    return protocol.readout_phase(hits, groups, "quadrature", k)
 
 
 def _empirical_std(delta_phi, k, budget, repetitions, seed, det):
     rng = derive(seed, DOMAIN_SCALING, k, budget)
-    estimates, _ = _estimate_batch("entangled", delta_phi, budget, repetitions, det, rng, k)
-    return float(estimates.std(ddof=1))
+    return float(_estimate_batch(delta_phi, budget, repetitions, det, rng, k).std(ddof=1))
 
 
 def electrons_to_target_std(

@@ -6,7 +6,7 @@ bit-exactly.  `write_csv` formats its rows itself, a block of
 `CSV_BLOCK_ROWS` rows at a time, and writes the bytes `csv.writer` would
 write for every table it is given; the `csv` module only reads.  The
 detector's table is the one the package writes elsewhere: `hexcsv`
-writes its floats as `float.hex` text.
+writes it in rows of one width, each float an exact hex cell.
 
 `write_csv_parts` is the package's one fork helper.  It splits a run's
 items, the protocol's trials, into one contiguous part per CPU that the

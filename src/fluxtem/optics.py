@@ -72,10 +72,6 @@ class WaveField:
     def __init__(self, grid: np.ndarray):
         self.grid = grid
 
-    @property
-    def power(self) -> float:
-        return float(np.sum(intensity_of(self.grid)))
-
 
 def branch_phase(cfg: RunConfig) -> float:
     """Aharonov-Bohm phase of the inside-ring wave in branch 1, wrapped to (-pi, pi] [rad].

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -90,6 +91,21 @@ def degenerate_two_pixel():
     b = np.array([0.0, 1.0], dtype=complex)
     region = np.full(2, det_mod.BOUNDARY, dtype=np.int8)
     return det_mod.DetectorModel(a=a, b=b, beta=np.zeros(2), region=region)
+
+
+def hex_cell(value):
+    """`value` as detector.csv's 24-character cell, formatted from its sign, exponent and fraction fields."""
+    bits = struct.unpack("<Q", struct.pack("<d", value))[0]
+    sign, biased, fraction = "+-"[bits >> 63], bits >> 52 & 2047, bits & (2**52 - 1)
+    if biased:  # a normal number
+        return f"{sign}0x1.{fraction:013x}p{biased - 1023:+05d}"
+    # zero has the exponent +0000, a subnormal -1022
+    return f"{sign}0x0.{fraction:013x}p{-1022 if fraction else 0:+05d}"
+
+
+def power(field):
+    """Total power of a WaveField: the sum of |grid|^2."""
+    return float(np.sum(det_mod.intensity_of(field.grid)))
 
 
 def parity(grid):

@@ -36,23 +36,23 @@ BOUNDARY_OPTICS = ["optics.detector_aperture_radius=9.6e-6", "optics.tolerance=0
 # hash_tree of each command's output at a small config and seed 12345
 GOLDEN_TREES = {
     "design": ([], True, "76ed193f57e0625a0858150ea66a16fbb14cca1a19566f91acf0e17c5519761d"),
-    "optics": (SMALL_OPTICS, True, "e6c1887249b482c5c6f17eba07ce270af785b22d3445ebfab643ebdaf17bea33"),
+    "optics": (SMALL_OPTICS, True, "0d22e33ec0da632131217e60be595b7c42ad516b613841d81f61b5eb7e4d7ff0"),
     # cmd_optics' other verdict branches: maps_identical_without_flux at no flux, no map verdict at
     # a quarter flux quantum, and the boundary-power warning, which --check would fail
     "optics-no-flux": (
         [*SMALL_OPTICS, "ring.flux_fraction=0"],
         True,
-        "899af187a504b3504c41398575d54ddef739cbaf1d2b7cd1f9dd0f5c04631b79",
+        "3a916dfd28625f4f4fa5c9a80c83fc4fdcb8b1b0c6c85de51101663b896475aa",
     ),
     "optics-quarter-flux": (
         [*SMALL_OPTICS, "ring.flux_fraction=0.25"],
         True,
-        "accf594e51f39183e9dae78860db2d021d69ef1a0c328accb9b97b3265c38551",
+        "c4532d5a07ecadc66190f61d819cb6069a5e6fb67e82848c65217557e6dd6e51",
     ),
     "optics-boundary-warning": (
         [*SMALL_OPTICS, *BOUNDARY_OPTICS],
         False,
-        "4893562987b4b49a5aeb107768e978cac2b4bf7b995c464562ad8b5a9efe4755",
+        "79b86bb2eef74ef7c338593eb00bfc7dc3c5b72ab99aec1a69f53af9b1210589",
     ),
     "protocol": (["protocol.repetitions=200"], True, "f6f2e09854e141fb445af262ddc8ea3efbf43a0ff927a0fc15b5afe269df4bc7"),
     "protocol-optics": (
@@ -90,7 +90,7 @@ GOLDEN_TREES = {
 # hash_tree of the default config on the optics detector at seed 12345, with --check
 PROTOCOL_OPTICS_TREE = "1e90c99dac7a6b0b05824e0a1f8bff0ee5beadec9c9184382a3c968473210ecf"
 # hash_tree of `optics` at the default config and seed 12345, with --check
-OPTICS_TREE = "56e23304744d83fb31b12c79ff3e20dc933d4e243064842129dcd44b97106257"
+OPTICS_TREE = "787e3dbce3b34eb0d63d3ceb29c01bcb489af68b73bc0b8b5fbe080b4ae5ce99"
 
 
 def _sha256(path):
@@ -119,7 +119,7 @@ def test_small_config_golden_tree(name, tmp_path):
     assert trees[0] == want
 
 
-# optics-quarter-flux reads accf594e51f3 natively, c2e204c2529e without X86_V4 and up and 57ed6ce9ae39
+# optics-quarter-flux reads c4532d5a07ec natively, 9f16b7dd1028 without X86_V4 and up and 30972c3dbb38
 # without X86_V3 and up: optics.branch_one's complex product with a factor not +-1 is fused from X86_V3,
 # and optics.build_detector's np.angle moves 3 of its 4,096 beta by an ulp from X86_V4
 DISPATCH_DEPENDENT_TREES = {"optics-quarter-flux"}
@@ -164,7 +164,8 @@ def _dispatch_targets():
 
 def test_golden_trees_hold_at_every_numpy_dispatch_level():
     # one child per level below native, each with that target and every one above it turned off in its own
-    # environment; the children run side by side, and the native level is the in-process golden test's
+    # environment; the children run side by side, and the native level is the in-process golden test's.
+    # Slow, about 1 s: each child imports numpy and writes every golden tree but the dependent ones
     targets = _dispatch_targets()
     if not targets:
         pytest.skip("numpy dispatches no target above its baseline on this host")
@@ -358,7 +359,7 @@ def _peak_in_grids(n, argv, out):
 def test_the_optics_command_holds_few_grids_at_its_peak(tmp_path):
     n = 128
     peak = _peak_in_grids(n, ["optics", "--seed", "12345", "--check", "--set", f"optics.n={n}"], tmp_path)
-    # the measured peak, 3.99, is write_pgm16's at a specimen map: the Beam's two waves and both
+    # the measured peak, 3.98, is write_pgm16's at a specimen map: the Beam's two waves and both
     # maps (3), the float copy that write_pgm16 scales in place, its 16-bit image, and small
     # objects.  specimen_maps builds the branches a block of rows at a time, trace_beam peaks at
     # 3.4 and build_detector at 3.7, the Beam included, as propagate transforms in place; the
@@ -828,9 +829,9 @@ def test_scaling_check_with_one_k_fails_for_want_of_a_slope(tmp_path, capsys):
 def test_a_group_per_electron_fails_the_slope_check(tmp_path, capsys, monkeypatch):
     estimate_batch = estimator._estimate_batch
 
-    def group_per_electron(mode, delta_phi, budget, repetitions, det, rng, k):
+    def group_per_electron(delta_phi, budget, repetitions, det, rng, k):
         # k times the budget completes G = B groups in place of floor(B / k) on the trivial detector
-        return estimate_batch(mode, delta_phi, budget * k, repetitions, det, rng, k)
+        return estimate_batch(delta_phi, budget * k, repetitions, det, rng, k)
 
     monkeypatch.setattr(estimator, "_estimate_batch", group_per_electron)
     assert cli.main(["scaling", "--seed", "12345", "--check", "--out", str(tmp_path)]) == cli.EXIT_CHECK_FAILED

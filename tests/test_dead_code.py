@@ -5,11 +5,13 @@ The roots are what runs without being named: the module-level
 statements of src/fluxtem (other than its definitions), the class-body
 statements that are not methods, every dunder method, everything in
 perfbench/, and the names pyproject.toml lists (the entry point).  From
-there reach is transitive: a definition is reached when a `Name` or
-`Attribute` node in a root or in a reached definition names it, and only
-then are the names inside it followed.  Methods are definitions too, so
-a method nothing calls reaches nothing.  Names match by spelling, not by
-scope, which errs towards counting a definition as reached.
+there reach is transitive: a module-level definition is reached when a
+`Name` or `Attribute` node in a root or in a reached definition names it,
+and only then are the names inside it followed.  Methods and properties
+are definitions too, reported as `Class.member`, but only an `Attribute`
+node reaches one: a local name or a parameter of the same spelling does
+not.  Names match by spelling, not by scope, which errs towards counting
+a definition as reached.
 
 Uses from tests/ do not count: a helper only the tests need belongs in
 tests/.  Neither does `__all__`: a string naming a definition reaches
@@ -33,49 +35,60 @@ DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _names(nodes):
-    """Every name a `Name` or `Attribute` node under `nodes` refers to."""
+    """("name", id) for each `Name` node under `nodes`, and ("attr", attr) for each `Attribute` node."""
     found = set()
     for top in nodes:
         for node in ast.walk(top):
             if isinstance(node, ast.Name):
-                found.add(node.id)
+                found.add(("name", node.id))
             elif isinstance(node, ast.Attribute):
-                found.add(node.attr)
+                found.add(("attr", node.attr))
     return found
 
 
+def _members(node):
+    """The methods and properties of a class node, dunders left out."""
+    return [m for m in node.body if isinstance(m, DEFINITIONS) and not re.fullmatch(r"__\w+__", m.name)]
+
+
 def unreached_definitions(root):
-    """(module, name) of each module-level def or class under root/src/fluxtem that no root reaches."""
+    """(module, name) of each module-level def or class, and (module, "Class.member") of each method or
+    property, under root/src/fluxtem that no root reaches."""
     package = sorted((root / "src" / "fluxtem").glob("*.py"))
     trees = {path: ast.parse(path.read_text(), str(path)) for path in package}
     roots = [ast.parse(path.read_text(), str(path)) for path in sorted((root / "perfbench").glob("*.py"))]
-    follow = {}  # name -> the nodes whose names are followed once that name is reached
+    follow = {}  # ("name" or "attr", name) -> the nodes whose names are followed once that is reached
     for tree in trees.values():
         for node in tree.body:
-            if isinstance(node, ast.ClassDef):
-                # a class's own nodes are its header; its methods are definitions of their own
-                follow.setdefault(node.name, []).extend([*node.decorator_list, *node.bases, *node.keywords])
-                for member in node.body:
-                    if isinstance(member, DEFINITIONS) and not re.fullmatch(r"__\w+__", member.name):
-                        follow.setdefault(member.name, []).append(member)
-                    else:
-                        roots.append(member)
-            elif isinstance(node, DEFINITIONS):
-                follow.setdefault(node.name, []).append(node)
+            if isinstance(node, DEFINITIONS):
+                # a class's own nodes are its header; its members are definitions of their own
+                own = [*node.decorator_list, *node.bases, *node.keywords] if isinstance(node, ast.ClassDef) else [node]
+                for kind in ("name", "attr"):
+                    follow.setdefault((kind, node.name), []).extend(own)
             else:
                 roots.append(node)
+            if isinstance(node, ast.ClassDef):
+                members = _members(node)
+                roots += [member for member in node.body if member not in members]
+                for member in members:
+                    follow.setdefault(("attr", member.name), []).append(member)
     reached = set()
-    pending = _names(roots) | set(re.findall(r"\w+", (root / "pyproject.toml").read_text()))
+    entry_points = set(re.findall(r"\w+", (root / "pyproject.toml").read_text()))
+    pending = _names(roots) | {(kind, name) for name in entry_points for kind in ("name", "attr")}
     while pending:
-        name = pending.pop()
-        reached.add(name)
-        pending |= _names(follow.pop(name, [])) - reached
-    return [
-        (path.stem, node.name)
-        for path in package
-        for node in trees[path].body
-        if isinstance(node, DEFINITIONS) and node.name not in reached
-    ]
+        key = pending.pop()
+        reached.add(key)
+        pending |= _names(follow.pop(key, [])) - reached
+    found = []
+    for path in package:
+        for node in trees[path].body:
+            if isinstance(node, DEFINITIONS):
+                if ("name", node.name) not in reached and ("attr", node.name) not in reached:
+                    found.append((path.stem, node.name))
+                if isinstance(node, ast.ClassDef):
+                    unreached = [m for m in _members(node) if ("attr", m.name) not in reached]
+                    found += [(path.stem, f"{node.name}.{m.name}") for m in unreached]
+    return found
 
 
 def unread_assignments(root):
@@ -108,7 +121,7 @@ def unused_imports(root):
     found = []
     for path in sorted((root / "src" / "fluxtem").glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
-        used = _names([tree])
+        used = {name for _, name in _names([tree])}
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.module == "__future__":
                 continue
@@ -133,12 +146,14 @@ def test_the_guard_follows_reach_from_the_roots_only(tmp_path):
     (package / "__init__.py").write_text('__all__ = ["exported"]\n')
     (package / "main.py").write_text(
         "def entry():\n    used()\n\n"
-        "def used():\n    return Holder().method()\n\n"
+        "def used(spelled=0):\n    named = 1\n    return Holder().method() + spelled + named\n\n"
         "class Holder:\n"
         "    size = sized()\n\n"
         "    def __init__(self):\n        from_dunder()\n\n"
         "    def method(self):\n        return from_method()\n\n"
         "    def uncalled(self):\n        return from_uncalled_method()\n\n"
+        "    @property\n    def named(self):\n        return 1\n\n"
+        "    def spelled(self):\n        return 2\n\n"
         "def sized():\n    pass\n\n"
         "def from_dunder():\n    pass\n\n"
         "def from_method():\n    pass\n\n"
@@ -153,8 +168,12 @@ def test_the_guard_follows_reach_from_the_roots_only(tmp_path):
     (tmp_path / "perfbench" / "run.py").write_text("from fluxtem import main\n\nmain.benched()\n")
     (tmp_path / "tests").mkdir()
     (tmp_path / "tests" / "test_main.py").write_text("from fluxtem.main import a\n\na()\n")
-    # the chain a -> b -> a_only_tests_call is named whole: only tests/ and the chain itself use it
+    # the chain a -> b -> a_only_tests_call is named whole: only tests/ and the chain itself use it;
+    # a local name and a parameter reach no member of the same spelling
     assert unreached_definitions(tmp_path) == [
+        ("main", "Holder.uncalled"),
+        ("main", "Holder.named"),
+        ("main", "Holder.spelled"),
         ("main", "from_uncalled_method"),
         ("main", "exported"),
         ("main", "a"),

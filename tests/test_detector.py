@@ -10,13 +10,13 @@ from fluxtem import detector as det_mod
 from fluxtem.errors import PreconditionError
 from fluxtem.hexcsv import HEX_BLOCK_ROWS
 
-from conftest import degenerate_two_pixel, two_region, validate_detector
+from conftest import degenerate_two_pixel, hex_cell, two_region, validate_detector
 
 
 def test_trivial_detector_invariants():
     det = det_mod.trivial(10)
     validate_detector(det)
-    assert det.n_pixels == 10
+    assert det.a.size == 10
     assert det.boundary_power_fraction() == 0.0
     np.testing.assert_array_equal(det.a, det.b)
     assert np.all(det.beta == 0.0)
@@ -134,14 +134,18 @@ def test_csv_round_trip(tmp_path):
     det.to_csv(path)
     with open(path, newline="") as fh:
         header, *rows = list(csv.reader(fh))
-    assert header == ["pixel", "re_a", "im_a", "re_b", "im_b", "beta", "region"]
-    assert [int(row[0]) for row in rows] == list(range(det.n_pixels))
-    a = np.array([complex(float.fromhex(row[1]), float.fromhex(row[2])) for row in rows])
-    b = np.array([complex(float.fromhex(row[3]), float.fromhex(row[4])) for row in rows])
+    assert header == ["re_a", "im_a", "re_b", "im_b", "beta", "region"]
+    a = np.array([complex(float.fromhex(row[0]), float.fromhex(row[1])) for row in rows])
+    b = np.array([complex(float.fromhex(row[2]), float.fromhex(row[3])) for row in rows])
     np.testing.assert_array_equal(a, det.a)
     np.testing.assert_array_equal(b, det.b)
-    np.testing.assert_array_equal([float.fromhex(row[5]) for row in rows], det.beta)
-    assert [row[6] for row in rows] == [det_mod.REGION_NAMES[r] for r in det.region.tolist()]
+    np.testing.assert_array_equal([float.fromhex(row[4]) for row in rows], det.beta)
+    assert [int(row[5]) for row in rows] == det.region.tolist()
+
+
+def _readme_loader(path):
+    """The README's loader of detector.csv's five float columns."""
+    return np.loadtxt(path, delimiter=",", skiprows=1, usecols=range(5), converters=float.fromhex)
 
 
 def test_the_readme_loader_reads_detector_csv_back_bit_for_bit(tmp_path):
@@ -154,9 +158,23 @@ def test_the_readme_loader_reads_detector_csv_back_bit_for_bit(tmp_path):
         region=rng.integers(0, 3, size=n),
     )
     det.to_csv(tmp_path / "det.csv")
-    table = np.loadtxt(tmp_path / "det.csv", delimiter=",", skiprows=1, usecols=range(1, 6), converters=float.fromhex)
     want = np.stack([det.a.real, det.a.imag, det.b.real, det.b.imag, det.beta], axis=1)
-    assert table.tobytes() == want.tobytes()
+    assert _readme_loader(tmp_path / "det.csv").tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("detector", ["small_detector", "default_detector"])
+def test_an_optics_detector_table_has_fixed_rows_its_bits_and_its_region_codes(detector, request, tmp_path):
+    det = request.getfixturevalue(detector)
+    det.to_csv(tmp_path / "det.csv")
+    text = (tmp_path / "det.csv").read_bytes()
+    header = b"re_a,im_a,re_b,im_b,beta,region\r\n"
+    assert text.startswith(header)
+    # row j is pixel j and starts at byte len(header) + 128 j; its region digit is the row's 126th byte
+    rows = np.frombuffer(text, dtype=np.uint8, offset=len(header)).reshape(det.a.size, 128)
+    assert (rows[:, -2:] == np.frombuffer(b"\r\n", dtype=np.uint8)).all()
+    assert (rows[:, -3] - ord("0")).tobytes() == det.region.astype(np.uint8).tobytes()
+    want = np.stack([det.a.real, det.a.imag, det.b.real, det.b.imag, det.beta], axis=1)
+    assert _readme_loader(tmp_path / "det.csv").tobytes() == want.tobytes()
 
 
 def _no_fork():
@@ -164,31 +182,30 @@ def _no_fork():
 
 
 @pytest.mark.parametrize("n", [1, HEX_BLOCK_ROWS - 1, HEX_BLOCK_ROWS, HEX_BLOCK_ROWS + 1, 2 * HEX_BLOCK_ROWS + 1, 10 * HEX_BLOCK_ROWS + 7])
-def test_to_csv_matches_a_csv_writer_reference_across_block_edges(tmp_path, monkeypatch, n):
+def test_to_csv_matches_a_reference_formatter_across_block_edges(tmp_path, monkeypatch, n):
     rng = np.random.default_rng(n)
     det = det_mod.DetectorModel(
         a=rng.normal(size=n) + 1j * rng.normal(size=n),
         b=rng.normal(size=n) * 1e-300 + 1j * rng.normal(size=n) * 1e200,
-        beta=rng.uniform(-np.pi, np.pi, size=n),
+        beta=np.where(rng.random(n) < 0.1, -0.0, rng.uniform(-np.pi, np.pi, size=n)),
         region=rng.integers(0, 3, size=n),
     )
-    regions = (det_mod.REGION_NAMES[r] for r in det.region)
     columns = (det.a.real, det.a.imag, det.b.real, det.b.imag, det.beta)
-    with open(tmp_path / "ref.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["pixel", "re_a", "im_a", "re_b", "im_b", "beta", "region"])
-        writer.writerows(zip(range(n), *([float.hex(float(x)) for x in col] for col in columns), regions))
+    rows = zip(*(col.tolist() for col in columns), det.region.tolist())
+    want = "re_a,im_a,re_b,im_b,beta,region\r\n" + "".join(
+        ",".join([*map(hex_cell, values), str(code)]) + "\r\n" for *values, code in rows
+    )
     # the table is written in this process, whatever the CPU count
     for cpus in (1, 3):
         with monkeypatch.context() as patch:
             patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
             patch.setattr(os, "fork", _no_fork)
             det.to_csv(tmp_path / "det.csv")
-        assert (tmp_path / "det.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes(), f"{cpus} CPUs"
+        assert (tmp_path / "det.csv").read_bytes() == want.encode("ascii"), f"{cpus} CPUs"
 
 
 def test_to_csv_converts_a_block_at_a_time(tmp_path):
-    # the whole table as padded text would hold about 10 MB here
+    # the whole table as text would hold about 8.4 MB here
     det = det_mod.trivial(65_536)
     det_mod.trivial(1).to_csv(tmp_path / "warm.csv")  # leave the first-use hexcsv import out of the peak
     tracemalloc.start()

@@ -22,32 +22,25 @@ def quarter_boundary_detector():
     return det_mod.DetectorModel(a=a, b=b, beta=beta, region=region)
 
 
-def oracle(mode, delta_phi, budget, det, k, seed):
-    """One estimate_phase call per repetition: the path the batch kernel replaces."""
-    results = [estimator.estimate_phase(mode, delta_phi, budget, det, derive(seed, rep), k=k) for rep in range(REPS)]
-    return np.array([r.estimate for r in results]), np.array([r.trials for r in results])
+def oracle(delta_phi, budget, det, k, seed):
+    """One entangled estimate_phase call per repetition: the path the batch kernel replaces."""
+    return np.array([estimator.estimate_phase("entangled", delta_phi, budget, det, derive(seed, rep), k=k).estimate for rep in range(REPS)])
 
 
 @pytest.mark.parametrize(
-    "mode, delta_phi, det, budget, k",
+    "delta_phi, det, budget, k",
     [
-        ("entangled", 0.1, det_mod.trivial(), 200, 4),
-        ("entangled", 0.1, quarter_boundary_detector(), 40, 4),
-        ("entangled", 0.1, quarter_boundary_detector(), 90, 1),
-        ("conventional", 1.0, det_mod.trivial(), 300, 1),
+        (0.1, det_mod.trivial(), 200, 4),
+        (0.1, quarter_boundary_detector(), 40, 4),
+        (0.1, quarter_boundary_detector(), 90, 1),
     ],
-    ids=["trivial-k4", "boundary-k4", "boundary-k1", "conventional"],
+    ids=["trivial-k4", "boundary-k4", "boundary-k1"],
 )
-def test_batch_kernel_matches_per_repetition_oracle(mode, delta_phi, det, budget, k):
-    want, want_trials = oracle(mode, delta_phi, budget, det, k, seed=11)
-    got, got_trials = estimator._estimate_batch(mode, delta_phi, budget, REPS, det, derive(12), k)
-    assert got.shape == got_trials.shape == (REPS,)
+def test_batch_kernel_matches_per_repetition_oracle(delta_phi, det, budget, k):
+    want = oracle(delta_phi, budget, det, k, seed=11)
+    got = estimator._estimate_batch(delta_phi, budget, REPS, det, derive(12), k)
+    assert got.shape == (REPS,)
     assert stats.ks_2samp(got, want).pvalue > 1e-3
-    if np.ptp(want_trials) == 0:
-        assert np.array_equal(got_trials, want_trials)
-    else:
-        assert set(got_trials) <= set(range(budget // k + 1))
-        assert stats.ks_2samp(got_trials, want_trials).pvalue > 1e-3
 
 
 class EveryCount:
@@ -57,41 +50,39 @@ class EveryCount:
         return np.arange(np.size(n) if size is None else size)
 
 
-@pytest.mark.parametrize("mode, budget, k", [("conventional", 4000, 1), ("entangled", 6400, 8)])
-def test_batch_kernel_and_estimate_phase_agree_bit_for_bit_at_every_count(mode, budget, k, monkeypatch):
+def test_batch_kernel_and_estimate_phase_agree_bit_for_bit_at_every_count(monkeypatch):
+    budget, k = 6400, 8
     trials = budget // k
-    batch, batch_trials = estimator._estimate_batch(mode, 0.1, budget, trials + 1, det_mod.trivial(), EveryCount(), k)
-    assert batch_trials.tolist() == [trials] * (trials + 1)
+    batch = estimator._estimate_batch(0.1, budget, trials + 1, det_mod.trivial(), EveryCount(), k)
 
     def outcomes(hits):
         return np.repeat(np.array([1, 0], dtype=np.uint8), [hits, trials - hits])
 
     hits = iter(range(trials + 1))
-    monkeypatch.setattr(estimator.protocol, "conventional_trials", lambda dphi, n, rng: outcomes(next(hits)))
     monkeypatch.setattr(
         estimator.protocol,
         "simulate_groups",
         lambda plan, det, n, rng, budget: estimator.protocol.GroupBatchResult(outcomes(next(hits)), trials, budget, 0),
     )
-    single = [estimator.estimate_phase(mode, 0.1, budget, det_mod.trivial(), None, k=k).estimate for _ in range(trials + 1)]
+    single = [estimator.estimate_phase("entangled", 0.1, budget, det_mod.trivial(), None, k=k).estimate for _ in range(trials + 1)]
     assert single == batch.tolist()
 
 
 def test_batch_kernel_is_reproducible_per_seed():
     det = quarter_boundary_detector()
-    first = estimator._estimate_batch("entangled", 0.05, 400, 400, det, derive(5, 3, 4, 400), 4)
-    again = estimator._estimate_batch("entangled", 0.05, 400, 400, det, derive(5, 3, 4, 400), 4)
-    other = estimator._estimate_batch("entangled", 0.05, 400, 400, det, derive(6, 3, 4, 400), 4)
-    assert np.array_equal(first[0], again[0]) and np.array_equal(first[1], again[1])
-    assert not np.array_equal(first[0], other[0])
-    assert estimator._empirical_std(0.05, 4, 400, 400, 5, det) == float(first[0].std(ddof=1))
+    first = estimator._estimate_batch(0.05, 400, 400, det, derive(5, 3, 4, 400), 4)
+    again = estimator._estimate_batch(0.05, 400, 400, det, derive(5, 3, 4, 400), 4)
+    other = estimator._estimate_batch(0.05, 400, 400, det, derive(6, 3, 4, 400), 4)
+    assert np.array_equal(first, again)
+    assert not np.array_equal(first, other)
+    assert estimator._empirical_std(0.05, 4, 400, 400, 5, det) == float(first.std(ddof=1))
 
 
 @pytest.mark.parametrize("det, budget", [(det_mod.trivial(), 3), (quarter_boundary_detector(), 8)])
 def test_batch_kernel_raises_when_no_group_completes(det, budget):
     # trivial: budget < k; boundary: Binomial(8, 3/4) < 8 at most repetitions
     with pytest.raises(PreconditionError, match="no group completed"):
-        estimator._estimate_batch("entangled", 0.05, budget, 400, det, derive(1), 8)
+        estimator._estimate_batch(0.05, budget, 400, det, derive(1), 8)
 
 
 def test_electrons_to_target_std_rejects_ambiguous_k():
@@ -110,7 +101,8 @@ def test_dose_scaling_slope_at_default_config(seed):
 def test_fixed_k_std_error_is_the_cramer_rao_bound():
     k, delta_phi = 4, 0.1
     res = estimator.estimate_phase("entangled", delta_phi, 400, det_mod.trivial(), derive(3), k=k)
-    assert res.std_error == 1.0 / (k * math.sqrt(res.trials))
+    # the trivial detector has no boundary pixel, so all 400 // k groups complete
+    assert res.std_error == 1.0 / (k * math.sqrt(400 // k))
 
 
 # ---------------------------------------------------------------------------

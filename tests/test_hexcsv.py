@@ -1,71 +1,65 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from fluxtem import hexcsv
 
-from conftest import SMALL_OPTICS
-
-# float64 bit patterns built from their fields, so that zeros and subnormals (exponent 0) and
-# infinities and NaNs (exponent 2047) of either sign come up as often as the normal floats
-_BIT_PATTERNS = st.one_of(
-    st.builds(
-        lambda sign, exponent, fraction: sign << 63 | exponent << 52 | fraction,
-        st.integers(0, 1),
-        st.one_of(st.sampled_from([0, 1, 1022, 1023, 2046, 2047]), st.integers(0, 2047)),
-        st.one_of(st.sampled_from([0, 1, 2**52 - 1]), st.integers(0, 2**52 - 1)),
-    ),
-    st.integers(0, 2**64 - 1),
-)
+from conftest import SMALL_OPTICS, hex_cell
 
 
-# slow, about 1 s: 200 examples, each writing and reading a file in its own directory, because
-# infinities are the rarest class: in two runs, only 8 and 2-3 of the 200 examples held one
-@settings(deadline=None, max_examples=200)
-@given(patterns=st.lists(_BIT_PATTERNS, min_size=1, max_size=40))
-def test_write_hex_csv_writes_float_hex_of_any_bit_pattern(patterns, tmp_path_factory):
-    values = np.array(patterns, dtype=np.uint64).view(np.float64)
-    path = tmp_path_factory.mktemp("hex") / "t.csv"
-    labels = np.arange(len(values)) % 2
-    hexcsv.write_hex_csv(path, ["i", "x", "y", "name"], [values, values[::-1]], labels, ["even", "odd"])
-    rows = zip(values.tolist(), values[::-1].tolist(), ["even", "odd"] * len(values))
-    want = "".join(f"{i},{float.hex(x)},{float.hex(y)},{name}\r\n" for i, (x, y, name) in enumerate(rows))
-    assert path.read_bytes() == ("i,x,y,name\r\n" + want).encode("ascii")
-
-
-def test_write_hex_csv_writes_float_hex_of_every_sign_and_exponent_field(tmp_path):
-    # all 4,096 fields, each with the fractions 0, 1 and 2^52 - 1, in one call, so the rows cross
-    # block edges and row 1000's index digits; the reversed column puts each field beside others
-    fields = np.repeat(np.arange(4096, dtype=np.uint64) << np.uint64(52), 3)
-    values = (fields | np.tile(np.array([0, 1, 2**52 - 1], dtype=np.uint64), 4096)).view(np.float64)
+def test_write_hex_csv_writes_every_finite_sign_and_exponent_field_exactly(tmp_path):
+    # all 4,094 finite fields, each with the fractions 0, 1 and 2^52 - 1, in one call, so the rows
+    # cross block edges; the reversed column puts each field beside others
+    fields = np.array([sign << 11 | biased for sign in (0, 1) for biased in range(2047)], dtype=np.uint64)
+    values = (np.repeat(fields << np.uint64(52), 3) | np.tile(np.array([0, 1, 2**52 - 1], dtype=np.uint64), fields.size)).view(np.float64)
+    codes = np.arange(values.size) % 10
     path = tmp_path / "t.csv"
-    hexcsv.write_hex_csv(path, ["i", "x", "y", "name"], [values, values[::-1]], np.zeros(values.size, dtype=int), ["f"])
-    rows = zip(values.tolist(), values[::-1].tolist())
-    want = "".join(f"{i},{float.hex(x)},{float.hex(y)},f\r\n" for i, (x, y) in enumerate(rows))
-    assert path.read_bytes() == ("i,x,y,name\r\n" + want).encode("ascii")
+    hexcsv.write_hex_csv(path, ["x", "y", "code"], [values, values[::-1]], codes)
+    rows = zip(values.tolist(), values[::-1].tolist(), codes.tolist())
+    want = "".join(f"{hex_cell(x)},{hex_cell(y)},{code}\r\n" for x, y, code in rows)
+    assert path.read_bytes() == ("x,y,code\r\n" + want).encode("ascii")
+    # every cell reads back bit for bit, -0.0 and the subnormals included
+    table = np.loadtxt(path, delimiter=",", skiprows=1, usecols=range(2), converters=float.fromhex)
+    assert table.tobytes() == np.stack([values, values[::-1]], axis=1).tobytes()
+
+
+def test_every_row_has_the_same_length(tmp_path):
+    values = np.array([0.0, -0.0, 5e-324, -1.0, 1.7976931348623157e308, np.pi, -2.2250738585072014e-308])
+    hexcsv.write_hex_csv(tmp_path / "t.csv", ["x", "y", "code"], [values, values[::-1]], np.arange(values.size))
+    header, *rows = (tmp_path / "t.csv").read_bytes().split(b"\r\n")[:-1]
+    assert header == b"x,y,code"
+    assert {len(row) for row in rows} == {2 * 25 + 1}
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, -np.nan])
+def test_a_non_finite_value_raises_naming_the_path(tmp_path, bad):
+    values = np.zeros(2 * hexcsv.HEX_BLOCK_ROWS)
+    values[-1] = bad
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        hexcsv.write_hex_csv(path, ["x", "code"], [values], np.zeros(values.size, dtype=int))
 
 
 @pytest.mark.parametrize(
-    "header, columns, labels",
+    "header, columns, codes",
     [
-        (["i", "x", "name"], [np.zeros(3)], np.zeros(2, dtype=int)),
-        (["i", "x", "y", "name"], [np.zeros(3), np.zeros(2)], np.zeros(3, dtype=int)),
-        (["i", "x", "name"], [np.zeros(2)], np.array([0, 2])),
-        (["i", "x", "name"], [np.zeros(2)], np.array([-1, 0])),
-        (["i", "x"], [np.zeros(2)], np.zeros(2, dtype=int)),
+        (["x", "code"], [np.zeros(3)], np.zeros(2, dtype=int)),
+        (["x", "y", "code"], [np.zeros(3), np.zeros(2)], np.zeros(3, dtype=int)),
+        (["x", "code"], [np.zeros(2)], np.array([0, 10])),
+        (["x", "code"], [np.zeros(2)], np.array([-1, 0])),
+        (["x"], [np.zeros(2)], np.zeros(2, dtype=int)),
     ],
-    ids=["short-labels", "short-column", "label-past-the-names", "negative-label", "short-header"],
+    ids=["short-codes", "short-column", "code-past-nine", "negative-code", "short-header"],
 )
-def test_write_hex_csv_rejects_mismatched_inputs(tmp_path, header, columns, labels):
+def test_write_hex_csv_rejects_mismatched_inputs(tmp_path, header, columns, codes):
     with pytest.raises(ValueError):
-        hexcsv.write_hex_csv(tmp_path / "t.csv", header, columns, labels, ["a", "b"])
+        hexcsv.write_hex_csv(tmp_path / "t.csv", header, columns, codes)
 
 
 def test_importing_the_command_line_compiles_no_hex_writer():

@@ -171,14 +171,14 @@ SAMPLER_WEIGHTS = [(0.7, 0.3), (0.2, 0.8), (1.0, 0.0), (0.0, 1.0), (0.5, 0.5)]
 @pytest.mark.parametrize("w0, w1", SAMPLER_WEIGHTS)
 def test_draw_pixel_follows_the_born_law_on_a_grid_of_uniforms(w0, w1):
     # a pixel takes one run of midpoints in each of the two components, and each run
-    # holds N times its share of the pixel's mass to within one midpoint.  Slow, 0.7-1.3 s a
+    # holds N times its share of the pixel's mass to within one midpoint.  Slow, 1.2-2.9 s a
     # weight pair: 2^20 Python calls of _draw_pixel, so that the grid resolves every pixel's mass
     # to 2/N = 1.9e-6, where the detector's lightest pixel carries 0.021
     det = _unequal_moduli_detector()
     n = 1 << 20
     uniforms = ((np.arange(n) + 0.5) / n).tolist()
     draws = map(P._draw_pixel, itertools.repeat(det, n), uniforms, itertools.repeat(w0, n), itertools.repeat(w1, n))
-    mass = np.bincount(np.fromiter(draws, dtype=np.int64, count=n), minlength=det.n_pixels) / n
+    mass = np.bincount(np.fromiter(draws, dtype=np.int64, count=n), minlength=det.a.size) / n
     law = (w0 * np.abs(det.a) ** 2 + w1 * np.abs(det.b) ** 2) / (w0 + w1)
     assert mass.shape == law.shape
     assert np.abs(mass - law).max() <= 2.0 / n
@@ -189,7 +189,7 @@ def test_draw_pixel_follows_the_born_law_on_a_grid_of_uniforms(w0, w1):
 @pytest.mark.parametrize("u", [0.0, 1.0 - 2.0**-53])
 def test_draw_pixel_stays_on_the_detector_at_both_ends_of_the_unit_interval(u, w0, w1):
     det = _unequal_moduli_detector()
-    assert 0 <= P._draw_pixel(det, u, w0, w1) < det.n_pixels
+    assert 0 <= P._draw_pixel(det, u, w0, w1) < det.a.size
 
 
 def test_draw_pixel_caps_a_rounded_draw_at_the_last_pixel_with_mass():
@@ -495,7 +495,7 @@ def _enumerate_oracle(plan, det, basis):
     """
     inv = 1.0 / math.sqrt(2.0)
     table = {}
-    for seq in itertools.product(range(det.n_pixels), repeat=plan.k):
+    for seq in itertools.product(range(det.a.size), repeat=plan.k):
         c0 = inv * np.exp(-0.5j * (plan.sigma0 + plan.k * plan.delta_phi))
         c1 = inv * np.exp(+0.5j * (plan.sigma0 + plan.k * plan.delta_phi))
         for j in seq:
