@@ -246,8 +246,11 @@ def cmd_image(cfg: RunConfig, out: Path, check: bool) -> None:
     for i, w in enumerate(spec.warnings):
         stats[f"warning.{i}"] = w
     if not spec.pairs:
-        print("warning: empty pair list, nothing to scan", file=sys.stderr)
-        _finish(out, cfg, "image", stats, [], [], check)
+        stats["warning.pairs"] = "empty pair list, nothing to scan"
+        checks = []
+        if check:
+            checks.append(("rmse_ratio", False, "no pair to scan"))
+        _finish(out, cfg, "image", stats, [], checks, check)
         return
     det = _detector(cfg)
     k = cfg["image.k"]

@@ -235,6 +235,7 @@ def read_pairs_csv(path, shape: tuple[int, int]) -> list[tuple[np.ndarray, np.nd
     """Read a `pair,region,row,col` list into (S0, S1) flat-index regions, ordered by pair id.
 
     `shape` is the phase map's (height, width), which holds every cell; region must be 0 (S0) or 1 (S1).
+    Blank lines are skipped, as `read_csv_floats` skips them.
     """
     height, width = shape
     pair_sets: dict[int, tuple[list[int], list[int]]] = {}
@@ -244,7 +245,12 @@ def read_pairs_csv(path, shape: tuple[int, int]) -> list[tuple[np.ndarray, np.nd
         if header != ["pair", "region", "row", "col"]:
             raise ValueError(f"expected header pair,region,row,col, got {header!r}")
         for row in reader:
-            pair, region, r, c = (int(v) for v in row)
+            if not row:
+                continue
+            try:
+                pair, region, r, c = (int(v) for v in row)
+            except ValueError:
+                raise ValueError(f"line {reader.line_num}: expected four integers, got {row!r}") from None
             if region not in (0, 1):
                 raise ValueError(f"region must be 0 or 1, got {region}")
             if not (0 <= r < height and 0 <= c < width):

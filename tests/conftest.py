@@ -37,6 +37,11 @@ def default_detector(default_cfg):
     return det
 
 
+def _no_fork():
+    """A stand-in for os.fork in a run that must stay in one process."""
+    raise AssertionError("forked a child in a run that must stay in one process")
+
+
 def assert_states_close(actual, expected, tol=1e-12):
     """Equality of two-amplitude states up to a global phase."""
     va = np.array([actual.amp0, actual.amp1])

@@ -10,7 +10,7 @@ from fluxtem import detector as det_mod
 from fluxtem.errors import PreconditionError
 from fluxtem.hexcsv import HEX_BLOCK_ROWS
 
-from conftest import degenerate_two_pixel, hex_cell, two_region, validate_detector
+from conftest import _no_fork, degenerate_two_pixel, hex_cell, two_region, validate_detector
 
 
 def test_trivial_detector_invariants():
@@ -38,7 +38,7 @@ def test_degenerate_detector_flags_everything_boundary():
     validate_detector(det)  # boundary pixels are exempt from the moduli law
 
 
-def test_validate_rejects_unequal_moduli():
+def test_unequal_branch_moduli_break_the_detector_invariants():
     a = np.array([1.0, 0.0], dtype=complex)
     b = np.array([0.8, 0.6], dtype=complex)
     det = det_mod.DetectorModel(a=a, b=b, beta=np.zeros(2), region=np.zeros(2, dtype=np.int8))
@@ -46,7 +46,7 @@ def test_validate_rejects_unequal_moduli():
         validate_detector(det)
 
 
-def test_validate_rejects_off_law_beta():
+def test_an_off_law_beta_breaks_the_detector_invariants():
     n = 4
     amp = np.full(n, 0.5, dtype=complex)
     det = det_mod.DetectorModel(
@@ -119,7 +119,7 @@ def test_beta_law_deviation_of_signed_zeros_is_plus_zero():
         assert np.float64(det.beta_law_deviation(0.0)).tobytes() == np.float64(0.0).tobytes()
 
 
-def test_validate_rejects_unnormalized_power():
+def test_unnormalized_power_breaks_the_detector_invariants():
     amp = np.array([1.0, 1.0], dtype=complex)
     det = det_mod.DetectorModel(
         a=amp, b=amp, beta=np.zeros(2), region=np.zeros(2, dtype=np.int8)
@@ -175,10 +175,6 @@ def test_an_optics_detector_table_has_fixed_rows_its_bits_and_its_region_codes(d
     assert (rows[:, -3] - ord("0")).tobytes() == det.region.astype(np.uint8).tobytes()
     want = np.stack([det.a.real, det.a.imag, det.b.real, det.b.imag, det.beta], axis=1)
     assert _readme_loader(tmp_path / "det.csv").tobytes() == want.tobytes()
-
-
-def _no_fork():
-    raise AssertionError("to_csv forked a child")
 
 
 @pytest.mark.parametrize("n", [1, HEX_BLOCK_ROWS - 1, HEX_BLOCK_ROWS, HEX_BLOCK_ROWS + 1, 2 * HEX_BLOCK_ROWS + 1, 10 * HEX_BLOCK_ROWS + 7])

@@ -282,7 +282,8 @@ def _pairs_file(tmp_path, lines):
 def test_read_pairs_csv_orders_pairs_by_id_and_flattens_indices(tmp_path):
     path = _pairs_file(
         tmp_path,
-        ["pair,region,row,col", "2,1,1,3", "0,0,0,0", "2,0,1,2", "0,1,0,1", "0,1,1,1"],
+        # blank lines, one of them last, are skipped
+        ["pair,region,row,col", "2,1,1,3", "0,0,0,0", "", "2,0,1,2", "0,1,0,1", "0,1,1,1", ""],
     )
     pairs = fileio.read_pairs_csv(path, shape=(2, 4))
     assert len(pairs) == 2
@@ -298,8 +299,10 @@ def test_read_pairs_csv_orders_pairs_by_id_and_flattens_indices(tmp_path):
         (["pair,region,x,y", "0,0,0,0"], "expected header"),
         (["pair,region,row,col", "0,2,0,0"], "region must be 0 or 1"),
         ([], "expected header"),
+        (["pair,region,row,col", "0,0,0,0", "0,1,0"], "line 3: expected four integers, got"),
+        (["pair,region,row,col", "0,1,0,x"], "line 2: expected four integers, got"),
     ],
-    ids=["bad-header", "bad-region", "empty"],
+    ids=["bad-header", "bad-region", "empty", "three-cells", "not-an-integer"],
 )
 def test_read_pairs_csv_rejects_bad_files(tmp_path, lines, message):
     with pytest.raises(ValueError, match=message):

@@ -375,7 +375,7 @@ class TestBuildDetector:
         np.testing.assert_allclose(np.cos(det.beta[lit]), np.cos(det_ref.beta[lit]), atol=1e-9)
         np.testing.assert_array_equal(det.region, det_ref.region)
 
-    def test_validate_passes(self, small_detector):
+    def test_the_small_detector_meets_the_detector_invariants(self, small_detector):
         validate_detector(small_detector, phase=math.pi)
 
 
